@@ -358,7 +358,8 @@ stats::ReplicationResult run_point(const RunSpec& spec,
   // Forward the buffered per-replication streams in index order, each
   // preceded by a replication marker — the stream the user sink sees is
   // therefore identical for every `jobs` value (speculative replications
-  // past the stopping point are buffered but never forwarded).
+  // past the stopping point are buffered but never forwarded). Each
+  // buffer is freed as soon as it has been forwarded.
   if (spec.trace != nullptr) {
     for (std::size_t rep = 0; rep < result.replications; ++rep) {
       if (spec.trace->wants(san::TraceCategory::kMarker)) {
@@ -369,6 +370,7 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       const auto it = records.find(rep);
       if (it != records.end() && it->second.trace != nullptr) {
         it->second.trace->replay_into(*spec.trace);
+        it->second.trace.reset();
       }
     }
   }

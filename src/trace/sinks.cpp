@@ -1,60 +1,167 @@
 #include "trace/sinks.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 namespace vcpusim::trace {
-namespace {
+namespace json {
 
-// %.17g round-trips every finite double exactly; the JSONL golden
-// fixtures depend on this rendering being stable.
-std::string number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
 }
 
-std::string escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+// to_chars(general, 17) is specified as printf("%.17g"), which
+// round-trips every finite double exactly; the JSONL golden fixtures
+// depend on this rendering being stable.
+void append_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out.append("null");
+    return;
+  }
+  // Integral values below 2^53 (simulated ticks, mostly) render under
+  // %.17g as their plain digits, since the decimal exponent is below the
+  // precision; the integer path is several times cheaper. -0 keeps its
+  // sign through the general path.
+  if (std::fabs(v) < 9007199254740992.0) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v))) {
+      append_int(out, i);
+      return;
     }
   }
-  out.push_back('"');
-  return out;
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17);
+  out.append(buf, res.ptr);
 }
 
+namespace {
+
+/// Bytes append_string must escape: '"', '\\' and the control range.
+constexpr std::array<bool, 256> kNeedsEscape = [] {
+  std::array<bool, 256> table{};
+  for (std::size_t c = 0; c < 0x20; ++c) table[c] = true;
+  table['"'] = true;
+  table['\\'] = true;
+  return table;
+}();
+
+}  // namespace
+
+void append_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.push_back('"');
+  std::size_t clean = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (!kNeedsEscape[c]) continue;
+    out.append(s.data() + clean, i - clean);
+    clean = i + 1;
+    switch (c) {
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\n': out.append("\\n"); break;
+      case '\t': out.append("\\t"); break;
+      case '\r': out.append("\\r"); break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4U],
+                               kHex[c & 0xFU]};
+        out.append(escape, sizeof(escape));
+      }
+    }
+  }
+  out.append(s.data() + clean, s.size() - clean);
+  out.push_back('"');
+}
+
+}  // namespace json
+
+namespace {
+
 /// True iff `s` is entirely one finite number (so a marking value can be
-/// promoted to a Chrome counter track).
-bool parse_number(std::string_view s, double* out) {
+/// promoted to a Chrome counter track). strtod needs a terminated
+/// string, so `s` is copied into the caller's reused `scratch`.
+bool parse_number(std::string_view s, std::string& scratch, double* out) {
   if (s.empty()) return false;
-  std::string buf(s);
+  scratch.assign(s);
   char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
+  const double v = std::strtod(scratch.c_str(), &end);
+  if (end != scratch.c_str() + scratch.size()) return false;
   if (!std::isfinite(v)) return false;
   *out = v;
   return true;
+}
+
+/// The opening of a JSONL line up to its time value.
+std::string_view line_prefix(san::TraceCategory category) {
+  switch (category) {
+    case san::TraceCategory::kFire: return R"({"kind":"fire","t":)";
+    case san::TraceCategory::kEnabling: return R"({"kind":"enabling","t":)";
+    case san::TraceCategory::kMarking: return R"({"kind":"marking","t":)";
+    case san::TraceCategory::kScheduler: return R"({"kind":"sched","t":)";
+    case san::TraceCategory::kMarker: return R"({"kind":"marker","t":)";
+  }
+  return R"({"kind":"?","t":)";
+}
+
+/// One JSONL line for `event` (no trailing newline), appended to `out`.
+void append_line(std::string& out, const san::TraceEvent& event) {
+  out.append(line_prefix(event.category));
+  json::append_double(out, event.time);
+  out.append(",\"seq\":");
+  json::append_uint(out, event.seq);
+  switch (event.category) {
+    case san::TraceCategory::kFire:
+      out.append(",\"activity\":");
+      json::append_string(out, event.name);
+      out.append(",\"case\":");
+      json::append_int(out, event.a);
+      break;
+    case san::TraceCategory::kEnabling:
+      out.append(",\"activity\":");
+      json::append_string(out, event.name);
+      out.append(",\"active\":");
+      json::append_int(out, event.a);
+      break;
+    case san::TraceCategory::kMarking:
+      out.append(",\"place\":");
+      json::append_string(out, event.name);
+      out.append(",\"value\":");
+      json::append_string(out, event.detail);
+      break;
+    case san::TraceCategory::kScheduler:
+      out.append(",\"op\":");
+      json::append_string(out, event.detail);
+      out.append(",\"vcpu\":");
+      json::append_int(out, event.a);
+      out.append(",\"pcpu\":");
+      json::append_int(out, event.b);
+      break;
+    case san::TraceCategory::kMarker:
+      out.append(",\"label\":");
+      json::append_string(out, event.name);
+      out.append(",\"value\":");
+      json::append_int(out, event.a);
+      break;
+  }
+  out.push_back('}');
 }
 
 }  // namespace
@@ -75,65 +182,134 @@ san::TraceEvent OwnedTraceEvent::view() const {
   return san::TraceEvent{category, time, seq, name, a, b, detail};
 }
 
-void RingBufferSink::on_event(const san::TraceEvent& event) {
-  ++total_;
-  if (capacity_ != 0 && entries_.size() == capacity_) {
-    entries_.erase(entries_.begin());
+std::uint32_t RingBufferSink::intern(std::string_view s) {
+  if (s.empty()) return 0;
+  // Fibonacci hash of the source address picks a direct-mapped slot.
+  const auto key =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(s.data()));
+  Interned& slot =
+      interned_[(key * 0x9E3779B97F4A7C15ULL) >> (64U - kInternBits)];
+  if (slot.source == s.data() && slot.len == s.size() &&
+      std::memcmp(arena_.data() + slot.offset, s.data(), s.size()) == 0) {
+    return slot.offset;
   }
-  entries_.push_back(OwnedTraceEvent::from(event));
+  constexpr std::size_t kMaxArena = std::numeric_limits<std::uint32_t>::max();
+  if (s.size() > kMaxArena - arena_.size()) {
+    throw std::length_error("RingBufferSink: trace arena exceeds 4 GiB");
+  }
+  const auto offset = static_cast<std::uint32_t>(arena_.size());
+  arena_.append(s);
+  slot = Interned{s.data(), static_cast<std::uint32_t>(s.size()), offset};
+  return offset;
+}
+
+const RingBufferSink::Record& RingBufferSink::record(std::size_t i) const {
+  // Segment k starts at kFirstSegment * (2^k - 1).
+  const std::size_t k = std::bit_width(i / kFirstSegment + 1) - 1;
+  return segments_[k][i - kFirstSegment * ((std::size_t{1} << k) - 1)];
+}
+
+void RingBufferSink::on_event(const san::TraceEvent& event) {
+  if (event.name.size() > kMaxNameLen) {
+    throw std::length_error("RingBufferSink: event name exceeds 16 MiB");
+  }
+  const std::uint32_t name = intern(event.name);
+  const std::uint32_t detail = intern(event.detail);
+  if (size_ == kFirstSegment * ((std::size_t{1} << segments_.size()) - 1)) {
+    segments_.push_back(std::make_unique_for_overwrite<Record[]>(
+        kFirstSegment << segments_.size()));
+  }
+  Record& r = record(size_);
+  r.time = event.time;
+  r.seq = event.seq;
+  r.a = event.a;
+  r.b = event.b;
+  r.name = name;
+  r.detail = detail;
+  r.name_len = static_cast<std::uint32_t>(event.name.size());
+  r.category = trace_bit(event.category);
+  r.detail_len = static_cast<std::uint32_t>(event.detail.size());
+  ++size_;
+  ++total_;
+  if (capacity_ != 0 && retained() > capacity_) {
+    ++head_;
+    if (head_ >= retained()) compact();
+  }
+}
+
+void RingBufferSink::compact() {
+  const std::size_t live = retained();
+  std::size_t live_bytes = 0;
+  for (std::size_t i = 0; i < live; ++i) {
+    Record& r = record(i);
+    r = record(head_ + i);
+    live_bytes += r.name_len + r.detail_len;
+  }
+  size_ = live;
+  head_ = 0;
+  // live_bytes counts shared strings once per record, so it bounds the
+  // live arena bytes from above: past twice that, dead bytes dominate.
+  if (arena_.size() <= 2 * live_bytes) return;
+  // Re-intern the live strings into a fresh arena. Keyed by their
+  // old-arena addresses, strings the records share stay shared.
+  std::string old;
+  old.swap(arena_);
+  arena_.reserve(live_bytes);
+  interned_.fill(Interned{});
+  for (std::size_t i = 0; i < live; ++i) {
+    Record& r = record(i);
+    r.name = intern(std::string_view(old.data() + r.name, r.name_len));
+    r.detail = intern(std::string_view(old.data() + r.detail, r.detail_len));
+  }
+  interned_.fill(Interned{});  // the keys point into `old`
+}
+
+void RingBufferSink::clear() noexcept {
+  size_ = 0;
+  head_ = 0;
+  arena_.clear();
+  interned_.fill(Interned{});
+  total_ = 0;
+}
+
+san::TraceEvent RingBufferSink::event_at(std::size_t i) const {
+  const Record& r = record(head_ + i);
+  return san::TraceEvent{static_cast<san::TraceCategory>(r.category),
+                         r.time,
+                         r.seq,
+                         std::string_view(arena_.data() + r.name, r.name_len),
+                         r.a,
+                         r.b,
+                         std::string_view(arena_.data() + r.detail,
+                                          r.detail_len)};
 }
 
 std::size_t RingBufferSink::count(san::TraceCategory category) const {
-  return static_cast<std::size_t>(
-      std::count_if(entries_.begin(), entries_.end(),
-                    [category](const OwnedTraceEvent& e) {
-                      return e.category == category;
-                    }));
+  std::size_t n = 0;
+  for (std::size_t i = head_; i < size_; ++i) {
+    n += record(i).category == trace_bit(category) ? 1 : 0;
+  }
+  return n;
 }
 
 void RingBufferSink::replay_into(san::TraceSink& sink) const {
-  for (const OwnedTraceEvent& owned : entries_) {
-    const san::TraceEvent event = owned.view();
+  for (std::size_t i = 0; i < retained(); ++i) {
+    const san::TraceEvent event = event_at(i);
     if (sink.wants(event.category)) sink.on_event(event);
   }
 }
 
 std::string JsonlSink::line(const san::TraceEvent& event) {
-  std::string out = "{\"kind\":";
-  out += escaped(trace_category_name(event.category));
-  out += ",\"t\":";
-  out += number(event.time);
-  out += ",\"seq\":";
-  out += std::to_string(event.seq);
-  switch (event.category) {
-    case san::TraceCategory::kFire:
-      out += ",\"activity\":" + escaped(event.name);
-      out += ",\"case\":" + std::to_string(event.a);
-      break;
-    case san::TraceCategory::kEnabling:
-      out += ",\"activity\":" + escaped(event.name);
-      out += ",\"active\":" + std::to_string(event.a);
-      break;
-    case san::TraceCategory::kMarking:
-      out += ",\"place\":" + escaped(event.name);
-      out += ",\"value\":" + escaped(event.detail);
-      break;
-    case san::TraceCategory::kScheduler:
-      out += ",\"op\":" + escaped(event.detail);
-      out += ",\"vcpu\":" + std::to_string(event.a);
-      out += ",\"pcpu\":" + std::to_string(event.b);
-      break;
-    case san::TraceCategory::kMarker:
-      out += ",\"label\":" + escaped(event.name);
-      out += ",\"value\":" + std::to_string(event.a);
-      break;
-  }
-  out.push_back('}');
+  std::string out;
+  append_line(out, event);
   return out;
 }
 
 void JsonlSink::on_event(const san::TraceEvent& event) {
-  *os_ << line(event) << '\n';
+  line_.clear();
+  append_line(line_, event);
+  line_.push_back('\n');
+  os_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void JsonlSink::finish() { os_->flush(); }
@@ -143,51 +319,67 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
     *os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     open_ = true;
   }
+  std::string& out = entry_;
+  out.clear();
+  if (!first_) out.push_back(',');
+  out.append("\n{\"name\":");
   // One simulated tick -> 1ms of timeline (ts is in microseconds).
-  const std::string ts = number(event.time * 1000.0);
-  std::string entry;
+  const double ts = event.time * 1000.0;
   switch (event.category) {
     case san::TraceCategory::kFire:
-      entry = "{\"name\":" + escaped(event.name) +
-              ",\"cat\":\"fire\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-              "\"tid\":0,\"ts\":" + ts +
-              ",\"args\":{\"case\":" + std::to_string(event.a) +
-              ",\"seq\":" + std::to_string(event.seq) + "}}";
+      json::append_string(out, event.name);
+      out.append(",\"cat\":\"fire\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
+                 "\"tid\":0,\"ts\":");
+      json::append_double(out, ts);
+      out.append(",\"args\":{\"case\":");
+      json::append_int(out, event.a);
+      out.append(",\"seq\":");
+      json::append_uint(out, event.seq);
       break;
     case san::TraceCategory::kEnabling:
-      entry = "{\"name\":" + escaped(event.name) +
-              ",\"cat\":\"enabling\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-              "\"tid\":1,\"ts\":" + ts +
-              ",\"args\":{\"active\":" + std::to_string(event.a) + "}}";
+      json::append_string(out, event.name);
+      out.append(",\"cat\":\"enabling\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
+                 "\"tid\":1,\"ts\":");
+      json::append_double(out, ts);
+      out.append(",\"args\":{\"active\":");
+      json::append_int(out, event.a);
       break;
     case san::TraceCategory::kMarking: {
       double value = 0.0;
-      if (!parse_number(event.detail, &value)) return;  // counters only
-      entry = "{\"name\":" + escaped(event.name) +
-              ",\"cat\":\"marking\",\"ph\":\"C\",\"pid\":0,\"ts\":" + ts +
-              ",\"args\":{\"value\":" + number(value) + "}}";
+      // Only numeric markings become counters.
+      if (!parse_number(event.detail, number_, &value)) return;
+      json::append_string(out, event.name);
+      out.append(",\"cat\":\"marking\",\"ph\":\"C\",\"pid\":0,\"ts\":");
+      json::append_double(out, ts);
+      out.append(",\"args\":{\"value\":");
+      json::append_double(out, value);
       break;
     }
     case san::TraceCategory::kScheduler:
       // One timeline row per VCPU (tid = vcpu id + 2 keeps rows 0/1 for
       // fire / enabling instants).
-      entry = "{\"name\":" + escaped(event.detail) +
-              ",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-              "\"tid\":" + std::to_string(event.a + 2) +
-              ",\"ts\":" + ts +
-              ",\"args\":{\"vcpu\":" + std::to_string(event.a) +
-              ",\"pcpu\":" + std::to_string(event.b) + "}}";
+      json::append_string(out, event.detail);
+      out.append(",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
+                 "\"tid\":");
+      json::append_int(out, event.a + 2);
+      out.append(",\"ts\":");
+      json::append_double(out, ts);
+      out.append(",\"args\":{\"vcpu\":");
+      json::append_int(out, event.a);
+      out.append(",\"pcpu\":");
+      json::append_int(out, event.b);
       break;
     case san::TraceCategory::kMarker:
-      entry = "{\"name\":" + escaped(event.name) +
-              ",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
-              "\"tid\":0,\"ts\":" + ts +
-              ",\"args\":{\"value\":" + std::to_string(event.a) + "}}";
+      json::append_string(out, event.name);
+      out.append(",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
+                 "\"tid\":0,\"ts\":");
+      json::append_double(out, ts);
+      out.append(",\"args\":{\"value\":");
+      json::append_int(out, event.a);
       break;
   }
-  if (entry.empty()) return;
-  if (!first_) *os_ << ",";
-  *os_ << "\n" << entry;
+  out.append("}}");
+  os_->write(out.data(), static_cast<std::streamsize>(out.size()));
   first_ = false;
 }
 

@@ -1,9 +1,9 @@
 // Concrete structured-trace sinks (san::TraceSink implementations):
 //
-//  * RingBufferSink — in-memory, bounded, keeps the *tail* of the run;
-//    the programmatic inspection surface (tests, debuggers) and the
-//    replay buffer the experiment runner uses to forward per-replication
-//    streams in replication order.
+//  * RingBufferSink — in-memory, optionally bounded (keeps the *tail* of
+//    the run); the programmatic inspection surface (tests, debuggers)
+//    and the replay buffer the experiment runner uses to forward
+//    per-replication streams in replication order.
 //  * JsonlSink — one JSON object per line, schema documented in
 //    docs/OBSERVABILITY.md. Deterministic bytes for a given event
 //    stream (doubles rendered with %.17g, no timestamps, no pointers).
@@ -16,18 +16,22 @@
 // ergonomics as sched::make_factory's unknown-algorithm error).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "san/trace.hpp"
 
 namespace vcpusim::trace {
 
-/// A trace event that owns its strings (sinks that retain events copy
-/// out of the callback-scoped TraceEvent views).
+/// A trace event that owns its strings (the copy-out type for callers
+/// that keep events past the lifetime of a sink's views).
 struct OwnedTraceEvent {
   san::TraceCategory category = san::TraceCategory::kFire;
   san::Time time = 0.0;
@@ -42,21 +46,82 @@ struct OwnedTraceEvent {
   san::TraceEvent view() const;
 };
 
+/// Append helpers shared by the stream sinks. Each writes straight into
+/// `out` (no temporaries), so a reused buffer stops allocating once it
+/// has grown to the longest line. Exposed so tests pin the renderings.
+namespace json {
+void append_int(std::string& out, std::int64_t v);
+void append_uint(std::string& out, std::uint64_t v);
+/// %.17g, which round-trips every finite double; non-finite -> null.
+void append_double(std::string& out, double v);
+/// `s` as a quoted JSON string: '"', '\\' and control characters are
+/// escaped (\n \t \r by name, the rest as \u00xx); other bytes,
+/// including non-ASCII ones, are copied through.
+void append_string(std::string& out, std::string_view s);
+}  // namespace json
+
+/// In-memory event store. Events are packed into fixed-size records
+/// whose strings live in one byte arena per sink, so retaining an event
+/// costs no allocation of its own. Records fill segments of doubling
+/// size, so storage grows without ever copying and N events take
+/// O(log N) allocations. Repeated names — the model's activity / place
+/// names — are interned: a small cache keyed by the source pointer, each
+/// hit confirmed by content because a view may alias reused storage.
 class RingBufferSink final : public san::TraceSink {
  public:
   /// Keep at most `capacity` events (0 = unbounded); older events are
-  /// dropped first.
+  /// dropped first, in O(1) amortized time per event.
   explicit RingBufferSink(std::size_t capacity = 0,
                           std::uint8_t categories = san::kTraceAll)
       : san::TraceSink(categories), capacity_(capacity) {}
 
   void on_event(const san::TraceEvent& event) override;
 
-  const std::vector<OwnedTraceEvent>& entries() const noexcept {
-    return entries_;
-  }
+  /// The retained events, oldest first. The TraceEvents it hands out
+  /// point into the sink's arena: their strings are invalidated by the
+  /// next on_event() or clear().
+  class View {
+   public:
+    class iterator {
+     public:
+      using value_type = san::TraceEvent;
+      using difference_type = std::ptrdiff_t;
+      iterator(const RingBufferSink* sink, std::size_t i)
+          : sink_(sink), i_(i) {}
+      san::TraceEvent operator*() const { return sink_->event_at(i_); }
+      iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return i_ == other.i_; }
+      bool operator!=(const iterator& other) const { return i_ != other.i_; }
+
+     private:
+      const RingBufferSink* sink_;
+      std::size_t i_;
+    };
+
+    explicit View(const RingBufferSink& sink) : sink_(&sink) {}
+    std::size_t size() const noexcept { return sink_->retained(); }
+    bool empty() const noexcept { return size() == 0; }
+    san::TraceEvent operator[](std::size_t i) const {
+      return sink_->event_at(i);
+    }
+    san::TraceEvent front() const { return (*this)[0]; }
+    san::TraceEvent back() const { return (*this)[size() - 1]; }
+    iterator begin() const { return {sink_, 0}; }
+    iterator end() const { return {sink_, size()}; }
+
+   private:
+    const RingBufferSink* sink_;
+  };
+
+  View events() const noexcept { return View(*this); }
   std::size_t total_events() const noexcept { return total_; }
-  std::size_t dropped() const noexcept { return total_ - entries_.size(); }
+  std::size_t dropped() const noexcept { return total_ - retained(); }
+  /// Bytes of string storage held (interned, so usually far less than
+  /// the retained events' name and detail lengths summed).
+  std::size_t arena_bytes() const noexcept { return arena_.size(); }
 
   /// Number of retained events of one category.
   std::size_t count(san::TraceCategory category) const;
@@ -65,21 +130,61 @@ class RingBufferSink final : public san::TraceSink {
   /// experiment runner stitches per-replication streams together).
   void replay_into(san::TraceSink& sink) const;
 
-  void clear() noexcept {
-    entries_.clear();
-    total_ = 0;
-  }
+  void clear() noexcept;
 
  private:
+  /// One retained event (48 bytes): its strings are (offset, length)
+  /// in arena_, and the category shares a word with the name length.
+  struct Record {
+    double time;
+    std::uint64_t seq;
+    std::int64_t a;
+    std::int64_t b;
+    std::uint32_t name;
+    std::uint32_t detail;
+    std::uint32_t name_len : 24;
+    std::uint32_t category : 8;
+    std::uint32_t detail_len;
+  };
+  static constexpr std::size_t kMaxNameLen = (std::size_t{1} << 24U) - 1;
+  /// Interning cache slot: where the bytes last seen at `source` sit.
+  struct Interned {
+    const char* source = nullptr;
+    std::uint32_t len = 0;
+    std::uint32_t offset = 0;
+  };
+  static constexpr unsigned kInternBits = 10;
+  static constexpr std::size_t kInternSlots = std::size_t{1} << kInternBits;
+
+  /// Records in segment k: kFirstSegment << k.
+  static constexpr std::size_t kFirstSegment = 256;
+
+  std::size_t retained() const noexcept { return size_ - head_; }
+  /// Record `i` of the stored sequence (dead ones before head_ included).
+  const Record& record(std::size_t i) const;
+  Record& record(std::size_t i) {
+    return const_cast<Record&>(std::as_const(*this).record(i));
+  }
+  san::TraceEvent event_at(std::size_t i) const;
+  /// Arena offset of bytes equal to `s`, appending them on a cache miss.
+  std::uint32_t intern(std::string_view s);
+  /// Drop the dead records in front of head_ and, once the arena's dead
+  /// bytes exceed its live bytes, rebuild it from the live records.
+  void compact();
+
   std::size_t capacity_;
-  std::vector<OwnedTraceEvent> entries_;
+  std::vector<std::unique_ptr<Record[]>> segments_;
+  std::size_t size_ = 0;  ///< records stored
+  std::size_t head_ = 0;  ///< first live record (bounded mode)
+  std::string arena_;
+  std::array<Interned, kInternSlots> interned_{};
   std::size_t total_ = 0;
 };
 
 class JsonlSink final : public san::TraceSink {
  public:
-  /// Writes to `os`, which must outlive the sink. The stream is flushed
-  /// by finish().
+  /// Writes to `os`, which must outlive the sink, with one os.write per
+  /// event. The stream is flushed by finish().
   explicit JsonlSink(std::ostream& os, std::uint8_t categories = san::kTraceAll)
       : san::TraceSink(categories), os_(&os) {}
 
@@ -92,6 +197,7 @@ class JsonlSink final : public san::TraceSink {
 
  private:
   std::ostream* os_;
+  std::string line_;  ///< reused serialization buffer
 };
 
 class ChromeTraceSink final : public san::TraceSink {
@@ -108,6 +214,8 @@ class ChromeTraceSink final : public san::TraceSink {
   std::ostream* os_;
   bool open_ = false;
   bool first_ = true;
+  std::string entry_;   ///< reused serialization buffer
+  std::string number_;  ///< NUL-terminated copy of a marking value
 };
 
 /// Valid names for make_stream_sink, sorted.

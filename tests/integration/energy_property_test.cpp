@@ -66,8 +66,10 @@ EnergyRun run_energy(const vm::SystemConfig& config,
 
   EnergyRun out;
   out.accumulated = energy->accumulated();
-  for (const auto& e : sink.entries()) {
-    if (e.detail == "freq") out.freq_events.push_back(e);
+  for (const san::TraceEvent e : sink.events()) {
+    if (e.detail == "freq") {
+      out.freq_events.push_back(trace::OwnedTraceEvent::from(e));
+    }
   }
   return out;
 }

@@ -1,8 +1,9 @@
 // Golden structured-trace fixtures: the JSONL event stream (activity
 // fires, enabling changes, marking updates, scheduler decisions,
 // replication markers) of every shipped algorithm on a 2-PCPU / 4-VCPU
-// system is pinned byte-for-byte, and the stream is required to be
-// identical across --jobs values and across incremental-enabling modes.
+// system is pinned byte-for-byte (as is the Chrome trace_event export of
+// one short credit run), and the stream is required to be identical
+// across --jobs values and across incremental-enabling modes.
 //
 // Regenerate (only when a trajectory or format change is intended) with:
 //   VCPUSIM_UPDATE_GOLDEN=1 ./integration_tests --gtest_filter='StructuredTrace.*'
@@ -31,6 +32,9 @@ constexpr san::Time kEndTime = 12.0;
 constexpr std::size_t kReplications = 2;
 /// Fixtures pin the first N lines (the full streams run to thousands).
 constexpr std::size_t kFixtureLines = 300;
+/// The Chrome fixture pins a whole document, so its horizon is short.
+constexpr san::Time kChromeEndTime = 3.0;
+constexpr const char* kChromeAlgorithm = "credit";
 
 vm::SystemConfig two_pcpu_four_vcpu() {
   return vm::make_symmetric_config(2, {2, 2}, 5);
@@ -45,13 +49,14 @@ vm::SystemConfig system_for(const std::string& algorithm) {
   return system;
 }
 
-/// The full JSONL stream of `kReplications` replications.
-std::string structured_stream(const std::string& algorithm,
-                              std::size_t jobs) {
+/// The full stream of `kReplications` replications through the named
+/// stream sink ("jsonl" or "chrome").
+std::string traced_stream(const std::string& algorithm, std::size_t jobs,
+                          const std::string& sink_name, san::Time end_time) {
   exp::RunSpec spec;
   spec.system = system_for(algorithm);
   spec.scheduler = sched::make_factory(algorithm);
-  spec.end_time = kEndTime;
+  spec.end_time = end_time;
   spec.warmup = 1.0;
   spec.base_seed = kSeed;
   spec.jobs = jobs;
@@ -59,11 +64,17 @@ std::string structured_stream(const std::string& algorithm,
   spec.policy.max_replications = kReplications;
 
   std::ostringstream os;
-  trace::JsonlSink sink(os);
-  spec.trace = &sink;
+  const auto sink = trace::make_stream_sink(sink_name, os);
+  spec.trace = sink.get();
   exp::run_point(spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, "m"}});
-  sink.finish();
+  sink->finish();
   return os.str();
+}
+
+/// The full JSONL stream of `kReplications` replications.
+std::string structured_stream(const std::string& algorithm,
+                              std::size_t jobs) {
+  return traced_stream(algorithm, jobs, "jsonl", kEndTime);
 }
 
 std::string first_lines(const std::string& text, std::size_t n) {
@@ -112,6 +123,28 @@ TEST(StructuredTrace, PerAlgorithmStreamsMatchFixtures) {
     EXPECT_EQ(head, expected)
         << "structured trace diverged from the recorded fixture";
   }
+}
+
+/// The Chrome trace_event export of one short run, pinned whole (header,
+/// every instant / counter entry and the closing bracket).
+TEST(StructuredTrace, ChromeDocumentMatchesFixture) {
+  const std::string path =
+      std::string(kFixtureDir) + "/" + kChromeAlgorithm + ".chrome.json";
+  const std::string document =
+      traced_stream(kChromeAlgorithm, /*jobs=*/1, "chrome", kChromeEndTime);
+  ASSERT_FALSE(document.empty());
+  if (update_mode()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << document;
+    return;
+  }
+  const std::string expected = read_file(path);
+  ASSERT_FALSE(expected.empty())
+      << "missing fixture " << path
+      << " — regenerate with VCPUSIM_UPDATE_GOLDEN=1";
+  EXPECT_EQ(document, expected)
+      << "Chrome trace diverged from the recorded fixture";
 }
 
 TEST(StructuredTrace, ByteIdenticalAcrossJobs) {

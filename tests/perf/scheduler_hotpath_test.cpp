@@ -4,19 +4,27 @@
 //     every built-in algorithm — the snapshot/decide/apply buffers and
 //     the sched::core run-queue state are all sized at attach time;
 //   * the Scheduling_Func gate's dynamic write footprint keeps
-//     incremental enabling from collapsing to a full rescan every tick.
+//     incremental enabling from collapsing to a full rescan every tick;
+//   * the trace sinks stay off the allocator: a JsonlSink serializes
+//     into one reused buffer, and a RingBufferSink's storage grows
+//     geometrically (O(log N) allocations for N events).
 // The allocation counter overrides the global operator new, so these
 // tests live in their own binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/rng.hpp"
+#include "trace/sinks.hpp"
 #include "vm/system_builder.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -134,6 +142,83 @@ TEST(SchedulerHotPath, SteadyStateTracingDoesNotAllocate) {
   EXPECT_EQ(traced, baseline)
       << "tracing added " << (traced - baseline)
       << " heap allocations over the untraced baseline";
+#endif
+}
+
+/// Stream buffer that drops every byte without allocating.
+class DiscardBuf final : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+/// A JsonlSink serializing a real event stream (every category, taken
+/// from a traced credit run) allocates nothing per event once its line
+/// buffer has grown to the longest line.
+TEST(SchedulerHotPath, JsonlSinkSteadyStateDoesNotAllocate) {
+#ifdef VCPUSIM_HOTPATH_SANITIZED
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  auto system =
+      vm::build_system(vm::make_symmetric_config(4, {2, 2, 2, 2}, 5),
+                       sched::make_factory("credit")());
+  san::SimulatorConfig config;
+  config.end_time = 200.0;
+  config.seed = 3;
+  san::Simulator sim(config);
+  trace::RingBufferSink recorded;
+  sim.set_trace(&recorded);
+  sim.set_model(*system->model);
+  sim.run();
+  ASSERT_GT(recorded.events().size(), 1000U);
+
+  DiscardBuf discard;
+  std::ostream os(&discard);
+  trace::JsonlSink sink(os);
+  recorded.replay_into(sink);  // warm-up: the line buffer reaches capacity
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  recorded.replay_into(sink);
+  sink.finish();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+      << "JsonlSink allocated while serializing "
+      << recorded.events().size() << " events";
+#endif
+}
+
+/// A RingBufferSink's per-event cost is a record append plus, on an
+/// intern-cache miss, an arena append — both amortized growth, so N
+/// events cost O(log N) allocations however many strings they carry.
+TEST(SchedulerHotPath, RingBufferSinkAllocatesLogarithmically) {
+#ifdef VCPUSIM_HOTPATH_SANITIZED
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  std::vector<std::string> names;  // stable, model-owned-like names
+  for (int i = 0; i < 40; ++i) {
+    names.push_back("VM_" + std::to_string(i) + ".VCPU1->Schedule_In");
+  }
+  std::string value(16, '\0');  // reused storage, like a marking value
+  for (const std::size_t n : {std::size_t{1} << 12U, std::size_t{1} << 15U,
+                              std::size_t{1} << 18U}) {
+    SCOPED_TRACE(n);
+    const long before = g_allocations.load(std::memory_order_relaxed);
+    {
+      trace::RingBufferSink sink;
+      for (std::size_t i = 0; i < n; ++i) {
+        value.assign(1 + i % 3, static_cast<char>('0' + i % 10));
+        sink.on_event(san::TraceEvent{
+            i % 2 == 0 ? san::TraceCategory::kFire
+                       : san::TraceCategory::kMarking,
+            static_cast<double>(i), i, names[i % names.size()], 0, 0,
+            i % 2 == 0 ? std::string_view{} : std::string_view(value)});
+      }
+      ASSERT_EQ(sink.events().size(), n);
+    }
+    const long allocations =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    // Two geometrically grown buffers: records and the byte arena.
+    const long bound = 2 * static_cast<long>(std::log2(n)) + 4;
+    EXPECT_LE(allocations, bound) << n << " events";
+  }
 #endif
 }
 

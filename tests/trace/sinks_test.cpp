@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "testing/helpers.hpp"
 #include "testing/json.hpp"
 
 namespace vcpusim::trace {
@@ -25,8 +33,8 @@ TEST(RingBufferSink, RetainsOwnedCopies) {
     const std::string transient = "Model->Act";
     sink.on_event(fire_event(1.5, 3, transient, 2));
   }  // the emitter's string is gone; the sink must have copied
-  ASSERT_EQ(sink.entries().size(), 1U);
-  const auto& e = sink.entries().front();
+  ASSERT_EQ(sink.events().size(), 1U);
+  const TraceEvent e = sink.events().front();
   EXPECT_EQ(e.name, "Model->Act");
   EXPECT_EQ(e.category, TraceCategory::kFire);
   EXPECT_DOUBLE_EQ(e.time, 1.5);
@@ -41,9 +49,74 @@ TEST(RingBufferSink, BoundedCapacityKeepsTail) {
   }
   EXPECT_EQ(sink.total_events(), 5U);
   EXPECT_EQ(sink.dropped(), 2U);
-  ASSERT_EQ(sink.entries().size(), 3U);
-  EXPECT_EQ(sink.entries().front().a, 2);
-  EXPECT_EQ(sink.entries().back().a, 4);
+  ASSERT_EQ(sink.events().size(), 3U);
+  EXPECT_EQ(sink.events().front().a, 2);
+  EXPECT_EQ(sink.events().back().a, 4);
+}
+
+TEST(RingBufferSink, InternedNamesAreCheckedByContent) {
+  RingBufferSink sink;
+  char storage[] = "Model->A";  // one address, changing content
+  sink.on_event(fire_event(0, 0, storage));
+  storage[7] = 'B';
+  sink.on_event(fire_event(1, 1, storage));
+  sink.on_event(fire_event(2, 2, storage));
+  sink.on_event(TraceEvent{TraceCategory::kMarking, 3, 3, storage, 0, 0,
+                           std::string_view(storage, 5)});
+  ASSERT_EQ(sink.events().size(), 4U);
+  EXPECT_EQ(sink.events()[0].name, "Model->A");
+  EXPECT_EQ(sink.events()[1].name, "Model->B");
+  EXPECT_EQ(sink.events()[2].name, "Model->B");
+  EXPECT_EQ(sink.events()[3].name, "Model->B");
+  EXPECT_EQ(sink.events()[3].detail, "Model");
+  // The repeated name was stored once.
+  EXPECT_LT(sink.arena_bytes(), 4 * sizeof(storage));
+}
+
+/// Drop-oldest over a long stream: every event's strings come from
+/// reused buffers (as the simulator's marking values do), so the tail
+/// survives many arena compactions only if they relocate it correctly.
+TEST(RingBufferSink, BoundedEvictionKeepsTailThroughCompaction) {
+  constexpr std::size_t kCapacity = 1000;
+  constexpr std::size_t kEvents = 1000000;
+  const auto name_of = [](std::size_t i) {
+    return "VM_" + std::to_string(i % 37) + ".VCPU->Activity";
+  };
+  const auto detail_of = [](std::size_t i) {
+    return std::to_string(i * 7919U);
+  };
+  RingBufferSink sink(kCapacity);
+  std::string name;
+  std::string detail;
+  std::size_t max_arena = 0;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    name = name_of(i);
+    detail = detail_of(i);
+    sink.on_event(TraceEvent{TraceCategory::kMarking, static_cast<double>(i),
+                             i, name, static_cast<std::int64_t>(i), -1,
+                             detail});
+    max_arena = std::max(max_arena, sink.arena_bytes());
+  }
+  EXPECT_EQ(sink.total_events(), kEvents);
+  EXPECT_EQ(sink.dropped(), kEvents - kCapacity);
+  const auto events = sink.events();
+  ASSERT_EQ(events.size(), kCapacity);
+  std::size_t k = kEvents - kCapacity;
+  for (const TraceEvent e : events) {
+    ASSERT_EQ(e.seq, k);
+    EXPECT_EQ(e.a, static_cast<std::int64_t>(k));
+    EXPECT_EQ(e.b, -1);
+    EXPECT_EQ(e.time, static_cast<double>(k));
+    EXPECT_EQ(e.category, TraceCategory::kMarking);
+    EXPECT_EQ(e.name, name_of(k));
+    EXPECT_EQ(e.detail, detail_of(k));
+    ++k;
+  }
+  EXPECT_EQ(k, kEvents);
+  // Compaction bounds the arena by the live strings, not the stream.
+  std::size_t live = 0;
+  for (const TraceEvent e : events) live += e.name.size() + e.detail.size();
+  EXPECT_LE(max_arena, 4 * live);
 }
 
 TEST(RingBufferSink, CountByCategoryAndClear) {
@@ -56,7 +129,7 @@ TEST(RingBufferSink, CountByCategoryAndClear) {
   EXPECT_EQ(sink.count(TraceCategory::kMarking), 0U);
   sink.clear();
   EXPECT_EQ(sink.total_events(), 0U);
-  EXPECT_TRUE(sink.entries().empty());
+  EXPECT_TRUE(sink.events().empty());
 }
 
 TEST(RingBufferSink, ReplayForwardsInOrderHonoringFilter) {
@@ -67,9 +140,9 @@ TEST(RingBufferSink, ReplayForwardsInOrderHonoringFilter) {
 
   RingBufferSink fires_only(0, san::trace_bit(TraceCategory::kFire));
   source.replay_into(fires_only);
-  ASSERT_EQ(fires_only.entries().size(), 2U);
-  EXPECT_EQ(fires_only.entries()[0].name, "a");
-  EXPECT_EQ(fires_only.entries()[1].name, "b");
+  ASSERT_EQ(fires_only.events().size(), 2U);
+  EXPECT_EQ(fires_only.events()[0].name, "a");
+  EXPECT_EQ(fires_only.events()[1].name, "b");
 }
 
 TEST(RingBufferSink, CategoryMaskPrefilters) {
@@ -133,6 +206,175 @@ TEST(JsonlSink, DoublesRoundTripExactly) {
   EXPECT_EQ(doc.at("t").number, awkward);  // bit-exact via %.17g
 }
 
+TEST(JsonlSink, StreamLinesEqualLineHelper) {
+  const std::string long_name(300, 'x');  // forces the buffer to regrow
+  const std::vector<TraceEvent> events = {
+      fire_event(0.1, 1, "M->A", 3),
+      TraceEvent{TraceCategory::kMarking, 2.5, 2, long_name, 0, 0, "1.25"},
+      TraceEvent{TraceCategory::kScheduler, 3.0, 3, "sched", 1, -1, "out"},
+      TraceEvent{TraceCategory::kEnabling, 1e-300, 4, "M->B", 0, 0, {}},
+      TraceEvent{TraceCategory::kMarker, 0.0, 0, "replication", 7, 0, {}},
+  };
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (const auto& e : events) {
+    sink.on_event(e);
+    expected += JsonlSink::line(e) + "\n";
+  }
+  EXPECT_EQ(os.str(), expected);
+}
+
+std::string printf_17g(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string rendered(double v) {
+  std::string out;
+  json::append_double(out, v);
+  return out;
+}
+
+TEST(JsonNumbers, DoubleMatchesPrintfOnRandomBitPatterns) {
+  vcpusim::testing::PropertyRng rng(20261017);
+  std::size_t finite = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = rng.engine()();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v)) {
+      ASSERT_EQ(rendered(v), "null") << bits;
+      continue;
+    }
+    ++finite;
+    ASSERT_EQ(rendered(v), printf_17g(v)) << "bits " << bits;
+  }
+  EXPECT_GT(finite, 990000U);
+  // Simulated-time-like magnitudes, where the fixtures live.
+  for (int i = 0; i < 100000; ++i) {
+    const double v = rng.uniform(0.0, 1e6);
+    ASSERT_EQ(rendered(v), printf_17g(v)) << v;
+    const double tick = std::floor(v) * 0.5;
+    ASSERT_EQ(rendered(tick), printf_17g(tick)) << tick;
+  }
+  // Integral values of every magnitude, on both sides of 2^53.
+  for (int i = 0; i < 100000; ++i) {
+    const auto bits = static_cast<std::int64_t>(rng.engine()());
+    const double v = static_cast<double>(bits >> rng.uniform_int(0, 62));
+    ASSERT_EQ(rendered(v), printf_17g(v)) << v;
+  }
+}
+
+TEST(JsonNumbers, DoubleEdgeCases) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  const double cases[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          DBL_MIN - std::numeric_limits<double>::denorm_min(),
+                          DBL_MIN,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          DBL_EPSILON,
+                          kTwo53 - 1,
+                          kTwo53,
+                          kTwo53 + 1,  // rounds to 2^53
+                          kTwo53 + 2,
+                          -(kTwo53 + 2),
+                          1.0,
+                          -1.0,
+                          3.0,
+                          1000.0,
+                          1e15,
+                          1e16,
+                          1e17,
+                          1e21,
+                          1e22,
+                          123456789012345678.0,
+                          0.1,
+                          0.1 + 0.2,
+                          1.0 / 3.0,
+                          5e-324,
+                          2.2250738585072014e-308};
+  for (const double v : cases) {
+    EXPECT_EQ(rendered(v), printf_17g(v)) << printf_17g(v);
+  }
+  for (int i = -1000; i <= 1000; ++i) {
+    EXPECT_EQ(rendered(i), std::to_string(i));
+  }
+  EXPECT_EQ(rendered(-0.0), "-0");
+  EXPECT_EQ(rendered(kTwo53 + 1), "9007199254740992");
+  EXPECT_EQ(rendered(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(rendered(-std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(rendered(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(rendered(-std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(JsonNumbers, IntegersMatchToString) {
+  const std::int64_t ints[] = {0, 1, -1, 42, -42,
+                               std::numeric_limits<std::int64_t>::max(),
+                               std::numeric_limits<std::int64_t>::min()};
+  for (const std::int64_t v : ints) {
+    std::string out;
+    json::append_int(out, v);
+    EXPECT_EQ(out, std::to_string(v));
+  }
+  std::string out;
+  json::append_uint(out, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(out, "18446744073709551615");
+}
+
+/// The JSON form of one byte: the named escapes, \u00xx (lowercase
+/// hex) for the other control characters, the byte itself otherwise.
+std::string expected_escape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\t': return "\\t";
+    case '\r': return "\\r";
+    default: break;
+  }
+  if (c < 0x20) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+    return buf;
+  }
+  return std::string(1, static_cast<char>(c));
+}
+
+TEST(JsonStrings, EscapesEveryAsciiByte) {
+  std::string all;
+  std::string all_expected = "\"";
+  for (unsigned c = 0; c <= 0x7f; ++c) {
+    const auto byte = static_cast<unsigned char>(c);
+    const std::string s = std::string("ab") + static_cast<char>(byte) + "yz";
+    std::string out;
+    json::append_string(out, s);
+    EXPECT_EQ(out, "\"ab" + expected_escape(byte) + "yz\"") << "byte " << c;
+    EXPECT_EQ(parse_json(out).string, s) << "byte " << c;
+    all.push_back(static_cast<char>(byte));
+    all_expected += expected_escape(byte);
+  }
+  all_expected += "\"";
+  std::string out;
+  json::append_string(out, all);
+  EXPECT_EQ(out, all_expected);
+  EXPECT_EQ(parse_json(out).string, all);
+  // \u form is lowercase, zero-padded to four digits.
+  out.clear();
+  json::append_string(out, std::string_view("\x1f\x0b\x00", 3));
+  EXPECT_EQ(out, "\"\\u001f\\u000b\\u0000\"");
+}
+
+TEST(JsonStrings, NonAsciiBytesPassThrough) {
+  std::string out;
+  json::append_string(out, "caf\xc3\xa9 \xff");
+  EXPECT_EQ(out, "\"caf\xc3\xa9 \xff\"");
+}
+
 TEST(ChromeTraceSink, EmitsValidTraceEventJson) {
   std::ostringstream os;
   ChromeTraceSink sink(os);
@@ -163,6 +405,40 @@ TEST(ChromeTraceSink, NonNumericMarkingsAreSkipped) {
   sink.finish();
   const auto doc = parse_json(os.str());
   EXPECT_TRUE(doc.at("traceEvents").array.empty());
+}
+
+/// A marking becomes a counter exactly when strtod consumes all of it
+/// and yields a finite value.
+TEST(ChromeTraceSink, MarkingCountersFollowStrtod) {
+  const auto counter_value = [](std::string_view value) -> std::string {
+    std::ostringstream os;
+    ChromeTraceSink sink(os);
+    sink.on_event(TraceEvent{TraceCategory::kMarking, 1.0, 0, "P", 0, 0,
+                             value});
+    sink.finish();
+    const auto events = parse_json(os.str()).at("traceEvents").array;
+    if (events.empty()) return "skipped";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g",
+                  events[0].at("args").at("value").number);
+    return buf;
+  };
+  EXPECT_EQ(counter_value("5"), "5");
+  EXPECT_EQ(counter_value("-2.5"), "-2.5");
+  EXPECT_EQ(counter_value("+3"), "3");
+  EXPECT_EQ(counter_value(" 7"), "7");       // leading space accepted
+  EXPECT_EQ(counter_value("0x10"), "16");    // hex accepted
+  EXPECT_EQ(counter_value("1e3"), "1000");
+  EXPECT_EQ(counter_value("7 "), "skipped");  // trailing junk
+  EXPECT_EQ(counter_value("3x"), "skipped");
+  EXPECT_EQ(counter_value(""), "skipped");
+  EXPECT_EQ(counter_value("nan"), "skipped");
+  EXPECT_EQ(counter_value("inf"), "skipped");
+  EXPECT_EQ(counter_value("1e400"), "skipped");  // overflows to inf
+  EXPECT_EQ(counter_value(std::string_view("4\0", 2)), "skipped");
+  // A view into a longer buffer: only the viewed bytes are parsed.
+  const std::string backing = "12345";
+  EXPECT_EQ(counter_value(std::string_view(backing).substr(0, 2)), "12");
 }
 
 TEST(ChromeTraceSink, FinishWithoutEventsIsValid) {
