@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <set>
 
 namespace vcpusim::stats {
@@ -206,6 +207,11 @@ struct ParseCase {
   std::string spec;
   double mean;
 };
+
+// Without this GoogleTest prints a ParseCase as raw bytes, which include
+// the string's heap pointer, so the discovered test names would change
+// from one build to the next.
+void PrintTo(const ParseCase& p, std::ostream* os) { *os << p.spec; }
 
 class ParseDistribution : public ::testing::TestWithParam<ParseCase> {};
 
