@@ -80,11 +80,6 @@ constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
                          executor.*, metric.*) as JSON to FILE
   --profile              collect wall-clock phase timings (settle/fire,
                          snapshot/decide/apply) into the metrics registry
-  --engine NAME          execution engine: compiled (default; arena
-                         markings + flat gate dispatch) or object (the
-                         shared_ptr/closure reference engine). Results
-                         are bit-identical either way. Scenario key:
-                         engine = compiled/object
   --verify-footprints    run every replication under the footprint
                          sanitizer: shadow-check each gate's place
                          accesses against its declared footprint and
@@ -261,14 +256,6 @@ int parse_args(int argc, const char* const* argv, Options& options,
         spec.reuse_systems = false;
       } else if (arg == "--verify-footprints") {
         spec.verify_footprints = true;
-      } else if (arg == "--engine") {
-        const char* v = need_value("--engine");
-        if (v == nullptr) return 1;
-        if (!san::parse_engine(v, spec.engine)) {
-          err << "vcpusim: --engine must be 'compiled' or 'object', got '"
-              << v << "'\n";
-          return 1;
-        }
       } else if (arg == "--metrics-out") {
         const char* v = need_value("--metrics-out");
         if (v == nullptr) return 1;

@@ -301,10 +301,6 @@ Scenario parse_scenario(std::istream& in) {
         } else {
           fail(line, "verify_footprints must be true/false, on/off or 1/0");
         }
-      } else if (key == "engine") {
-        if (!san::parse_engine(lower(value), scenario.spec.engine)) {
-          fail(line, "engine must be 'compiled' or 'object'");
-        }
       } else if (key == "metrics") {
         for (const auto& m : split(value, ',')) {
           try {

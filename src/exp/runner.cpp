@@ -137,8 +137,7 @@ struct RepRecord {
   san::RunStats stats;
   vm::BridgeStats bridge;
   stats::PhaseProfile profile;  ///< reset + simulator + bridge phases merged
-  san::KernelStats kernel;      ///< compiled-engine census (zero otherwise)
-  bool compiled = false;
+  san::KernelStats kernel;      ///< compiled-kernel census
   std::unique_ptr<trace::RingBufferSink> trace;
 };
 
@@ -210,7 +209,6 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     config.incremental_enabling = spec.incremental_enabling;
     config.profile = spec.profile;
     config.verify_footprints = spec.verify_footprints;
-    config.engine = spec.engine;
     return config;
   };
 
@@ -261,7 +259,6 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       // only the replication that compiled carries the kCompile phase.
       record.profile.merge(sim.take_compile_profile());
       record.kernel = sim.kernel_stats();
-      record.compiled = sim.compiled_engine();
       if (spec.profile && system.scheduler_places.profile != nullptr) {
         record.profile.merge(*system.scheduler_places.profile);
       }
@@ -398,7 +395,7 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       profile_total.merge(record.profile);
       // Static per-model census — identical for every replication of the
       // run, so exported once.
-      if (!kernel_exported && record.compiled) {
+      if (!kernel_exported) {
         reg.counter("arena.bytes").add(record.kernel.arena_bytes);
         reg.counter("kernel.compiled_gates").add(record.kernel.compiled_gates);
         reg.counter("kernel.trampoline_gates")

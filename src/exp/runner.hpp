@@ -99,13 +99,6 @@ struct RunSpec {
   /// checking, so off by default.
   bool verify_footprints = false;
 
-  /// Forwarded to san::SimulatorConfig::engine: the compiled
-  /// data-oriented kernel (default) or the object-graph reference
-  /// engine. Results, traces and eval counts are bit-identical either
-  /// way (test-enforced); the flag exists for benchmarking and the
-  /// engine-equivalence matrix.
-  san::Engine engine = san::Engine::kCompiled;
-
   /// The paper's statistical target (stats::ReplicationPolicy::paper());
   /// the exp::quality presets scale it per tier.
   stats::ReplicationPolicy policy = stats::ReplicationPolicy::paper();

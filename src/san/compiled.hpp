@@ -1,8 +1,9 @@
-// Data-oriented compiled runtime of a built SAN model.
+// Data-oriented compiled runtime of a built SAN model — the only way
+// san::Simulator executes one.
 //
-// The object-graph engine walks shared_ptr<PlaceBase> markings and
-// std::function gate closures on every firing. CompiledModel lowers a
-// built ComposedModel into contiguous arrays before simulation starts:
+// A built ComposedModel is an object graph of shared_ptr<PlaceBase>
+// markings and std::function gate closures. CompiledModel lowers it
+// into contiguous arrays before simulation starts:
 //
 //  * a **marking arena** — every trivially copyable marking relocated
 //    into one byte block (Place<T>::bind_storage), places addressed by
@@ -17,14 +18,14 @@
 //    declared InputGate::pred_terms) and a flat fire program (FireOps:
 //    gates declared with_exact_effect() become direct arena token
 //    deltas; everything else calls its closure through a trampoline op
-//    that preserves the object engine's sanitizer hooks).
+//    that preserves the sanitizer hooks).
 //
 // Compilation trusts the same declarations the incremental-enabling
-// index already trusts (GateAccess, pred_terms); the object-graph engine
-// remains the reference implementation and every trajectory is
-// bit-identical across the two (test-enforced). Gate closures keep
-// working while compiled — they read and write the very same memory
-// through the redirected Place<T> storage pointer.
+// index already trusts (GateAccess, pred_terms). CompileOptions::
+// force_trampoline routes every gate through its closure; that dispatch
+// is the oracle the lowered one is held bit-identical to (test-enforced).
+// Gate closures keep working while compiled — they read and write the
+// very same memory through the redirected Place<T> storage pointer.
 //
 // Lifetime: places are kept alive via shared_ptr and unbound (markings
 // moved back inline) on destruction. A model may be bound to at most one

@@ -44,8 +44,9 @@ struct GateContext {
   /// events the gate emits so they sort with the simulator's own.
   std::uint64_t seq = 0;
   /// Footprint sanitizer, non-null only when the simulator runs with
-  /// SimulatorConfig::verify_footprints. The engine (Activity::fire)
-  /// notifies it of gate boundaries; gate code never uses it directly.
+  /// SimulatorConfig::verify_footprints. The kernel's fire program
+  /// (san/compiled.hpp) notifies it of gate boundaries; gate code never
+  /// uses it directly.
   FootprintSanitizer* sanitizer = nullptr;
 
   /// Report that `place` was actually written during this firing. Only

@@ -82,12 +82,10 @@ class SanModel {
     return nullptr;
   }
 
-  /// Restore the initial marking of every owned/joined place and clear
-  /// activity activations. Shared places are reset once per owner, which
-  /// is idempotent.
+  /// Restore the initial marking of every owned/joined place. Shared
+  /// places are reset once per owner, which is idempotent.
   void reset_marking() {
     for (auto& p : places_) p->reset();
-    for (auto& a : activities_) a->reset_state();
   }
 
  private:
@@ -158,7 +156,7 @@ class ComposedModel {
   /// All activities across all submodels (simulation universe).
   std::vector<Activity*> all_activities() const;
 
-  /// Reset every submodel's marking and activations.
+  /// Reset every submodel's marking.
   void reset_marking() {
     for (auto& m : submodels_) m->reset_marking();
   }

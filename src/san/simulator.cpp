@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 #include <unordered_map>
-#include <cstdio>
-#include <cstdlib>
 
 #include "san/analyze/invariants.hpp"
 
@@ -33,26 +31,6 @@ class ScopedListener {
 
 }  // namespace
 
-const char* engine_name(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::kObjectGraph: return "object";
-    case Engine::kCompiled: return "compiled";
-  }
-  return "?";
-}
-
-bool parse_engine(std::string_view text, Engine& out) noexcept {
-  if (text == "object") {
-    out = Engine::kObjectGraph;
-    return true;
-  }
-  if (text == "compiled") {
-    out = Engine::kCompiled;
-    return true;
-  }
-  return false;
-}
-
 Simulator::Simulator(SimulatorConfig config)
     : config_(config), rng_(config.seed) {
   if (!(config_.end_time > 0)) {
@@ -64,86 +42,68 @@ void Simulator::set_model(ComposedModel& model) {
   // Re-setting swaps the model: every per-model structure (activity
   // vectors, dependency index, trace write lists, dirty state) is
   // rebuilt below; run()/reset() must be called again before advancing.
-  model_ = &model;
+  // model_ is committed last, so a throwing compilation leaves no model
+  // registered rather than a half-built kernel.
+  model_ = nullptr;
   started_ = false;
   trace_writes_built_ = false;
   sanitizer_.reset();  // the invariant analysis is per-model
   compiled_.reset();   // unbind any previous arena before recompiling
-  timed_compiled_.clear();
-  inst_compiled_.clear();
-  touch_lookup_.clear();
+  {
+    compile_profile_.set_enabled(config_.profile);
+    stats::ScopedPhaseTimer timer(&compile_profile_, stats::Phase::kCompile);
+    compiled_ = std::make_unique<CompiledModel>(
+        model, CompileOptions{.force_trampoline = config_.verify_footprints});
+  }
   dirty_timed_.clear();
   dirty_inst_.clear();
   dirty_all_ = true;
   activities_.clear();
   instantaneous_.clear();
+  timed_compiled_.clear();
+  inst_compiled_.clear();
   for (Activity* a : model.all_activities()) {
     if (a->is_instantaneous()) {
       instantaneous_.push_back(a);
+      inst_compiled_.push_back(compiled_->find(a));
     } else {
       activities_.push_back(a);
+      timed_compiled_.push_back(compiled_->find(a));
     }
   }
   timed_marked_.assign(activities_.size(), 0);
   inst_marked_.assign(instantaneous_.size(), 0);
-  inst_enabled_.assign(instantaneous_.size(), 0);
   inst_enabled_count_ = 0;
-  if (config_.engine == Engine::kCompiled) {
-    compile_profile_.set_enabled(config_.profile);
-    stats::ScopedPhaseTimer timer(&compile_profile_, stats::Phase::kCompile);
-    compiled_ = std::make_unique<CompiledModel>(
-        model, CompileOptions{.force_trampoline = config_.verify_footprints});
-    timed_compiled_.reserve(activities_.size());
-    inst_compiled_.reserve(instantaneous_.size());
-    for (const Activity* a : activities_) {
-      timed_compiled_.push_back(compiled_->find(a));
-    }
-    for (const Activity* a : instantaneous_) {
-      inst_compiled_.push_back(compiled_->find(a));
-    }
-    timed_hot_.assign(activities_.size(), TimedHot{});
-    for (std::size_t t = 0; t < activities_.size(); ++t) {
-      timed_hot_[t].delay = activities_[t]->delay();
-      if (timed_hot_[t].delay != nullptr) {
-        timed_hot_[t].det_delay = timed_hot_[t].delay->rng_free_constant();
-      }
-      timed_hot_[t].priority = activities_[t]->priority();
-    }
-    // Priority-ordered permutation of the instantaneous activities:
-    // stable sort keeps equal priorities in index order, so the first
-    // enabled position in inst_enabled_bits_ is the selection winner.
-    inst_prio_order_.resize(instantaneous_.size());
-    for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
-      inst_prio_order_[j] = j;
-    }
-    std::stable_sort(inst_prio_order_.begin(), inst_prio_order_.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       return instantaneous_[a]->priority() >
-                              instantaneous_[b]->priority();
-                     });
-    inst_prio_pos_.resize(instantaneous_.size());
-    for (std::uint32_t pos = 0; pos < inst_prio_order_.size(); ++pos) {
-      inst_prio_pos_[inst_prio_order_[pos]] = pos;
-    }
-    inst_enabled_bits_.assign((instantaneous_.size() + 63) / 64, 0);
-  } else {
-    timed_hot_.clear();
-    inst_enabled_bits_.clear();
-    inst_prio_order_.clear();
-    inst_prio_pos_.clear();
+  timed_hot_.assign(activities_.size(), TimedHot{});
+  for (std::size_t t = 0; t < activities_.size(); ++t) {
+    timed_hot_[t].delay = activities_[t]->delay();  // non-null: timed
+    timed_hot_[t].det_delay = timed_hot_[t].delay->rng_free_constant();
+    timed_hot_[t].priority = activities_[t]->priority();
   }
+  // Priority-ordered permutation of the instantaneous activities:
+  // stable sort keeps equal priorities in index order, so the first
+  // enabled position in inst_enabled_bits_ is the selection winner.
+  inst_prio_order_.resize(instantaneous_.size());
+  for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
+    inst_prio_order_[j] = j;
+  }
+  std::stable_sort(inst_prio_order_.begin(), inst_prio_order_.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
+                     return instantaneous_[a]->priority() >
+                            instantaneous_[b]->priority();
+                   });
+  inst_prio_pos_.resize(instantaneous_.size());
+  for (std::uint32_t pos = 0; pos < inst_prio_order_.size(); ++pos) {
+    inst_prio_pos_[inst_prio_order_[pos]] = pos;
+  }
+  inst_enabled_bits_.assign((instantaneous_.size() + 63) / 64, 0);
+  touch_lookup_.clear();
   use_incremental_ = config_.incremental_enabling;
   if (use_incremental_) build_dependency_index();
-  if (compiled_ != nullptr && use_incremental_) build_touch_lookup();
-  fast_dirty_ = compiled_ != nullptr && use_incremental_ &&
-                !config_.verify_footprints;
+  fast_dirty_ = use_incremental_ && !config_.verify_footprints;
   fast_inst_ = false;
   if (fast_dirty_) build_fired_masks();
-  if (std::getenv("VCPUSIM_DEBUG_INDEX") != nullptr) {
-    std::fprintf(stderr, "timed=%zu inst=%zu always_timed=%zu always_inst=%zu places=%zu\n",
-                 activities_.size(), instantaneous_.size(),
-                 always_timed_.size(), always_inst_.size(), place_deps_.size());
-  }
+  model_ = &model;
 }
 
 void Simulator::build_fired_masks() {
@@ -220,16 +180,6 @@ void Simulator::build_fired_masks() {
   }
 }
 
-void Simulator::build_touch_lookup() {
-  touch_lookup_.assign(compiled_->place_count(), kNoPlaceId);
-  for (const auto& [place, id] : place_ids_) {
-    const std::uint32_t cid = place->compiled_id();
-    if (cid != PlaceBase::kNoCompiledId && cid < touch_lookup_.size()) {
-      touch_lookup_[cid] = id;
-    }
-  }
-}
-
 void Simulator::build_dependency_index() {
   place_deps_.clear();
   place_ids_.clear();
@@ -242,10 +192,15 @@ void Simulator::build_dependency_index() {
   always_timed_.clear();
   always_inst_.clear();
 
+  touch_lookup_.assign(compiled_->place_count(), kNoPlaceId);
   const auto id_of = [&](const PlacePtr& place) {
     const auto [it, inserted] = place_ids_.emplace(
         place.get(), static_cast<std::uint32_t>(place_deps_.size()));
-    if (inserted) place_deps_.emplace_back();
+    if (inserted) {
+      place_deps_.emplace_back();
+      const std::uint32_t cid = place->compiled_id();
+      if (cid < touch_lookup_.size()) touch_lookup_[cid] = it->second;
+    }
     return it->second;
   };
   const auto add_unique = [](std::vector<std::uint32_t>& v, std::uint32_t id) {
@@ -364,35 +319,21 @@ void Simulator::advance_time(Time to) {
 }
 
 void Simulator::schedule(std::uint32_t timed_index) {
-  Activity& activity = *activities_[timed_index];
-  if (compiled_ != nullptr) {
-    TimedHot& hot = timed_hot_[timed_index];
-    // Deterministic delays skip the virtual sample: the stream is
-    // untouched because Deterministic::sample never draws.
-    const Time delay = hot.det_delay >= 0 ? hot.det_delay
-                       : hot.delay != nullptr ? hot.delay->sample(rng_)
-                                              : activity.sample_delay(rng_);
-    if (delay < 0) {
-      throw std::logic_error("Simulator: negative delay sampled for activity " +
-                             activity.name());
-    }
-    hot.scheduled = 1;
-    cal_push(
-        Event{now_ + delay, seq_++, hot.activation, hot.priority, timed_index});
-    return;
-  }
-  const Time delay = activity.sample_delay(rng_);
+  TimedHot& hot = timed_hot_[timed_index];
+  // Deterministic delays skip the virtual sample: the stream is
+  // untouched because Deterministic::sample never draws.
+  const Time delay =
+      hot.det_delay >= 0 ? hot.det_delay : hot.delay->sample(rng_);
   if (delay < 0) {
     throw std::logic_error("Simulator: negative delay sampled for activity " +
-                           activity.name());
+                           activities_[timed_index]->name());
   }
-  activity.mark_scheduled();
-  queue_push(Event{now_ + delay, seq_++, activity.activation_id(),
-                   activity.priority(), timed_index});
+  hot.scheduled = 1;
+  cal_push(
+      Event{now_ + delay, seq_++, hot.activation, hot.priority, timed_index});
 }
 
-bool Simulator::eval_enabled(const Activity& a) {
-  if (sanitizer_ == nullptr) return a.enabled();
+bool Simulator::eval_sanitized(const Activity& a) {
   sanitizer_->begin_predicate(a);
   const bool en = a.enabled();
   sanitizer_->end_predicate();
@@ -401,7 +342,7 @@ bool Simulator::eval_enabled(const Activity& a) {
 
 void Simulator::transition_timed(std::uint32_t timed_index) {
   const bool en = eval_timed(timed_index);
-  const bool was_scheduled = timed_scheduled(timed_index);
+  const bool was_scheduled = timed_hot_[timed_index].scheduled != 0;
   if (en && !was_scheduled) {
     schedule(timed_index);
   } else if (!en && was_scheduled) {
@@ -466,14 +407,7 @@ void Simulator::mark_fired(bool timed, std::uint32_t index) {
     }
     if ((timed ? timed_dynamic_[index] : inst_dynamic_[index]) != 0) {
       for (const PlaceBase* p : touched_) {
-        const std::uint32_t cid = p->compiled_id();
-        std::uint32_t id = kNoPlaceId;
-        if (cid < touch_lookup_.size()) {
-          id = touch_lookup_[cid];
-        } else {
-          const auto it = place_ids_.find(p);
-          if (it != place_ids_.end()) id = it->second;
-        }
+        const std::uint32_t id = touched_place_id(p);
         if (id == kNoPlaceId) continue;
         const std::uint64_t* pm =
             place_timed_masks_.data() + std::size_t{id} * mask_words_;
@@ -508,19 +442,11 @@ void Simulator::mark_fired(bool timed, std::uint32_t index) {
        timed ? timed_writes_[index] : inst_writes_[index]) {
     mark_place(place);
   }
-  // Dynamic gates: dirty exactly the places this firing reported. Under
-  // the compiled engine the dense compiled id resolves the place with an
-  // array load instead of a hash probe.
+  // Dynamic gates: dirty exactly the places this firing reported.
   if (timed ? timed_dynamic_[index] != 0 : inst_dynamic_[index] != 0) {
     for (const PlaceBase* p : touched_) {
-      const std::uint32_t cid = p->compiled_id();
-      if (cid < touch_lookup_.size()) {
-        const std::uint32_t id = touch_lookup_[cid];
-        if (id != kNoPlaceId) mark_place(id);
-      } else {
-        const auto it = place_ids_.find(p);
-        if (it != place_ids_.end()) mark_place(it->second);
-      }
+      const std::uint32_t id = touched_place_id(p);
+      if (id != kNoPlaceId) mark_place(id);
     }
   }
 }
@@ -559,11 +485,8 @@ void Simulator::complete(Activity& activity, bool timed,
     ctx.sanitizer = sanitizer_.get();
     sanitizer_->begin_firing(activity, ctx);
   }
-  const std::size_t case_index =
-      compiled_ != nullptr
-          ? compiled_->fire(
-                *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx)
-          : activity.fire(ctx);
+  const std::size_t case_index = compiled_->fire(
+      *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx);
   if (sanitizer_ != nullptr) sanitizer_->end_firing();
   for (RewardVariable* r : rewards_) r->on_completion(activity, now_);
   for (TraceObserver* o : observers_) o->on_fire(now_, activity, case_index);
@@ -676,39 +599,21 @@ void Simulator::settle() {
       clear_dirty();
     }
     // Fire the highest-priority enabled instantaneous activity, if any
-    // (cached flags; ties resolve to the lowest index, as the full
-    // predicate scan always did). The compiled engine maintains an
-    // enabled count and skips the scan in the common nothing-enabled
-    // round — behaviorally identical, the object engine just keeps the
-    // scan as the reference cost.
-    Activity* next = nullptr;
+    // (ties resolve to the lowest index): the first set bit of the
+    // priority-ordered enabled mask. The enabled count skips the search
+    // in the common nothing-enabled round.
+    if (inst_enabled_count_ == 0) return;
     std::uint32_t next_index = 0;
-    if (compiled_ != nullptr) {
-      if (inst_enabled_count_ == 0) return;
-      // First set bit of the priority-ordered enabled mask: identical
-      // winner to the reference scan (max priority, lowest index on
-      // ties) without walking every instantaneous activity.
-      for (std::size_t w = 0; w < inst_enabled_bits_.size(); ++w) {
-        if (inst_enabled_bits_[w] != 0) {
-          const auto pos = static_cast<std::uint32_t>(
-              w * 64 +
-              static_cast<std::size_t>(std::countr_zero(inst_enabled_bits_[w])));
-          next_index = inst_prio_order_[pos];
-          next = instantaneous_[next_index];
-          break;
-        }
-      }
-    } else {
-      for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
-        if (!inst_enabled_[j]) continue;
-        if (next == nullptr ||
-            instantaneous_[j]->priority() > next->priority()) {
-          next = instantaneous_[j];
-          next_index = j;
-        }
+    for (std::size_t w = 0; w < inst_enabled_bits_.size(); ++w) {
+      if (inst_enabled_bits_[w] != 0) {
+        const auto pos = static_cast<std::uint32_t>(
+            w * 64 +
+            static_cast<std::size_t>(std::countr_zero(inst_enabled_bits_[w])));
+        next_index = inst_prio_order_[pos];
+        break;
       }
     }
-    if (next == nullptr) return;
+    Activity* next = instantaneous_[next_index];
     if (++chain > config_.max_instantaneous_chain) {
       throw std::logic_error(
           "Simulator: instantaneous livelock (activity " + next->name() +
@@ -723,18 +628,12 @@ void Simulator::reset() {
   if (model_ == nullptr) {
     throw std::logic_error("Simulator: reset() before set_model()");
   }
-  if (compiled_ != nullptr) {
-    // Block-copy restore: one memcpy of the initial-marking image (plus
-    // pod-vector spans); no per-place virtual reset() calls.
-    compiled_->reset_markings();
-    for (Activity* a : activities_) a->reset_state();
-    for (Activity* a : instantaneous_) a->reset_state();
-    for (TimedHot& hot : timed_hot_) {
-      ++hot.activation;  // invalidate any still-queued events
-      hot.scheduled = 0;
-    }
-  } else {
-    model_->reset_marking();
+  // Block-copy restore: one memcpy of the initial-marking image (plus
+  // pod-vector spans); no per-place virtual reset() calls.
+  compiled_->reset_markings();
+  for (TimedHot& hot : timed_hot_) {
+    ++hot.activation;  // invalidate any still-queued events
+    hot.scheduled = 0;
   }
   for (RewardVariable* r : rewards_) r->reset();
   profile_.reset();
@@ -743,14 +642,7 @@ void Simulator::reset() {
       !trace_writes_built_) {
     build_trace_write_lists();
   }
-  if (compiled_ != nullptr) {
-    cal_clear();
-  } else {
-    queue_.clear();
-    // Steady state holds ~one live event per timed activity plus aborted
-    // stragglers; reserving up front keeps the hot loop reallocation-free.
-    queue_.reserve(4 * activities_.size() + 16);
-  }
+  cal_clear();
   now_ = 0.0;
   seq_ = 0;
   events_ = 0;
@@ -761,7 +653,7 @@ void Simulator::reset() {
   if (config_.verify_footprints) {
     if (sanitizer_ == nullptr) {
       // The invariant analysis fixes y·m0 from the live marking, which
-      // reset_marking() above just restored to the initial one.
+      // reset_markings() above just restored to the initial one.
       sanitizer_ = std::make_unique<FootprintSanitizer>(
           analyze::analyze_invariants(*model_));
     }
@@ -787,20 +679,15 @@ RunStats Simulator::advance_until(Time t) {
   }
   ScopedListener guard(sanitizer_.get());
   const Time horizon = std::min(t, config_.end_time);
-  const bool calendar = compiled_ != nullptr;
-  while ((calendar ? cal_size_ != 0 : !queue_.empty()) && !hit_event_cap_) {
+  while (cal_size_ != 0 && !hit_event_cap_) {
     if (events_ >= config_.max_events) {
       hit_event_cap_ = true;
       break;
     }
-    const Event ev = calendar ? cal_peek() : queue_.front();
+    const Event ev = cal_peek();
     if (ev.time > horizon) break;
-    if (calendar) {
-      cal_pop();
-    } else {
-      queue_pop_front();
-    }
-    if (ev.activation != timed_activation(ev.timed_index)) {
+    cal_pop();
+    if (ev.activation != timed_hot_[ev.timed_index].activation) {
       ++aborted_events_;  // stale activation: lazily cancelled
       continue;
     }

@@ -30,12 +30,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string_view>
+#include <memory>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
-
-#include <memory>
 
 #include "san/compiled.hpp"
 #include "san/model.hpp"
@@ -46,20 +44,6 @@
 #include "stats/rng.hpp"
 
 namespace vcpusim::san {
-
-/// Which runtime executes the model. Both engines produce bit-identical
-/// trajectories (same RNG streams, traces, enabling-eval counts); the
-/// object graph is the reference implementation, the compiled kernel
-/// (san/compiled.hpp) is the fast path.
-enum class Engine : std::uint8_t {
-  kObjectGraph = 0,  ///< walk shared_ptr places / std::function closures
-  kCompiled,         ///< arena markings + flat dispatch tables
-};
-
-const char* engine_name(Engine engine) noexcept;
-/// Parse "object" / "compiled" (the CLI flag and scenario-key spelling);
-/// false on anything else.
-bool parse_engine(std::string_view text, Engine& out) noexcept;
 
 struct SimulatorConfig {
   Time end_time = 1000.0;
@@ -84,13 +68,11 @@ struct SimulatorConfig {
   /// trajectory stays bit-identical — but each place access costs a
   /// check, so off by default; when off the only residue is one
   /// thread-local null test per access. Inspect results through
-  /// footprint_report().
+  /// footprint_report(). set_model() always compiles the model
+  /// (san/compiled.hpp); under verify_footprints the compiled kernel
+  /// keeps its arena but dispatches every gate through the closure
+  /// trampoline so the sanitizer sees each place access.
   bool verify_footprints = false;
-  /// Execution engine (see Engine). set_model() compiles the model when
-  /// kCompiled; under verify_footprints the compiled kernel keeps its
-  /// arena but dispatches every gate through the closure trampoline so
-  /// the sanitizer sees each place access.
-  Engine engine = Engine::kCompiled;
 };
 
 struct RunStats {
@@ -113,11 +95,14 @@ class Simulator {
  public:
   explicit Simulator(SimulatorConfig config);
 
-  /// Register the model to execute. Builds the enabling-dependency index
-  /// from the model's declared gate footprints. The model's marking is
-  /// reset at the start of run(). Must be called before run(); calling
-  /// it again swaps the model and rebuilds the index (the next run()
-  /// or reset() starts from the new model's initial marking).
+  /// Register the model to execute. Compiles it into the arena kernel
+  /// and builds the enabling-dependency index from the model's declared
+  /// gate footprints. The model's marking is reset at the start of
+  /// run(). Must be called before run(); calling it again swaps the
+  /// model and rebuilds the index (the next run() or reset() starts from
+  /// the new model's initial marking). If compilation throws (e.g. the
+  /// model is already arena-bound by another simulator) no model is
+  /// registered: reset()/run() throw until a set_model() succeeds.
   void set_model(ComposedModel& model);
 
   /// Register a reward variable (reset at the start of run()).
@@ -170,11 +155,8 @@ class Simulator {
   /// Accumulated phase timings (empty unless config.profile).
   const stats::PhaseProfile& profile() const noexcept { return profile_; }
 
-  /// True when this simulator runs the compiled kernel.
-  bool compiled_engine() const noexcept { return compiled_ != nullptr; }
-
-  /// Compile-time census of the lowered model (all-zero under the
-  /// object-graph engine).
+  /// Compile-time census of the lowered model (all-zero before a
+  /// successful set_model()).
   KernelStats kernel_stats() const noexcept {
     return compiled_ != nullptr ? compiled_->stats() : KernelStats{};
   }
@@ -207,9 +189,8 @@ class Simulator {
   }
 
  private:
-  /// 32 bytes: the activity is reached through timed_index, so a heap
-  /// sift moves half a cache line per level instead of carrying a
-  /// redundant pointer.
+  /// 32 bytes: the activity is reached through timed_index instead of a
+  /// redundant pointer, so two events share a cache line.
   struct Event {
     Time time;
     std::uint64_t seq;  // FIFO tie-break
@@ -218,65 +199,21 @@ class Simulator {
     std::uint32_t timed_index;  // into activities_
   };
   static_assert(std::is_trivially_copyable_v<Event>,
-                "Event must stay a trivially copyable POD: the queue is a "
-                "flat vector churned in the hot loop");
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority < b.priority;
-      return a.seq > b.seq;
-    }
-  };
+                "Event must stay a trivially copyable POD: the calendar "
+                "slots are flat vectors churned in the hot loop");
 
-  /// queue_ is a 4-ary heap under EventOrder (front = next event). The
-  /// wider node halves the sift-down depth of a binary heap and keeps
-  /// sibling comparisons inside one cache line of 32-byte events. Pop
-  /// order is identical to any other heap: EventOrder is a strict total
-  /// order (seq is unique), so "the minimum" is unambiguous.
-  void queue_push(const Event& ev) {
-    std::size_t i = queue_.size();
-    queue_.push_back(ev);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (!EventOrder{}(queue_[parent], ev)) break;  // parent fires first
-      queue_[i] = queue_[parent];
-      i = parent;
-    }
-    queue_[i] = ev;
-  }
-  void queue_pop_front() {
-    const std::size_t n = queue_.size() - 1;
-    if (n > 0) {
-      const Event last = queue_[n];
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t end = first + 4 < n ? first + 4 : n;
-        for (std::size_t c = first + 1; c < end; ++c) {
-          if (EventOrder{}(queue_[best], queue_[c])) best = c;
-        }
-        if (!EventOrder{}(last, queue_[best])) break;
-        queue_[i] = queue_[best];
-        i = best;
-      }
-      queue_[i] = last;
-    }
-    queue_.pop_back();
-  }
-  /// Compiled-engine event calendar: a ring of kCalendarSlots unit-width
-  /// time buckets. The virtualization models are clock-driven (unit
-  /// Clock activities, integer load durations), so a bucket is exactly
-  /// one tick's worth of events: pops are a cursor bump and the bulk
-  /// push pattern — same time, same priority, ascending seq — lands at
-  /// the slot tail as an O(1) append. Events beyond the ring window park
-  /// in an overflow list and are folded in as the window advances.
+  /// Event calendar: a ring of kCalendarSlots unit-width time buckets.
+  /// The virtualization models are clock-driven (unit Clock activities,
+  /// integer load durations), so a bucket is exactly one tick's worth of
+  /// events: pops are a cursor bump and the bulk push pattern — same
+  /// time, same priority, ascending seq — lands at the slot tail as an
+  /// O(1) append. Events beyond the ring window park in an overflow list
+  /// and are folded in as the window advances.
   ///
-  /// Pop order is bit-identical to the heap's: EventOrder's primary key
-  /// is the time, so every event of bucket b fires before any event of
-  /// bucket b+1, and within a slot events are kept sorted ascending by
-  /// fire order (seq uniqueness makes the order total).
+  /// Fire order is (time ascending, priority descending, seq ascending);
+  /// seq is unique, so the order is total. Time is the primary key, so
+  /// every event of bucket b fires before any event of bucket b+1, and
+  /// within a slot events are kept sorted ascending by fire order.
   static constexpr std::size_t kCalendarSlots = 128;  // power of two
   struct CalSlot {
     std::vector<Event> events;  ///< ascending fire order from `head`
@@ -291,7 +228,9 @@ class Simulator {
   }
   /// True when `a` fires strictly before `b`.
   static bool fires_before(const Event& a, const Event& b) noexcept {
-    return EventOrder{}(b, a);
+    if (a.time != b.time) return a.time < b.time;
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return a.seq < b.seq;
   }
   void cal_slot_insert(const Event& ev) {
     CalSlot& slot = cal_slots_[cal_bucket(ev.time) & (kCalendarSlots - 1)];
@@ -368,10 +307,12 @@ class Simulator {
     cal_base_ = 0;
   }
 
-  /// Dense per-timed-activity scheduling state (compiled engine): the
-  /// fields the event loop touches per transition, packed so the whole
-  /// table stays L1-resident. `delay` is the activity's distribution,
-  /// reached without the sample_delay indirection.
+  /// Dense per-timed-activity scheduling state: the fields the event
+  /// loop touches per transition, packed so the whole table stays
+  /// L1-resident. A queued event carries the activation id at schedule
+  /// time; consuming or aborting the activation bumps the id, so stale
+  /// events are skipped when popped. `delay` is the activity's
+  /// distribution, reached without the sample_delay indirection.
   struct TimedHot {
     std::uint64_t activation = 0;
     const stats::Distribution* delay = nullptr;
@@ -388,65 +329,40 @@ class Simulator {
     std::vector<std::uint32_t> inst;
   };
 
+  /// Also fills touch_lookup_ for every indexed place.
   void build_dependency_index();
-  void build_touch_lookup();
-  /// Evaluate one activity's enabling, wrapped in the sanitizer's
-  /// predicate scope when sanitizing.
-  bool eval_enabled(const Activity& a);
-  /// Engine-dispatched enabling checks. Sanitized runs go through
-  /// eval_enabled (the sanitizer brackets the closure evaluation);
-  /// otherwise the compiled kernel evaluates straight off the arena.
+  /// Evaluate one activity's enabling closure inside the sanitizer's
+  /// predicate scope.
+  bool eval_sanitized(const Activity& a);
+  /// Enabling checks. Sanitized runs go through eval_sanitized (the
+  /// sanitizer brackets the closure evaluation); otherwise the compiled
+  /// kernel evaluates straight off the arena.
   bool eval_timed(std::uint32_t timed_index) {
-    if (sanitizer_ != nullptr || compiled_ == nullptr) {
-      return eval_enabled(*activities_[timed_index]);
-    }
+    if (sanitizer_ != nullptr) return eval_sanitized(*activities_[timed_index]);
     return compiled_->enabled(*timed_compiled_[timed_index]);
   }
   bool eval_inst(std::uint32_t inst_index) {
-    if (sanitizer_ != nullptr || compiled_ == nullptr) {
-      return eval_enabled(*instantaneous_[inst_index]);
+    if (sanitizer_ != nullptr) {
+      return eval_sanitized(*instantaneous_[inst_index]);
     }
     return compiled_->enabled(*inst_compiled_[inst_index]);
   }
-  /// Engine-dispatched scheduling state. The compiled engine keeps the
-  /// activation/scheduled bookkeeping in the dense timed_hot_ array (one
-  /// L1-resident block instead of a cache line per heap-allocated
-  /// Activity); the object engine keeps the Activity-resident state as
-  /// the reference path. The transition logic is identical either way.
-  bool timed_scheduled(std::uint32_t timed_index) const {
-    return compiled_ != nullptr ? timed_hot_[timed_index].scheduled != 0
-                                : activities_[timed_index]->scheduled();
-  }
-  std::uint64_t timed_activation(std::uint32_t timed_index) const {
-    return compiled_ != nullptr ? timed_hot_[timed_index].activation
-                                : activities_[timed_index]->activation_id();
-  }
+  /// Consume or abort a timed activity's current activation.
   void cancel_timed(std::uint32_t timed_index) {
-    if (compiled_ != nullptr) {
-      TimedHot& hot = timed_hot_[timed_index];
-      ++hot.activation;
-      hot.scheduled = 0;
-    } else {
-      activities_[timed_index]->cancel_activation();
-    }
+    TimedHot& hot = timed_hot_[timed_index];
+    ++hot.activation;
+    hot.scheduled = 0;
   }
   /// Update one cached instantaneous-enabling flag, maintaining the
-  /// enabled count the compiled settle loop uses to skip the selection
-  /// scan when nothing is enabled.
+  /// enabled count the settle loop uses to skip the selection when
+  /// nothing is enabled.
   void set_inst_enabled(std::uint32_t inst_index, bool enabled) {
-    const std::uint8_t v = enabled ? 1 : 0;
-    if (inst_enabled_[inst_index] != v) {
-      inst_enabled_[inst_index] = v;
-      inst_enabled_count_ += enabled ? 1 : -1;
-      if (!inst_prio_pos_.empty()) {
-        const std::uint32_t pos = inst_prio_pos_[inst_index];
-        if (enabled) {
-          inst_enabled_bits_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-        } else {
-          inst_enabled_bits_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
-        }
-      }
-    }
+    const std::uint32_t pos = inst_prio_pos_[inst_index];
+    std::uint64_t& word = inst_enabled_bits_[pos >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (pos & 63);
+    if (((word & bit) != 0) == enabled) return;
+    word ^= bit;
+    inst_enabled_count_ += enabled ? 1 : -1;
   }
   /// Declared-write lists for kMarking trace events (per activity, from
   /// the static gate footprints — mode-independent, so traces match
@@ -464,8 +380,18 @@ class Simulator {
   void transition_timed(std::uint32_t timed_index);
   /// Record the marking changes of a completed activity in the dirty set.
   void mark_fired(bool timed, std::uint32_t index);
+  /// Enabling-index id of a place a gate reported through touch(), or
+  /// kNoPlaceId when no gate reads it. The dense compiled id resolves
+  /// model places with an array load; the hash probe covers places a
+  /// footprint names outside the compiled model.
+  std::uint32_t touched_place_id(const PlaceBase* p) const {
+    const std::uint32_t cid = p->compiled_id();
+    if (cid < touch_lookup_.size()) return touch_lookup_[cid];
+    const auto it = place_ids_.find(p);
+    return it != place_ids_.end() ? it->second : kNoPlaceId;
+  }
   /// Precompute the per-activity dependent masks / lists for the
-  /// compiled engine's bitmask dirty tracking (from the enabling index).
+  /// bitmask dirty tracking (from the enabling index).
   void build_fired_masks();
   void mark_place(std::uint32_t place_id);
   void mark_timed(std::uint32_t timed_index);
@@ -482,7 +408,7 @@ class Simulator {
   stats::PhaseProfile profile_;
   stats::PhaseProfile compile_profile_;
 
-  // --- compiled kernel (config.engine == Engine::kCompiled) ----------
+  // --- compiled kernel (built by set_model) --------------------------
   std::unique_ptr<CompiledModel> compiled_;
   /// Compiled programs parallel to activities_ / instantaneous_.
   std::vector<const CompiledModel::CompiledActivity*> timed_compiled_;
@@ -493,12 +419,12 @@ class Simulator {
   static constexpr std::uint32_t kNoPlaceId = 0xffff'ffffu;
   std::vector<std::uint32_t> touch_lookup_;
   std::int64_t inst_enabled_count_ = 0;
-  /// Bitmask dirty tracking (compiled engine, incremental enabling, not
-  /// sanitizing): one bit per timed activity. Firing ORs the activity's
-  /// precompiled dependent mask into `timed_mask_` instead of walking
-  /// per-place dependency vectors, and the settle loop scans set bits of
+  /// Bitmask dirty tracking (incremental enabling, not sanitizing): one
+  /// bit per timed activity. Firing ORs the activity's precompiled
+  /// dependent mask into `timed_mask_` instead of walking per-place
+  /// dependency vectors, and the settle loop scans set bits of
   /// (dirty | always) — ascending, the exact order the vector merge
-  /// produced, so trajectories and eval counts are bit-identical. Off
+  /// produces, so trajectories and eval counts are bit-identical. Off
   /// under the sanitizer, which observes closure evaluation directly.
   bool fast_dirty_ = false;
   std::size_t mask_words_ = 0;
@@ -536,8 +462,7 @@ class Simulator {
   bool trace_writes_built_ = false;
   std::vector<std::vector<const PlaceBase*>> timed_trace_writes_;
   std::vector<std::vector<const PlaceBase*>> inst_trace_writes_;
-  std::vector<Event> queue_;  // object engine: 4-ary heap under EventOrder
-  // Compiled engine: bucketed event calendar (see cal_* above).
+  // Bucketed event calendar (see cal_* above).
   std::vector<CalSlot> cal_slots_;
   std::vector<Event> cal_overflow_;
   std::size_t cal_size_ = 0;
@@ -579,11 +504,10 @@ class Simulator {
   std::vector<std::uint32_t> dirty_inst_;
   std::vector<std::uint8_t> timed_marked_;
   std::vector<std::uint8_t> inst_marked_;
-  std::vector<std::uint8_t> inst_enabled_;  // cached enabling flags
-  /// Compiled engine: the enabled flags again, as a bitmask over
+  /// Cached instantaneous enabling flags, as a bitmask over
   /// priority-ordered positions ((priority desc, index asc), so the
-  /// lowest set position is exactly the activity the reference
-  /// selection scan picks). Empty on the object engine.
+  /// lowest set position is the highest-priority enabled activity,
+  /// lowest index on ties).
   std::vector<std::uint64_t> inst_enabled_bits_;
   std::vector<std::uint32_t> inst_prio_order_;  // position -> inst index
   std::vector<std::uint32_t> inst_prio_pos_;    // inst index -> position

@@ -78,6 +78,15 @@ TEST(Cli, UnknownFlagFails) {
   EXPECT_NE(r.err.find("unknown option"), std::string::npos);
 }
 
+TEST(Cli, RemovedEngineFlagFailsLoudly) {
+  // The simulator has a single kernel; scripts still passing the old
+  // engine selector must fail instead of having it silently ignored.
+  const auto r = run({"--engine", "compiled"});
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.err.find("unknown option '--engine'"), std::string::npos)
+      << r.err;
+}
+
 TEST(Cli, MissingValueFails) {
   const auto r = run({"--pcpus"});
   EXPECT_EQ(r.exit_code, 1);

@@ -108,6 +108,19 @@ TEST(Scenario, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(Scenario, RemovedEngineKeyFailsLoudly) {
+  // The simulator has a single kernel; scenarios still selecting one
+  // must fail at the offending line instead of being silently accepted.
+  try {
+    parse("pcpus = 2\nengine = compiled\n[vm]\nvcpus = 1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown key 'engine'"), std::string::npos) << what;
+  }
+}
+
 TEST(Scenario, RejectsMalformedInput) {
   EXPECT_THROW(parse("pcpus 2\n[vm]\nvcpus=1\n"), std::invalid_argument);
   EXPECT_THROW(parse("[host]\n"), std::invalid_argument);

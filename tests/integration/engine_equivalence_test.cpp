@@ -1,10 +1,13 @@
-// Whole-stack engine equivalence: every shipped scheduling algorithm,
-// run under the compiled kernel and under the object-graph reference,
-// must produce bit-identical trajectories — same firing sequence, same
-// event/evaluation counts, same reward integrals, same job totals —
-// for every combination of incremental enabling and workload depth.
-// This is the system-level closure of tests/san/compiled_engine_test.cpp:
-// the vm model exercises dynamic write footprints, compositional
+// Whole-stack kernel equivalence: every shipped scheduling algorithm,
+// run with the compiled kernel's lowered dispatch (arena predicate and
+// delta programs, bitmask dirty tracking) and with every gate forced
+// through the closure trampoline (SimulatorConfig::verify_footprints,
+// which also switches to the vector dirty path), must produce
+// bit-identical trajectories — same firing sequence, same
+// event/evaluation counts, same reward integrals, same job totals — for
+// every combination of incremental enabling and workload depth. This is
+// the system-level closure of tests/san/compiled_engine_test.cpp: the
+// vm model exercises dynamic write footprints, compositional
 // scheduler-bridge gates, uniform-int workload draws, and structured
 // markings that no synthetic kernel model covers.
 #include <gtest/gtest.h>
@@ -22,7 +25,8 @@
 namespace vcpusim {
 namespace {
 
-/// Full firing record; equality across engines is the trajectory check.
+/// Full firing record; equality across dispatch modes is the trajectory
+/// check.
 class Recorder final : public san::TraceObserver {
  public:
   struct Entry {
@@ -46,7 +50,7 @@ struct Outcome {
   double energy = 0.0;  ///< DVFS runs only (integral of sum_p f*V^2)
 };
 
-Outcome run_stack(const std::string& algorithm, san::Engine engine,
+Outcome run_stack(const std::string& algorithm, bool trampoline,
                   bool incremental, int jobs_per_vcpu, std::uint64_t seed,
                   bool dvfs = false) {
   auto config_vm = vm::make_symmetric_config(2, {2, 1}, jobs_per_vcpu);
@@ -63,7 +67,7 @@ Outcome run_stack(const std::string& algorithm, san::Engine engine,
   san::SimulatorConfig config;
   config.end_time = 400.0;
   config.seed = seed;
-  config.engine = engine;
+  config.verify_footprints = trampoline;
   config.incremental_enabling = incremental;
   san::Simulator sim(config);
   Recorder rec;
@@ -80,73 +84,69 @@ Outcome run_stack(const std::string& algorithm, san::Engine engine,
           energy != nullptr ? energy->accumulated() : 0.0};
 }
 
-void expect_identical(const Outcome& obj, const Outcome& comp,
+void expect_identical(const Outcome& tramp, const Outcome& lowered,
                       const std::string& label) {
-  ASSERT_FALSE(obj.fires.empty()) << label;
-  EXPECT_EQ(obj.fires, comp.fires) << label;
-  EXPECT_EQ(obj.stats.events, comp.stats.events) << label;
-  EXPECT_EQ(obj.stats.enabling_evals, comp.stats.enabling_evals) << label;
-  EXPECT_EQ(obj.stats.aborted_events, comp.stats.aborted_events) << label;
-  EXPECT_EQ(obj.jobs, comp.jobs) << label;
-  EXPECT_DOUBLE_EQ(obj.avail, comp.avail) << label;
-  EXPECT_DOUBLE_EQ(obj.util, comp.util) << label;
-  EXPECT_DOUBLE_EQ(obj.pcpu, comp.pcpu) << label;
-  EXPECT_DOUBLE_EQ(obj.energy, comp.energy) << label;
+  ASSERT_FALSE(tramp.fires.empty()) << label;
+  EXPECT_EQ(tramp.fires, lowered.fires) << label;
+  EXPECT_EQ(tramp.stats.events, lowered.stats.events) << label;
+  EXPECT_EQ(tramp.stats.enabling_evals, lowered.stats.enabling_evals) << label;
+  EXPECT_EQ(tramp.stats.aborted_events, lowered.stats.aborted_events) << label;
+  EXPECT_EQ(tramp.jobs, lowered.jobs) << label;
+  EXPECT_DOUBLE_EQ(tramp.avail, lowered.avail) << label;
+  EXPECT_DOUBLE_EQ(tramp.util, lowered.util) << label;
+  EXPECT_DOUBLE_EQ(tramp.pcpu, lowered.pcpu) << label;
+  EXPECT_DOUBLE_EQ(tramp.energy, lowered.energy) << label;
 }
 
 TEST(EngineEquivalence, EveryAlgorithmBitIdenticalAcrossEngines) {
   for (const auto& name : sched::builtin_algorithms()) {
     for (const int jobs : {1, 8}) {
       const std::string label = name + "/jobs=" + std::to_string(jobs);
-      const auto obj =
-          run_stack(name, san::Engine::kObjectGraph, true, jobs, 99);
-      const auto comp = run_stack(name, san::Engine::kCompiled, true, jobs, 99);
-      expect_identical(obj, comp, label);
+      const auto tramp = run_stack(name, true, true, jobs, 99);
+      const auto lowered = run_stack(name, false, true, jobs, 99);
+      expect_identical(tramp, lowered, label);
     }
   }
 }
 
 TEST(EngineEquivalence, FullScanModeBitIdenticalAcrossEngines) {
-  // With incremental enabling off, both engines fall back to full
-  // rescans after every firing; the compiled fast paths (fired masks,
-  // enabled bitmasks, the event calendar) must not leak into this mode's
+  // With incremental enabling off, both dispatch modes fall back to
+  // full rescans after every firing; the lowered fast paths (arena
+  // predicates, enabled bitmasks) must not leak into this mode's
   // evaluation accounting.
   for (const auto& name : sched::builtin_algorithms()) {
-    const auto obj = run_stack(name, san::Engine::kObjectGraph, false, 4, 7);
-    const auto comp = run_stack(name, san::Engine::kCompiled, false, 4, 7);
-    expect_identical(obj, comp, name + "/full-scan");
+    const auto tramp = run_stack(name, true, false, 4, 7);
+    const auto lowered = run_stack(name, false, false, 4, 7);
+    expect_identical(tramp, lowered, name + "/full-scan");
   }
 }
 
 TEST(EngineEquivalence, DvfsSystemsBitIdenticalAcrossEnginesAndJobs) {
   // The DVFS lowering (Freq_Levels vector marking, per-VCPU Service_Scale
   // places, the bridge's frequency-switch pass, the energy reward's
-  // dynamic reads) must survive the compiled engine and be independent
+  // dynamic reads) must survive the lowered dispatch and be independent
   // of the workload depth, for frequency-driving and oblivious
   // algorithms alike.
   for (const std::string name : {"dvfs-cc", "dvfs-la", "rebalance", "credit"}) {
     for (const int jobs : {1, 8}) {
       const std::string label = name + "/dvfs/jobs=" + std::to_string(jobs);
-      const auto obj = run_stack(name, san::Engine::kObjectGraph, true, jobs,
-                                 99, /*dvfs=*/true);
-      const auto comp = run_stack(name, san::Engine::kCompiled, true, jobs,
-                                  99, /*dvfs=*/true);
-      expect_identical(obj, comp, label);
+      const auto tramp = run_stack(name, true, true, jobs, 99, /*dvfs=*/true);
+      const auto lowered =
+          run_stack(name, false, true, jobs, 99, /*dvfs=*/true);
+      expect_identical(tramp, lowered, label);
     }
     // Full-scan enabling walks the identical DVFS trajectory too.
-    const auto obj = run_stack(name, san::Engine::kObjectGraph, false, 4, 7,
-                               /*dvfs=*/true);
-    const auto comp = run_stack(name, san::Engine::kCompiled, false, 4, 7,
-                                /*dvfs=*/true);
-    expect_identical(obj, comp, name + "/dvfs/full-scan");
+    const auto tramp = run_stack(name, true, false, 4, 7, /*dvfs=*/true);
+    const auto lowered = run_stack(name, false, false, 4, 7, /*dvfs=*/true);
+    expect_identical(tramp, lowered, name + "/dvfs/full-scan");
   }
 }
 
 TEST(EngineEquivalence, IncrementalTogglesAgreeWithinCompiledEngine) {
-  // The incremental index is a pure optimization in both engines: the
-  // trajectory (though not enabling_evals) must match full-scan mode.
-  const auto inc = run_stack("credit", san::Engine::kCompiled, true, 4, 31);
-  const auto full = run_stack("credit", san::Engine::kCompiled, false, 4, 31);
+  // The incremental index is a pure optimization: the trajectory (though
+  // not enabling_evals) must match full-scan mode.
+  const auto inc = run_stack("credit", false, true, 4, 31);
+  const auto full = run_stack("credit", false, false, 4, 31);
   EXPECT_EQ(inc.fires, full.fires);
   EXPECT_EQ(inc.stats.events, full.stats.events);
   EXPECT_EQ(inc.jobs, full.jobs);

@@ -222,7 +222,7 @@ TEST(SchedulerHotPath, RingBufferSinkAllocatesLogarithmically) {
 #endif
 }
 
-/// The compiled engine's replication reset is a block copy: no virtual
+/// The simulator's replication reset is a block copy: no virtual
 /// per-place reset() walk (counted by PlaceBase::reset_count) and, once
 /// the event calendar has reached capacity, no heap allocation.
 TEST(SchedulerHotPath, CompiledResetIsBlockCopy) {
@@ -231,7 +231,6 @@ TEST(SchedulerHotPath, CompiledResetIsBlockCopy) {
   san::SimulatorConfig config;
   config.end_time = 200.0;
   config.seed = 9;
-  config.engine = san::Engine::kCompiled;
   san::Simulator sim(config);
   sim.set_model(*system->model);
   sim.run();

@@ -114,17 +114,6 @@ TEST(Activity, SampleDelayOnInstantaneousThrows) {
   EXPECT_THROW(a.sample_delay(rng), std::logic_error);
 }
 
-TEST(Activity, ActivationBookkeeping) {
-  Activity a("a", stats::make_deterministic(1.0));
-  const auto id0 = a.activation_id();
-  EXPECT_FALSE(a.scheduled());
-  a.mark_scheduled();
-  EXPECT_TRUE(a.scheduled());
-  a.cancel_activation();
-  EXPECT_FALSE(a.scheduled());
-  EXPECT_NE(a.activation_id(), id0);
-}
-
 TEST(Activity, PriorityIsStored) {
   Activity a("a", stats::make_deterministic(1.0), 7);
   EXPECT_EQ(a.priority(), 7);

@@ -1,15 +1,18 @@
 // Compiled-kernel contract tests (san/compiled.hpp): bit-identical
-// trajectories against the object-graph reference on synthetic models
-// that exercise every lowering path — exact-effect deltas, compiled
-// predicate terms, probe terms, trampoline fallbacks, multi-case RNG
-// draws — plus the arena reset identity, the pod-vector restore recipe,
-// the event-calendar edge cases (far-future overflow, fractional times,
-// horizon-split advances), and the compile-time census the run-metrics
+// trajectories between the lowered dispatch and the all-trampoline
+// dispatch (SimulatorConfig::verify_footprints forces every gate through
+// its closure) on synthetic models that exercise every lowering path —
+// exact-effect deltas, compiled predicate terms, probe terms, trampoline
+// fallbacks, multi-case RNG draws — plus the arena reset identity, the
+// pod-vector restore recipe, the event-calendar edge cases (far-future
+// overflow, fractional times, horizon-split advances) checked against
+// closed-form fire times, and the compile-time census the run-metrics
 // registry exports. The vm-model equivalence lives in
 // tests/integration/engine_equivalence_test.cpp; this file owns the
 // kernel-level corners a full system never reaches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +25,8 @@
 namespace vcpusim::san {
 namespace {
 
-/// Records every completion for trajectory comparison across engines.
+/// Records every completion for trajectory comparison across dispatch
+/// modes.
 class Recorder final : public TraceObserver {
  public:
   struct Entry {
@@ -38,9 +42,12 @@ class Recorder final : public TraceObserver {
   std::vector<Entry> entries;
 };
 
-SimulatorConfig config_with(Engine engine, Time end, std::uint64_t seed) {
+/// `trampoline` selects the all-closure dispatch: verify_footprints
+/// compiles with CompileOptions::force_trampoline and evaluates every
+/// predicate through its closure under the footprint sanitizer.
+SimulatorConfig config_with(bool trampoline, Time end, std::uint64_t seed) {
   SimulatorConfig c;
-  c.engine = engine;
+  c.verify_footprints = trampoline;
   c.end_time = end;
   c.seed = seed;
   return c;
@@ -75,7 +82,7 @@ struct MixedModel {
          with_exact_effect(access({}, {buffer}), {{buffer, "", +1}})});
 
     // Weighted cases: the case draw must consume the RNG stream
-    // identically in both engines.
+    // identically in both dispatch modes.
     auto& branch =
         sub.add_timed_activity("branch", stats::make_uniform(0.5, 1.5));
     InputGate gate{"nonempty", [buffer]() { return buffer->get() > 0; },
@@ -107,7 +114,7 @@ struct MixedModel {
     watch.add_output_gate({"w", [](GateContext&) {}, access({})});
 
     // Undeclared gate: trampoline dispatch AND an opaque write set
-    // (forces full rescans), both engines identically.
+    // (forces full rescans) in both dispatch modes.
     auto& opaque =
         sub.add_timed_activity("opaque", stats::make_erlang(2, 0.7));
     opaque.add_output_gate(
@@ -122,10 +129,10 @@ struct RunResult {
   std::int64_t buffer, done, opaque_hits;
 };
 
-RunResult run_mixed(Engine engine, Time end, std::uint64_t seed,
+RunResult run_mixed(bool trampoline, Time end, std::uint64_t seed,
                     bool incremental = true) {
   auto m = MixedModel::build();
-  auto config = config_with(engine, end, seed);
+  auto config = config_with(trampoline, end, seed);
   config.incremental_enabling = incremental;
   Simulator sim(config);
   Recorder rec;
@@ -136,36 +143,44 @@ RunResult run_mixed(Engine engine, Time end, std::uint64_t seed,
           m.opaque_hits->get()};
 }
 
-TEST(CompiledEngine, TrajectoryBitIdenticalToObjectGraph) {
+TEST(CompiledEngine, TrajectoryBitIdenticalToTrampoline) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const auto obj = run_mixed(Engine::kObjectGraph, 200.0, seed);
-    const auto comp = run_mixed(Engine::kCompiled, 200.0, seed);
-    ASSERT_FALSE(obj.fires.empty());
-    EXPECT_EQ(obj.fires, comp.fires) << "seed " << seed;
-    EXPECT_EQ(obj.stats.events, comp.stats.events);
-    EXPECT_EQ(obj.stats.enabling_evals, comp.stats.enabling_evals);
-    EXPECT_EQ(obj.stats.aborted_events, comp.stats.aborted_events);
-    EXPECT_EQ(obj.buffer, comp.buffer);
-    EXPECT_EQ(obj.done, comp.done);
-    EXPECT_EQ(obj.opaque_hits, comp.opaque_hits);
+    const auto tramp = run_mixed(true, 200.0, seed);
+    const auto lowered = run_mixed(false, 200.0, seed);
+    ASSERT_FALSE(tramp.fires.empty());
+    EXPECT_EQ(tramp.fires, lowered.fires) << "seed " << seed;
+    EXPECT_EQ(tramp.stats.events, lowered.stats.events);
+    EXPECT_EQ(tramp.stats.enabling_evals, lowered.stats.enabling_evals);
+    EXPECT_EQ(tramp.stats.aborted_events, lowered.stats.aborted_events);
+    EXPECT_EQ(tramp.buffer, lowered.buffer);
+    EXPECT_EQ(tramp.done, lowered.done);
+    EXPECT_EQ(tramp.opaque_hits, lowered.opaque_hits);
   }
 }
 
 TEST(CompiledEngine, IncrementalOffMatchesToo) {
-  // The compiled fast paths (fired-mask dirty tracking, the enabled
+  // The lowered fast paths (fired-mask dirty tracking, the enabled
   // bitmasks) are all gated on incremental enabling; full-scan mode must
-  // still match the reference exactly.
-  const auto obj = run_mixed(Engine::kObjectGraph, 150.0, 5, false);
-  const auto comp = run_mixed(Engine::kCompiled, 150.0, 5, false);
-  EXPECT_EQ(obj.fires, comp.fires);
-  EXPECT_EQ(obj.stats.enabling_evals, comp.stats.enabling_evals);
+  // still match the trampoline dispatch exactly.
+  const auto tramp = run_mixed(true, 150.0, 5, false);
+  const auto lowered = run_mixed(false, 150.0, 5, false);
+  EXPECT_EQ(tramp.fires, lowered.fires);
+  EXPECT_EQ(tramp.stats.enabling_evals, lowered.stats.enabling_evals);
+}
+
+/// True when the recorded fire times never decrease.
+bool times_nondecreasing(const std::vector<Recorder::Entry>& entries) {
+  return std::is_sorted(
+      entries.begin(), entries.end(),
+      [](const auto& a, const auto& b) { return a.time < b.time; });
 }
 
 TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
   // Delays far beyond the calendar ring window (128 unit buckets) park
   // in the overflow list; the window must jump over the empty span and
-  // fold them back in the exact EventOrder position.
-  const auto build = [] {
+  // fold them back in fire order. `rare` is always enabled with a
+  // deterministic 350 delay, so it must fire at exactly k * 350.
+  for (const std::uint64_t seed : {3ull, 11ull}) {
     auto model = std::make_unique<ComposedModel>("far");
     auto& sub = model->add_submodel("S");
     auto count = sub.add_place<std::int64_t>("count", 0);
@@ -177,35 +192,33 @@ TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
         sub.add_timed_activity("rare", stats::make_deterministic(350.0));
     rare.add_output_gate(
         {"r", [count](GateContext&) { count->mut() += 10; }, access({}, {count})});
-    return std::make_pair(std::move(model), count);
-  };
-  for (const std::uint64_t seed : {3ull, 11ull}) {
-    auto [om, ocount] = build();
-    Simulator obj(config_with(Engine::kObjectGraph, 5000.0, seed));
-    Recorder orec;
-    obj.add_observer(orec);
-    obj.set_model(*om);
-    const auto ostats = obj.run();
 
-    auto [cm, ccount] = build();
-    Simulator comp(config_with(Engine::kCompiled, 5000.0, seed));
-    Recorder crec;
-    comp.add_observer(crec);
-    comp.set_model(*cm);
-    const auto cstats = comp.run();
+    Simulator sim(config_with(false, 5000.0, seed));
+    Recorder rec;
+    sim.add_observer(rec);
+    sim.set_model(*model);
+    const auto stats = sim.run();
 
-    ASSERT_GT(ostats.events, 10u);
-    EXPECT_EQ(ostats.events, cstats.events);
-    EXPECT_EQ(orec.entries, crec.entries) << "seed " << seed;
-    EXPECT_EQ(ocount->get(), ccount->get());
+    ASSERT_GT(stats.events, 10u);
+    EXPECT_TRUE(times_nondecreasing(rec.entries)) << "seed " << seed;
+    std::vector<Time> rare_times;
+    for (const auto& e : rec.entries) {
+      if (e.activity == rare.name()) rare_times.push_back(e.time);
+    }
+    std::vector<Time> expected;
+    for (int k = 1; k <= 14; ++k) expected.push_back(350.0 * k);
+    EXPECT_EQ(rare_times, expected) << "seed " << seed;
+    // slow adds 1 per fire, rare 10.
+    EXPECT_EQ(count->get(),
+              static_cast<std::int64_t>(rec.entries.size()) + 9 * 14);
   }
 }
 
 TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
   // Exponential(4) packs many fractional completion times into each
-  // unit-width bucket; within-bucket ordering must stay EventOrder-
-  // exact (time, then priority, then FIFO seq).
-  const auto build = [] {
+  // unit-width bucket; within-bucket ordering must stay exact (time,
+  // then priority, then FIFO seq).
+  const auto run = [](bool trampoline) {
     auto model = std::make_unique<ComposedModel>("frac");
     auto& sub = model->add_submodel("S");
     auto count = sub.add_place<std::int64_t>("count", 0);
@@ -216,39 +229,66 @@ TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
       fast.add_output_gate({"f", [count](GateContext&) { count->mut() += 1; },
                             access({}, {count})});
     }
-    return std::make_pair(std::move(model), count);
+    Simulator sim(config_with(trampoline, 50.0, 9));
+    Recorder rec;
+    sim.add_observer(rec);
+    sim.set_model(*model);
+    sim.run();
+    EXPECT_EQ(count->get(), static_cast<std::int64_t>(rec.entries.size()));
+    return std::move(rec.entries);
   };
-  auto [om, ocount] = build();
-  Simulator obj(config_with(Engine::kObjectGraph, 50.0, 9));
-  Recorder orec;
-  obj.add_observer(orec);
-  obj.set_model(*om);
-  obj.run();
+  const auto lowered = run(false);
+  ASSERT_GT(lowered.size(), 100u);
+  EXPECT_TRUE(times_nondecreasing(lowered));
+  EXPECT_EQ(run(true), lowered);
 
-  auto [cm, ccount] = build();
-  Simulator comp(config_with(Engine::kCompiled, 50.0, 9));
-  Recorder crec;
-  comp.add_observer(crec);
-  comp.set_model(*cm);
-  comp.run();
-
-  ASSERT_GT(orec.entries.size(), 100u);
-  EXPECT_EQ(orec.entries, crec.entries);
-  EXPECT_EQ(ocount->get(), ccount->get());
+  // The clock never runs backwards, so a misordered bucket still records
+  // non-decreasing times. Exact binary-fraction periods pin the order in
+  // closed form instead: at t = j/4 every activity whose period divides
+  // t fires, by descending priority, FIFO among equal priorities.
+  ComposedModel model("ticks");
+  auto& sub = model.add_submodel("S");
+  const auto add = [&sub](const std::string& name, double period,
+                          int priority) -> const Activity& {
+    auto& a = sub.add_timed_activity(name, stats::make_deterministic(period),
+                                     priority);
+    a.add_output_gate({"t", [](GateContext&) {}, access({})});
+    return a;
+  };
+  const Activity& quarter = add("quarter", 0.25, 0);
+  const Activity& half = add("half", 0.5, 1);
+  const Activity& three = add("three", 0.75, 2);
+  const Activity& half_fifo = add("half_fifo", 0.5, 1);
+  Simulator sim(config_with(false, 10.0, 1));
+  Recorder rec;
+  sim.add_observer(rec);
+  sim.set_model(model);
+  sim.run();
+  std::vector<Recorder::Entry> expected;
+  for (int j = 1; j <= 40; ++j) {
+    const Time t = 0.25 * j;
+    if (j % 3 == 0) expected.push_back({t, three.name(), 0});
+    if (j % 2 == 0) {
+      expected.push_back({t, half.name(), 0});
+      expected.push_back({t, half_fifo.name(), 0});
+    }
+    expected.push_back({t, quarter.name(), 0});
+  }
+  EXPECT_EQ(rec.entries, expected);
 }
 
 TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
   // The calendar keeps state across advance_until horizons (peeked but
   // unfired events stay queued); stepping must replay the one-shot run.
   auto one = MixedModel::build();
-  Simulator whole(config_with(Engine::kCompiled, 100.0, 13));
+  Simulator whole(config_with(false, 100.0, 13));
   Recorder wrec;
   whole.add_observer(wrec);
   whole.set_model(*one.model);
   const auto wstats = whole.run();
 
   auto stepped = MixedModel::build();
-  Simulator steps(config_with(Engine::kCompiled, 100.0, 13));
+  Simulator steps(config_with(false, 100.0, 13));
   Recorder srec;
   steps.add_observer(srec);
   steps.set_model(*stepped.model);
@@ -262,7 +302,7 @@ TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
 
 TEST(CompiledEngine, ResetRestoresMarkingsWithoutPerPlaceResets) {
   auto m = MixedModel::build();
-  Simulator sim(config_with(Engine::kCompiled, 100.0, 2));
+  Simulator sim(config_with(false, 100.0, 2));
   sim.set_model(*m.model);
   sim.run();
   ASSERT_NE(m.done->get(), 0);
@@ -274,20 +314,11 @@ TEST(CompiledEngine, ResetRestoresMarkingsWithoutPerPlaceResets) {
   EXPECT_EQ(m.buffer->get(), 0);
   EXPECT_EQ(m.done->get(), 0);
   EXPECT_EQ(m.opaque_hits->get(), 0);
-
-  // The object engine restores the same state through the virtual walk.
-  auto m2 = MixedModel::build();
-  Simulator obj(config_with(Engine::kObjectGraph, 100.0, 2));
-  obj.set_model(*m2.model);
-  obj.run();
-  const std::uint64_t obefore = PlaceBase::reset_count();
-  obj.reset(2);
-  EXPECT_GT(PlaceBase::reset_count(), obefore);
 }
 
 TEST(CompiledEngine, ResetWithSeedReplaysIdenticalReplication) {
   auto m = MixedModel::build();
-  Simulator sim(config_with(Engine::kCompiled, 80.0, 21));
+  Simulator sim(config_with(false, 80.0, 21));
   Recorder rec;
   sim.add_observer(rec);
   sim.set_model(*m.model);
@@ -317,7 +348,7 @@ TEST(CompiledEngine, PodVectorMarkingRestoredOnReset) {
                          },
                          access({}, {vec})});
 
-  Simulator sim(config_with(Engine::kCompiled, 5.0, 1));
+  Simulator sim(config_with(false, 5.0, 1));
   sim.set_model(cm);
   sim.run();
   EXPECT_EQ(vec->get(), (std::vector<std::int32_t>{6, 7, 8}));
@@ -328,16 +359,31 @@ TEST(CompiledEngine, PodVectorMarkingRestoredOnReset) {
 
 TEST(CompiledEngine, DoubleCompileThrows) {
   auto m = MixedModel::build();
-  Simulator first(config_with(Engine::kCompiled, 10.0, 1));
+  Simulator first(config_with(false, 10.0, 1));
   first.set_model(*m.model);
-  Simulator second(config_with(Engine::kCompiled, 10.0, 1));
+  first.run();
+  const std::int64_t buffer = m.buffer->get();
+  const std::int64_t done = m.done->get();
+  const std::int64_t opaque_hits = m.opaque_hits->get();
+  ASSERT_GT(buffer + done + opaque_hits, 0);
+
+  Simulator second(config_with(false, 10.0, 1));
   EXPECT_THROW(second.set_model(*m.model), std::logic_error)
-      << "a model may be arena-bound by at most one engine at a time";
+      << "a model may be arena-bound by at most one simulator at a time";
+  // The failed set_model registered no model: the second simulator
+  // refuses to run instead of executing against the first one's arena.
+  EXPECT_THROW(second.reset(), std::logic_error);
+  EXPECT_THROW(second.run(), std::logic_error);
+  EXPECT_THROW(second.advance_until(10.0), std::logic_error);
+  EXPECT_EQ(second.kernel_stats().places, 0u);
+  EXPECT_EQ(m.buffer->get(), buffer);
+  EXPECT_EQ(m.done->get(), done);
+  EXPECT_EQ(m.opaque_hits->get(), opaque_hits);
 }
 
 TEST(CompiledEngine, KernelStatsCensusMatchesModel) {
   auto m = MixedModel::build();
-  Simulator sim(config_with(Engine::kCompiled, 10.0, 1));
+  Simulator sim(config_with(false, 10.0, 1));
   sim.set_model(*m.model);
   const KernelStats stats = sim.kernel_stats();
   EXPECT_EQ(stats.places, 3u);
@@ -349,23 +395,11 @@ TEST(CompiledEngine, KernelStatsCensusMatchesModel) {
   EXPECT_EQ(stats.compiled_gates, 4u);
   EXPECT_EQ(stats.trampoline_gates, 3u);
 
-  Simulator obj(config_with(Engine::kObjectGraph, 10.0, 1));
-  auto m2 = MixedModel::build();
-  obj.set_model(*m2.model);
-  const KernelStats none = obj.kernel_stats();
+  // Before set_model() there is no kernel to count.
+  Simulator unset(config_with(false, 10.0, 1));
+  const KernelStats none = unset.kernel_stats();
   EXPECT_EQ(none.places, 0u);
   EXPECT_EQ(none.arena_bytes, 0u);
-}
-
-TEST(CompiledEngine, EngineNamesRoundTrip) {
-  Engine e = Engine::kObjectGraph;
-  EXPECT_TRUE(parse_engine("compiled", e));
-  EXPECT_EQ(e, Engine::kCompiled);
-  EXPECT_TRUE(parse_engine("object", e));
-  EXPECT_EQ(e, Engine::kObjectGraph);
-  EXPECT_FALSE(parse_engine("jit", e));
-  EXPECT_STREQ(engine_name(Engine::kCompiled), "compiled");
-  EXPECT_STREQ(engine_name(Engine::kObjectGraph), "object");
 }
 
 }  // namespace
