@@ -39,9 +39,15 @@ int main(int argc, char** argv) {
     config.seed = 7;
     san::Simulator sim(config);
     sim.set_model(*system->model);
-    sim.add_observer(timeline);
-    sim.add_observer(latency);
+    sim.set_trace(&timeline);
     sim.run();
+    // A simulator feeds one trace sink, so replay the seeded trajectory
+    // for the second recorder: system->reset() returns the scheduler to
+    // its just-built state, reset(seed) the marking and the RNG stream.
+    system->reset();
+    sim.set_trace(&latency);
+    sim.reset(config.seed);
+    sim.advance_until(config.end_time);
 
     std::cout << "=== " << system->scheduler->name()
               << " (2 PCPUs; VM1 = 2 VCPUs, VM2 = 3 VCPUs + spinlock; "

@@ -72,16 +72,29 @@ bool predicate_compiles(const InputGate& gate) {
 
 CompiledModel::CompiledModel(ComposedModel& model, CompileOptions options)
     : options_(options) {
-  bind_places(model);
-  for (const Activity* a : model.all_activities()) {
-    compile_activity(*a);
+  try {
+    bind_places(model);
+    for (const Activity* a : model.all_activities()) {
+      compile_activity(*a);
+    }
+  } catch (...) {
+    // The destructor will not run. Without the rollback, places bound
+    // so far would point into the freed arena, and a place another
+    // engine compiled (the usual cause: "already arena-bound") would
+    // keep this model's id, corrupting that engine's id lookups.
+    release();
+    throw;
   }
 }
 
-CompiledModel::~CompiledModel() {
-  for (const PlacePtr& p : places_) {
-    p->unbind_storage();
-    p->set_compiled_id(PlaceBase::kNoCompiledId);
+CompiledModel::~CompiledModel() { release(); }
+
+void CompiledModel::release() noexcept {
+  // Never past bound_: the place whose binding threw belongs to another
+  // engine's arena.
+  for (std::size_t i = 0; i < bound_; ++i) places_[i]->unbind_storage();
+  for (std::size_t i = 0; i < prior_ids_.size(); ++i) {
+    places_[i]->set_compiled_id(prior_ids_[i]);
   }
 }
 
@@ -92,8 +105,9 @@ void CompiledModel::bind_places(const ComposedModel& model) {
   for (const auto& sub : model.submodels()) {
     for (const PlacePtr& p : sub->places()) {
       if (!seen.insert(p.get()).second) continue;
-      p->set_compiled_id(static_cast<std::uint32_t>(places_.size()));
       places_.push_back(p);
+      prior_ids_.push_back(p->compiled_id());
+      p->set_compiled_id(static_cast<std::uint32_t>(places_.size() - 1));
     }
   }
   stats_.places = places_.size();
@@ -123,7 +137,8 @@ void CompiledModel::bind_places(const ComposedModel& model) {
   initial_.resize(bytes);
   stats_.arena_bytes = bytes;
 
-  for (std::size_t i = 0; i < places_.size(); ++i) {
+  for (; bound_ < places_.size(); ++bound_) {
+    const std::size_t i = bound_;
     switch (places_[i]->storage_kind()) {
       case PlaceBase::StorageKind::kTrivial:
         places_[i]->bind_storage(arena_.data() + offsets[i]);

@@ -210,6 +210,10 @@ class CompiledModel {
 
  private:
   void bind_places(const ComposedModel& model);
+  /// Unbind the places this model bound and restore every stamped
+  /// compiled id: the destructor, and the rollback of a constructor that
+  /// threw partway.
+  void release() noexcept;
   void compile_activity(const Activity& activity);
   void emit_fire(const std::string& name, const GateAccess& footprint,
                  const std::function<void(GateContext&)>& fn);
@@ -236,6 +240,12 @@ class CompiledModel {
   /// Dense-id order; shared ownership so unbinding in the destructor is
   /// safe even if the model is torn down first.
   std::vector<PlacePtr> places_;
+  /// Each place's compiled id before this model stamped it (parallel to
+  /// a prefix of places_), restored on release.
+  std::vector<std::uint32_t> prior_ids_;
+  /// places_[0, bound_) were bound by this model (or needed no binding);
+  /// places_[bound_] is the one whose binding threw, if any.
+  std::size_t bound_ = 0;
   std::vector<std::byte> arena_;    ///< live trivially-copyable markings
   std::vector<std::byte> initial_;  ///< same layout, initial image
   std::vector<PlaceBase::PodVectorSpan> pod_spans_;

@@ -55,8 +55,6 @@ void Simulator::set_model(ComposedModel& model) {
     compiled_ = std::make_unique<CompiledModel>(
         model, CompileOptions{.force_trampoline = config_.verify_footprints});
   }
-  dirty_timed_.clear();
-  dirty_inst_.clear();
   dirty_all_ = true;
   activities_.clear();
   instantaneous_.clear();
@@ -71,8 +69,6 @@ void Simulator::set_model(ComposedModel& model) {
       timed_compiled_.push_back(compiled_->find(a));
     }
   }
-  timed_marked_.assign(activities_.size(), 0);
-  inst_marked_.assign(instantaneous_.size(), 0);
   inst_enabled_count_ = 0;
   timed_hot_.assign(activities_.size(), TimedHot{});
   for (std::size_t t = 0; t < activities_.size(); ++t) {
@@ -99,178 +95,125 @@ void Simulator::set_model(ComposedModel& model) {
   inst_enabled_bits_.assign((instantaneous_.size() + 63) / 64, 0);
   touch_lookup_.clear();
   use_incremental_ = config_.incremental_enabling;
-  if (use_incremental_) build_dependency_index();
-  fast_dirty_ = use_incremental_ && !config_.verify_footprints;
-  fast_inst_ = false;
-  if (fast_dirty_) build_fired_masks();
+  if (use_incremental_) build_enabling_index();
   model_ = &model;
 }
 
-void Simulator::build_fired_masks() {
-  mask_words_ = (activities_.size() + 63) / 64;
-  timed_mask_.assign(mask_words_, 0);
-  always_timed_mask_.assign(mask_words_, 0);
-  for (const std::uint32_t t : always_timed_) {
-    always_timed_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-  }
-  place_timed_masks_.assign(place_deps_.size() * mask_words_, 0);
-  for (std::size_t p = 0; p < place_deps_.size(); ++p) {
-    std::uint64_t* mask = place_timed_masks_.data() + p * mask_words_;
-    for (const std::uint32_t t : place_deps_[p].timed) {
-      mask[t >> 6] |= std::uint64_t{1} << (t & 63);
-    }
-  }
-  std::vector<std::uint8_t> seen(instantaneous_.size(), 0);
-  const auto build_for = [&](bool timed, std::size_t count,
-                             std::vector<std::uint64_t>& masks,
-                             std::vector<std::vector<std::uint32_t>>& insts) {
-    masks.assign(count * mask_words_, 0);
-    insts.assign(count, {});
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint64_t* mask = masks.data() + std::size_t{i} * mask_words_;
-      auto& inst_list = insts[i];
-      std::fill(seen.begin(), seen.end(), std::uint8_t{0});
-      const auto add_inst = [&](std::uint32_t j) {
-        if (seen[j] == 0) {
-          seen[j] = 1;
-          inst_list.push_back(j);
-        }
-      };
-      // The fired activity itself always gets a fresh look.
-      if (timed) {
-        mask[i >> 6] |= std::uint64_t{1} << (i & 63);
-      } else {
-        add_inst(i);
-      }
-      for (const std::uint32_t place :
-           timed ? timed_writes_[i] : inst_writes_[i]) {
-        const std::uint64_t* pm =
-            place_timed_masks_.data() + std::size_t{place} * mask_words_;
-        for (std::size_t w = 0; w < mask_words_; ++w) mask[w] |= pm[w];
-        for (const std::uint32_t j : place_deps_[place].inst) add_inst(j);
-      }
-    }
+void Simulator::build_enabling_index() {
+  /// One activity's declared footprint, as enabling-index place ids.
+  struct Footprint {
+    std::vector<std::uint32_t> reads;   ///< input-gate predicate reads
+    std::vector<std::uint32_t> writes;  ///< static (non-dynamic) writes
+    bool reads_declared = true;
   };
-  build_for(true, activities_.size(), timed_fired_masks_, timed_fired_inst_);
-  build_for(false, instantaneous_.size(), inst_fired_masks_, inst_fired_inst_);
-
-  fast_inst_ = always_inst_.empty();
-  if (fast_inst_) {
-    inst_mask_words_ = (instantaneous_.size() + 63) / 64;
-    inst_mask_.assign(inst_mask_words_, 0);
-    place_inst_masks_.assign(place_deps_.size() * inst_mask_words_, 0);
-    for (std::size_t p = 0; p < place_deps_.size(); ++p) {
-      std::uint64_t* mask = place_inst_masks_.data() + p * inst_mask_words_;
-      for (const std::uint32_t j : place_deps_[p].inst) {
-        mask[j >> 6] |= std::uint64_t{1} << (j & 63);
-      }
-    }
-    const auto pack = [&](const std::vector<std::vector<std::uint32_t>>& lists,
-                          std::vector<std::uint64_t>& masks) {
-      masks.assign(lists.size() * inst_mask_words_, 0);
-      for (std::size_t i = 0; i < lists.size(); ++i) {
-        std::uint64_t* mask = masks.data() + i * inst_mask_words_;
-        for (const std::uint32_t j : lists[i]) {
-          mask[j >> 6] |= std::uint64_t{1} << (j & 63);
-        }
-      }
-    };
-    pack(timed_fired_inst_, timed_fired_inst_masks_);
-    pack(inst_fired_inst_, inst_fired_inst_masks_);
-  }
-}
-
-void Simulator::build_dependency_index() {
-  place_deps_.clear();
   place_ids_.clear();
-  timed_writes_.assign(activities_.size(), {});
-  inst_writes_.assign(instantaneous_.size(), {});
-  timed_writes_declared_.assign(activities_.size(), 1);
-  inst_writes_declared_.assign(instantaneous_.size(), 1);
-  timed_dynamic_.assign(activities_.size(), 0);
-  inst_dynamic_.assign(instantaneous_.size(), 0);
-  always_timed_.clear();
-  always_inst_.clear();
-
   touch_lookup_.assign(compiled_->place_count(), kNoPlaceId);
   const auto id_of = [&](const PlacePtr& place) {
     const auto [it, inserted] = place_ids_.emplace(
-        place.get(), static_cast<std::uint32_t>(place_deps_.size()));
+        place.get(), static_cast<std::uint32_t>(place_ids_.size()));
     if (inserted) {
-      place_deps_.emplace_back();
       const std::uint32_t cid = place->compiled_id();
       if (cid < touch_lookup_.size()) touch_lookup_[cid] = it->second;
     }
     return it->second;
   };
-  const auto add_unique = [](std::vector<std::uint32_t>& v, std::uint32_t id) {
-    if (std::find(v.begin(), v.end(), id) == v.end()) v.push_back(id);
-  };
-
-  const auto index_activity = [&](const Activity& a, bool timed,
-                                  std::uint32_t index) {
-    // Enabling depends on the input-gate predicates, so the read set is
-    // the union of the input gates' declared reads; one undeclared input
-    // gate makes the activity's enabling opaque (re-evaluate always).
-    // The write set unions the input functions' and every case's output
-    // gates' declared writes; one undeclared gate makes the firing's
-    // effect opaque (full re-scan after it fires).
-    bool reads_declared = true;
-    bool writes_declared = true;
-    bool dynamic = false;
-    std::vector<std::uint32_t> reads;
-    auto& writes = timed ? timed_writes_[index] : inst_writes_[index];
-    // A dynamic-writes gate keeps its static write set out of the fired
-    // dirty list: the per-firing touch() reports stand in for it. The
-    // places still get ids so touch lookups resolve.
-    const auto add_writes = [&](const GateAccess& fp) {
-      if (fp.dynamic_writes) {
-        dynamic = true;
-        for (const PlacePtr& p : fp.writes) id_of(p);
-      } else {
-        for (const PlacePtr& p : fp.writes) add_unique(writes, id_of(p));
-      }
-    };
-    for (const InputGate& gate : a.input_gates()) {
-      if (!gate.footprint.declared) {
-        reads_declared = false;
-        writes_declared = false;
-        continue;
-      }
-      for (const PlacePtr& p : gate.footprint.reads) add_unique(reads, id_of(p));
-      add_writes(gate.footprint);
-    }
-    for (const Case& c : a.cases()) {
-      for (const OutputGate& gate : c.output_gates) {
+  // Enabling depends on the input-gate predicates, so the read set is
+  // the union of the input gates' declared reads; one undeclared input
+  // gate makes the activity's enabling opaque (re-evaluate always). The
+  // write set unions the input functions' and every case's output gates'
+  // declared writes; one undeclared gate makes the firing's effect opaque
+  // (full re-scan after it fires). An undeclared input gate is both, so
+  // an always-evaluated activity is never also dirtied by a firing.
+  const auto index = [&](const std::vector<Activity*>& acts,
+                         std::vector<std::uint8_t>& writes_declared,
+                         std::vector<std::uint8_t>& dynamic_writes) {
+    std::vector<Footprint> fps(acts.size());
+    writes_declared.assign(acts.size(), 1);
+    dynamic_writes.assign(acts.size(), 0);
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      Footprint& fp = fps[i];
+      bool declared = true;
+      bool dynamic = false;
+      // A dynamic-writes gate keeps its static write set out of the
+      // fired row: the per-firing touch() reports stand in for it. The
+      // places still get ids so touch lookups resolve.
+      const auto add_writes = [&](const GateAccess& access) {
+        dynamic = dynamic || access.dynamic_writes;
+        for (const PlacePtr& p : access.writes) {
+          const std::uint32_t id = id_of(p);
+          if (!access.dynamic_writes) fp.writes.push_back(id);
+        }
+      };
+      for (const InputGate& gate : acts[i]->input_gates()) {
         if (!gate.footprint.declared) {
-          writes_declared = false;
+          fp.reads_declared = false;
+          declared = false;
           continue;
+        }
+        for (const PlacePtr& p : gate.footprint.reads) {
+          fp.reads.push_back(id_of(p));
         }
         add_writes(gate.footprint);
       }
+      for (const Case& c : acts[i]->cases()) {
+        for (const OutputGate& gate : c.output_gates) {
+          if (gate.footprint.declared) {
+            add_writes(gate.footprint);
+          } else {
+            declared = false;
+          }
+        }
+      }
+      writes_declared[i] = declared ? 1 : 0;
+      dynamic_writes[i] = (dynamic && declared) ? 1 : 0;
     }
-    (timed ? timed_writes_declared_ : inst_writes_declared_)[index] =
-        writes_declared ? 1 : 0;
-    (timed ? timed_dynamic_ : inst_dynamic_)[index] =
-        (dynamic && writes_declared) ? 1 : 0;
-    if (!reads_declared) {
-      // Kept out of place_deps_ so the settle-round merge sees each
-      // activity at most twice (dirty + always), never more.
-      (timed ? always_timed_ : always_inst_).push_back(index);
-      return;
-    }
-    for (const std::uint32_t place : reads) {
-      auto& deps = place_deps_[place];
-      add_unique(timed ? deps.timed : deps.inst, index);
-    }
+    return fps;
   };
+  const std::vector<Footprint> timed =
+      index(activities_, timed_writes_declared_, timed_dynamic_);
+  const std::vector<Footprint> inst =
+      index(instantaneous_, inst_writes_declared_, inst_dynamic_);
 
-  for (std::uint32_t t = 0; t < activities_.size(); ++t) {
-    index_activity(*activities_[t], true, t);
-  }
-  for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
-    index_activity(*instantaneous_[j], false, j);
-  }
+  const std::size_t places = place_ids_.size();
+  const auto set_bit = [](std::uint64_t* row, std::uint32_t i) {
+    row[i >> 6] |= std::uint64_t{1} << (i & 63);
+  };
+  const auto build = [&](DirtySet& side, const std::vector<Footprint>& own) {
+    const std::size_t words = (own.size() + 63) / 64;
+    side.words = words;
+    side.dirty.assign(words, 0);
+    side.always.assign(words, 0);
+    side.by_place.assign(places * words, 0);
+    for (std::uint32_t i = 0; i < own.size(); ++i) {
+      if (!own[i].reads_declared) {
+        set_bit(side.always.data(), i);
+        continue;
+      }
+      for (const std::uint32_t place : own[i].reads) {
+        set_bit(side.by_place.data() + std::size_t{place} * words, i);
+      }
+    }
+    // A firing dirties the dependents of its declared writes and the
+    // fired activity itself, which always gets a fresh look: a timed one
+    // may still be enabled and must re-activate even if it reads nothing.
+    const auto fired_rows = [&](std::vector<std::uint64_t>& rows,
+                                const std::vector<Footprint>& fired) {
+      rows.assign(fired.size() * words, 0);
+      for (std::uint32_t i = 0; i < fired.size(); ++i) {
+        std::uint64_t* row = rows.data() + std::size_t{i} * words;
+        if (&fired == &own) set_bit(row, i);
+        for (const std::uint32_t place : fired[i].writes) {
+          const std::uint64_t* deps =
+              side.by_place.data() + std::size_t{place} * words;
+          for (std::size_t w = 0; w < words; ++w) row[w] |= deps[w];
+        }
+      }
+    };
+    fired_rows(side.by_timed, timed);
+    fired_rows(side.by_inst, inst);
+  };
+  build(timed_dirty_, timed);
+  build(inst_dirty_, inst);
 }
 
 void Simulator::build_trace_write_lists() {
@@ -306,10 +249,6 @@ void Simulator::build_trace_write_lists() {
 
 void Simulator::add_reward(RewardVariable& reward) {
   rewards_.push_back(&reward);
-}
-
-void Simulator::add_observer(TraceObserver& observer) {
-  observers_.push_back(&observer);
 }
 
 void Simulator::advance_time(Time to) {
@@ -360,109 +299,24 @@ void Simulator::transition_timed(std::uint32_t timed_index) {
   }
 }
 
-void Simulator::mark_timed(std::uint32_t timed_index) {
-  if (timed_marked_[timed_index]) return;
-  timed_marked_[timed_index] = 1;
-  dirty_timed_.push_back(timed_index);
-}
-
-void Simulator::mark_inst(std::uint32_t inst_index) {
-  if (inst_marked_[inst_index]) return;
-  inst_marked_[inst_index] = 1;
-  dirty_inst_.push_back(inst_index);
-}
-
-void Simulator::mark_place(std::uint32_t place_id) {
-  const PlaceDeps& deps = place_deps_[place_id];
-  for (const std::uint32_t t : deps.timed) mark_timed(t);
-  for (const std::uint32_t j : deps.inst) mark_inst(j);
-}
-
 void Simulator::mark_fired(bool timed, std::uint32_t index) {
   if (!use_incremental_ || dirty_all_) return;
-  if (fast_dirty_) {
-    if ((timed ? timed_writes_declared_[index]
-               : inst_writes_declared_[index]) == 0) {
-      dirty_all_ = true;  // unknown write set: rescan everything
-      return;
-    }
-    // Precompiled dependents: one mask OR per side replaces the
-    // per-place dependency loops of the vector path.
-    const std::uint64_t* mask =
-        (timed ? timed_fired_masks_ : inst_fired_masks_).data() +
-        std::size_t{index} * mask_words_;
-    for (std::size_t w = 0; w < mask_words_; ++w) timed_mask_[w] |= mask[w];
-    if (fast_inst_) {
-      const std::uint64_t* im =
-          (timed ? timed_fired_inst_masks_ : inst_fired_inst_masks_).data() +
-          std::size_t{index} * inst_mask_words_;
-      for (std::size_t w = 0; w < inst_mask_words_; ++w) {
-        inst_mask_[w] |= im[w];
-      }
-    } else {
-      for (const std::uint32_t j :
-           (timed ? timed_fired_inst_ : inst_fired_inst_)[index]) {
-        mark_inst(j);
-      }
-    }
-    if ((timed ? timed_dynamic_[index] : inst_dynamic_[index]) != 0) {
-      for (const PlaceBase* p : touched_) {
-        const std::uint32_t id = touched_place_id(p);
-        if (id == kNoPlaceId) continue;
-        const std::uint64_t* pm =
-            place_timed_masks_.data() + std::size_t{id} * mask_words_;
-        for (std::size_t w = 0; w < mask_words_; ++w) timed_mask_[w] |= pm[w];
-        if (fast_inst_) {
-          const std::uint64_t* im =
-              place_inst_masks_.data() + std::size_t{id} * inst_mask_words_;
-          for (std::size_t w = 0; w < inst_mask_words_; ++w) {
-            inst_mask_[w] |= im[w];
-          }
-        } else {
-          for (const std::uint32_t j : place_deps_[id].inst) mark_inst(j);
-        }
-      }
-    }
-    return;
-  }
-  // The fired activity itself always needs a fresh look: a timed one may
-  // still be enabled and must re-activate even if it reads nothing.
-  if (timed) {
-    mark_timed(index);
-  } else {
-    mark_inst(index);
-  }
-  const bool declared = timed ? timed_writes_declared_[index] != 0
-                              : inst_writes_declared_[index] != 0;
-  if (!declared) {
+  if ((timed ? timed_writes_declared_ : inst_writes_declared_)[index] == 0) {
     dirty_all_ = true;  // unknown write set: rescan everything
     return;
   }
-  for (const std::uint32_t place :
-       timed ? timed_writes_[index] : inst_writes_[index]) {
-    mark_place(place);
-  }
+  timed_dirty_.add(timed ? timed_dirty_.by_timed : timed_dirty_.by_inst,
+                   index);
+  inst_dirty_.add(timed ? inst_dirty_.by_timed : inst_dirty_.by_inst, index);
   // Dynamic gates: dirty exactly the places this firing reported.
-  if (timed ? timed_dynamic_[index] != 0 : inst_dynamic_[index] != 0) {
+  if ((timed ? timed_dynamic_ : inst_dynamic_)[index] != 0) {
     for (const PlaceBase* p : touched_) {
       const std::uint32_t id = touched_place_id(p);
-      if (id != kNoPlaceId) mark_place(id);
+      if (id == kNoPlaceId) continue;
+      timed_dirty_.add(timed_dirty_.by_place, id);
+      inst_dirty_.add(inst_dirty_.by_place, id);
     }
   }
-}
-
-void Simulator::clear_dirty() {
-  if (fast_dirty_ && dirty_all_) {
-    // The bit-scan path zeroes words as it consumes them; only a full
-    // rescan can leave stale bits behind.
-    std::fill(timed_mask_.begin(), timed_mask_.end(), 0);
-    std::fill(inst_mask_.begin(), inst_mask_.end(), 0);
-  }
-  for (const std::uint32_t t : dirty_timed_) timed_marked_[t] = 0;
-  for (const std::uint32_t j : dirty_inst_) inst_marked_[j] = 0;
-  dirty_timed_.clear();
-  dirty_inst_.clear();
-  dirty_all_ = false;
 }
 
 void Simulator::complete(Activity& activity, bool timed,
@@ -489,7 +343,6 @@ void Simulator::complete(Activity& activity, bool timed,
       *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx);
   if (sanitizer_ != nullptr) sanitizer_->end_firing();
   for (RewardVariable* r : rewards_) r->on_completion(activity, now_);
-  for (TraceObserver* o : observers_) o->on_fire(now_, activity, case_index);
   if (trace_ == nullptr) return;
   if (trace_->wants(TraceCategory::kFire)) {
     trace_->on_event(TraceEvent{TraceCategory::kFire, now_, seq,
@@ -523,80 +376,24 @@ void Simulator::settle() {
         set_inst_enabled(j, eval_inst(j));
       }
       enabling_evals_ += activities_.size() + instantaneous_.size();
-      if (use_incremental_) clear_dirty();
-    } else if (fast_dirty_) {
-      // Bit-scan: ascending set bits of (dirty | always) — the same
-      // activity sequence the vector merge below produces, without the
-      // sort, the merge branches, or the marked-flag bookkeeping.
-      for (std::size_t w = 0; w < mask_words_; ++w) {
-        std::uint64_t bits = timed_mask_[w] | always_timed_mask_[w];
-        timed_mask_[w] = 0;
-        enabling_evals_ += static_cast<std::uint64_t>(std::popcount(bits));
-        const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
-        while (bits != 0) {
-          const std::uint32_t t =
-              base + static_cast<std::uint32_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          transition_timed(t);
-        }
+      if (use_incremental_) {
+        // The bit scan below zeroes dirty words as it consumes them; only
+        // a full rescan leaves stale bits behind.
+        timed_dirty_.clear();
+        inst_dirty_.clear();
+        dirty_all_ = false;
       }
-      if (fast_inst_) {
-        for (std::size_t w = 0; w < inst_mask_words_; ++w) {
-          std::uint64_t bits = inst_mask_[w];
-          inst_mask_[w] = 0;
-          enabling_evals_ += static_cast<std::uint64_t>(std::popcount(bits));
-          const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
-          while (bits != 0) {
-            const std::uint32_t j =
-                base + static_cast<std::uint32_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            set_inst_enabled(j, eval_inst(j));
-          }
-        }
-      } else {
-        for (const std::uint32_t j : dirty_inst_) {
-          set_inst_enabled(j, eval_inst(j));
-        }
-        for (const std::uint32_t j : always_inst_) {
-          set_inst_enabled(j, eval_inst(j));
-        }
-        enabling_evals_ += dirty_inst_.size() + always_inst_.size();
-      }
-      clear_dirty();
     } else {
-      // Incremental: only activities whose read set intersects the places
-      // written since the last round, plus the undeclared-footprint ones.
-      // Timed re-evaluation must run in ascending activity order — the
-      // order schedule() consumes the RNG in a full scan — to keep
-      // trajectories bit-identical.
-      std::sort(dirty_timed_.begin(), dirty_timed_.end());
-      std::size_t di = 0;
-      std::size_t ai = 0;
-      while (di < dirty_timed_.size() || ai < always_timed_.size()) {
-        std::uint32_t t;
-        if (ai == always_timed_.size()) {
-          t = dirty_timed_[di++];
-        } else if (di == dirty_timed_.size()) {
-          t = always_timed_[ai++];
-        } else if (dirty_timed_[di] < always_timed_[ai]) {
-          t = dirty_timed_[di++];
-        } else if (always_timed_[ai] < dirty_timed_[di]) {
-          t = always_timed_[ai++];
-        } else {
-          t = dirty_timed_[di++];
-          ++ai;
-        }
-        transition_timed(t);
-        ++enabling_evals_;
-      }
-      for (const std::uint32_t j : dirty_inst_) {
-        set_inst_enabled(j, eval_inst(j));
-      }
-      for (const std::uint32_t j : always_inst_) {
-        set_inst_enabled(j, eval_inst(j));
-      }
-      enabling_evals_ += dirty_inst_.size() + always_inst_.size();
-      clear_dirty();
+      // Incremental: only the activities whose read set intersects the
+      // places written since the last round, plus the undeclared-footprint
+      // ones. Timed re-evaluation runs in ascending activity order — the
+      // order schedule() consumes the RNG in a full scan — which keeps
+      // trajectories bit-identical. Instantaneous evaluations are pure
+      // predicate reads, so their order does not matter.
+      enabling_evals_ += timed_dirty_.drain(
+          [this](std::uint32_t t) { transition_timed(t); });
+      enabling_evals_ += inst_dirty_.drain(
+          [this](std::uint32_t j) { set_inst_enabled(j, eval_inst(j)); });
     }
     // Fire the highest-priority enabled instantaneous activity, if any
     // (ties resolve to the lowest index): the first set bit of the
@@ -660,7 +457,6 @@ void Simulator::reset() {
     sanitizer_->on_reset();
   }
   ScopedListener guard(sanitizer_.get());
-  clear_dirty();
   dirty_all_ = true;  // initial activations: everything gets a first look
   settle();
 }

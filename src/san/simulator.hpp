@@ -29,6 +29,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -111,8 +112,6 @@ class Simulator {
   /// Drop every registered reward variable (metric bindings are rebuilt
   /// from scratch when a pooled system is rebound to a new run).
   void clear_rewards() noexcept { rewards_.clear(); }
-
-  void add_observer(TraceObserver& observer);
 
   /// Attach (or with nullptr detach) the structured trace sink. With no
   /// sink attached every emission site costs one null-pointer test —
@@ -322,15 +321,46 @@ class Simulator {
     std::int32_t priority = 0;
     std::uint8_t scheduled = 0;
   };
-  /// Dependents of one place: the activities whose enabling may change
-  /// when its marking does.
-  struct PlaceDeps {
-    std::vector<std::uint32_t> timed;
-    std::vector<std::uint32_t> inst;
+  /// One side (timed or instantaneous) of the incremental-enabling dirty
+  /// set: one bit per activity. A firing ORs its precompiled row into
+  /// `dirty`; settle() visits the set bits of (dirty | always) in
+  /// ascending order and zeroes each word as it consumes it. Rows are
+  /// `words` wide and indexed by place id or fired-activity index.
+  struct DirtySet {
+    std::size_t words = 0;
+    std::vector<std::uint64_t> dirty;
+    std::vector<std::uint64_t> always;    ///< opaque-read activities
+    std::vector<std::uint64_t> by_place;  ///< dependents of each place
+    std::vector<std::uint64_t> by_timed;  ///< dirtied by each timed firing
+    std::vector<std::uint64_t> by_inst;   ///< dirtied by each inst firing
+
+    void add(const std::vector<std::uint64_t>& rows, std::uint32_t row) {
+      const std::uint64_t* mask = rows.data() + std::size_t{row} * words;
+      for (std::size_t w = 0; w < words; ++w) dirty[w] |= mask[w];
+    }
+    void clear() { std::fill(dirty.begin(), dirty.end(), 0); }
+    /// Call `visit(index)` for each set bit of (dirty | always),
+    /// ascending, zeroing `dirty`. Returns the number of visits.
+    template <typename Visit>
+    std::uint64_t drain(Visit&& visit) {
+      std::uint64_t visits = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t bits = dirty[w] | always[w];
+        dirty[w] = 0;
+        visits += static_cast<std::uint64_t>(std::popcount(bits));
+        const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
+        while (bits != 0) {
+          visit(base + static_cast<std::uint32_t>(std::countr_zero(bits)));
+          bits &= bits - 1;
+        }
+      }
+      return visits;
+    }
   };
 
-  /// Also fills touch_lookup_ for every indexed place.
-  void build_dependency_index();
+  /// Build the dirty sets' rows from the declared gate footprints; also
+  /// fills place_ids_ and touch_lookup_.
+  void build_enabling_index();
   /// Evaluate one activity's enabling closure inside the sanitizer's
   /// predicate scope.
   bool eval_sanitized(const Activity& a);
@@ -390,20 +420,12 @@ class Simulator {
     const auto it = place_ids_.find(p);
     return it != place_ids_.end() ? it->second : kNoPlaceId;
   }
-  /// Precompute the per-activity dependent masks / lists for the
-  /// bitmask dirty tracking (from the enabling index).
-  void build_fired_masks();
-  void mark_place(std::uint32_t place_id);
-  void mark_timed(std::uint32_t timed_index);
-  void mark_inst(std::uint32_t inst_index);
-  void clear_dirty();
 
   SimulatorConfig config_;
   ComposedModel* model_ = nullptr;
   std::vector<Activity*> activities_;
   std::vector<Activity*> instantaneous_;
   std::vector<RewardVariable*> rewards_;
-  std::vector<TraceObserver*> observers_;
   TraceSink* trace_ = nullptr;
   stats::PhaseProfile profile_;
   stats::PhaseProfile compile_profile_;
@@ -419,38 +441,6 @@ class Simulator {
   static constexpr std::uint32_t kNoPlaceId = 0xffff'ffffu;
   std::vector<std::uint32_t> touch_lookup_;
   std::int64_t inst_enabled_count_ = 0;
-  /// Bitmask dirty tracking (incremental enabling, not sanitizing): one
-  /// bit per timed activity. Firing ORs the activity's precompiled
-  /// dependent mask into `timed_mask_` instead of walking per-place
-  /// dependency vectors, and the settle loop scans set bits of
-  /// (dirty | always) — ascending, the exact order the vector merge
-  /// produces, so trajectories and eval counts are bit-identical. Off
-  /// under the sanitizer, which observes closure evaluation directly.
-  bool fast_dirty_ = false;
-  std::size_t mask_words_ = 0;
-  std::vector<std::uint64_t> timed_mask_;         ///< dirty bits, zeroed per round
-  std::vector<std::uint64_t> always_timed_mask_;  ///< opaque-read activities
-  std::vector<std::uint64_t> place_timed_masks_;  ///< place id * mask_words_
-  std::vector<std::uint64_t> timed_fired_masks_;  ///< timed idx * mask_words_
-  std::vector<std::uint64_t> inst_fired_masks_;   ///< inst idx * mask_words_
-  /// Deduplicated dependent instantaneous activities per fired activity
-  /// (own index first for instantaneous firings, then the declared
-  /// writes' dependents in place order — the vector path's insertion
-  /// order, preserved so dirty_inst_ contents match element for element).
-  std::vector<std::vector<std::uint32_t>> timed_fired_inst_;
-  std::vector<std::vector<std::uint32_t>> inst_fired_inst_;
-  /// Bitmask variant of the instantaneous dirty set, usable when no
-  /// instantaneous activity has an opaque read set (always_inst_
-  /// empty): the dirty set is then duplicate-free, so its popcount IS
-  /// the vector path's eval count, and instantaneous evaluations are
-  /// pure predicate reads (no RNG, no trace), so ascending bit order
-  /// is interchangeable with insertion order.
-  bool fast_inst_ = false;
-  std::size_t inst_mask_words_ = 0;
-  std::vector<std::uint64_t> inst_mask_;  ///< dirty bits, zeroed per round
-  std::vector<std::uint64_t> place_inst_masks_;  ///< place id * words
-  std::vector<std::uint64_t> timed_fired_inst_masks_;
-  std::vector<std::uint64_t> inst_fired_inst_masks_;
   /// Reusable render buffer for kMarking trace events (satellite of the
   /// no-allocation tracing guarantee; see tests/perf).
   std::string value_buf_;
@@ -479,31 +469,23 @@ class Simulator {
 
   // --- footprint-driven enabling index (built by set_model) ----------
   bool use_incremental_ = false;
-  std::vector<PlaceDeps> place_deps_;
   std::unordered_map<const PlaceBase*, std::uint32_t> place_ids_;
-  std::vector<std::vector<std::uint32_t>> timed_writes_;  // place ids
-  std::vector<std::vector<std::uint32_t>> inst_writes_;
   std::vector<std::uint8_t> timed_writes_declared_;
   std::vector<std::uint8_t> inst_writes_declared_;
   /// Activities with a dynamic-writes gate (GateAccess::dynamic_writes):
   /// after such an activity fires, the places it reported through
-  /// GateContext::touch() are dirtied instead of the gate's full static
-  /// write set. timed_writes_ / inst_writes_ then hold only the writes of
-  /// the activity's non-dynamic gates.
+  /// GateContext::touch() are dirtied on top of its fired row, which
+  /// holds only the writes of the activity's non-dynamic gates.
   std::vector<std::uint8_t> timed_dynamic_;
   std::vector<std::uint8_t> inst_dynamic_;
   std::vector<const PlaceBase*> touched_;  // per-firing touch collector
-  /// Activities with an undeclared read footprint: re-evaluated on every
-  /// settle round (ascending index, disjoint from place_deps_ entries).
-  std::vector<std::uint32_t> always_timed_;
-  std::vector<std::uint32_t> always_inst_;
 
   // --- per-round dirty state -----------------------------------------
+  /// Set when a fired activity's write set is unknown (and for the
+  /// time-zero activations): the next settle round is a full scan.
   bool dirty_all_ = true;
-  std::vector<std::uint32_t> dirty_timed_;
-  std::vector<std::uint32_t> dirty_inst_;
-  std::vector<std::uint8_t> timed_marked_;
-  std::vector<std::uint8_t> inst_marked_;
+  DirtySet timed_dirty_;
+  DirtySet inst_dirty_;
   /// Cached instantaneous enabling flags, as a bitmask over
   /// priority-ordered positions ((priority desc, index asc), so the
   /// lowest set position is the highest-priority enabled activity,

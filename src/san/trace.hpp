@@ -1,13 +1,11 @@
-// Trace observation hooks for the SAN simulator.
-//
-// Two mechanisms share this header:
-//  * TraceObserver — the legacy completion callback (EventLog, timeline
-//    and latency recorders subscribe to activity completions only).
-//  * TraceSink / TraceEvent — the structured tracing API: the simulator
-//    (and the scheduler bridge, through GateContext) emits typed events
-//    for activity fires, enabling changes, marking updates and scheduler
-//    decisions to one pluggable sink. Concrete sinks (ring buffer, JSONL
-//    stream, Chrome trace_event) live in src/trace/sinks.hpp.
+// Structured tracing for the SAN simulator: the simulator (and the
+// scheduler bridge, through GateContext) emits typed TraceEvents for
+// activity fires, enabling changes, marking updates and scheduler
+// decisions to one pluggable TraceSink. It is the simulator's only event
+// channel. Concrete sinks (ring buffer, JSONL stream, Chrome
+// trace_event) live in src/trace/sinks.hpp; the recorders that sample
+// the live marking at each scheduler tick (trace::TimelineRecorder,
+// trace::BarrierLatencyAnalyzer, vm::InvariantChecker) are sinks too.
 //
 // Determinism contract: every structured event is a pure function of the
 // simulated trajectory — no wall-clock, no addresses, no thread ids — so
@@ -26,24 +24,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "san/activity.hpp"
 
 namespace vcpusim::san {
-
-class TraceObserver {
- public:
-  virtual ~TraceObserver() = default;
-
-  /// An activity completed at `now`, selecting case `case_index`.
-  virtual void on_fire(Time now, const Activity& activity,
-                       std::size_t case_index) = 0;
-};
-
-// ---------------------------------------------------------------------
-// Structured tracing
-// ---------------------------------------------------------------------
 
 /// Event categories, usable as a bitmask filter (TraceSink::categories).
 enum class TraceCategory : std::uint8_t {
@@ -115,5 +102,23 @@ class TraceSink {
  private:
   std::uint8_t categories_;
 };
+
+/// For sinks that sample the live marking when an event arrives (the
+/// timeline, latency and invariant recorders): they subscribe to kMarker
+/// and call this on one. A marker means a replayed stream — exp::run_point
+/// forwards each buffered replication after it ran, from a system the
+/// sink does not watch — so every sample would be garbage.
+[[noreturn]] inline void throw_replayed_stream(std::string_view sink) {
+  throw std::logic_error(
+      std::string(sink) +
+      " samples the live marking and cannot consume a replayed trace "
+      "stream (e.g. exp::RunSpec::trace); attach it with "
+      "Simulator::set_trace");
+}
+
+/// Category mask of the live-marking recorders: completions, plus
+/// markers so a replayed stream is refused rather than misread.
+constexpr std::uint8_t kLiveRecorderCategories =
+    trace_bit(TraceCategory::kFire) | trace_bit(TraceCategory::kMarker);
 
 }  // namespace vcpusim::san

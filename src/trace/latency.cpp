@@ -6,7 +6,9 @@
 namespace vcpusim::trace {
 
 BarrierLatencyAnalyzer::BarrierLatencyAnalyzer(const vm::VirtualSystem& system)
-    : system_(&system), clock_(system.scheduler_places.clock) {
+    : san::TraceSink(san::kLiveRecorderCategories),
+      system_(&system),
+      clock_(system.scheduler_places.clock) {
   if (clock_ == nullptr) {
     throw std::invalid_argument(
         "BarrierLatencyAnalyzer: system has no scheduler clock");
@@ -14,10 +16,12 @@ BarrierLatencyAnalyzer::BarrierLatencyAnalyzer(const vm::VirtualSystem& system)
   vms_.resize(system.vms.size());
 }
 
-void BarrierLatencyAnalyzer::on_fire(san::Time now,
-                                     const san::Activity& activity,
-                                     std::size_t /*case_index*/) {
-  if (&activity != clock_) return;
+void BarrierLatencyAnalyzer::on_event(const san::TraceEvent& event) {
+  if (event.category == san::TraceCategory::kMarker) {
+    san::throw_replayed_stream("BarrierLatencyAnalyzer");
+  }
+  if (event.name != clock_->name()) return;
+  const san::Time now = event.time;
   for (std::size_t v = 0; v < vms_.size(); ++v) {
     const bool blocked_now = system_->vms[v].places.blocked->get() != 0;
     auto& state = vms_[v];

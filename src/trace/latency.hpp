@@ -14,14 +14,14 @@
 
 namespace vcpusim::trace {
 
-class BarrierLatencyAnalyzer final : public san::TraceObserver {
+class BarrierLatencyAnalyzer final : public san::TraceSink {
  public:
   /// Observes `system`'s per-VM Blocked places at every scheduler Clock
-  /// tick. Must not outlive the system.
+  /// tick; attach with Simulator::set_trace (a replayed stream throws
+  /// std::logic_error). Must not outlive the system.
   explicit BarrierLatencyAnalyzer(const vm::VirtualSystem& system);
 
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override;
+  void on_event(const san::TraceEvent& event) override;
 
   /// Completed barrier episodes of `vm_id` (ticks spent blocked each).
   const std::vector<double>& episodes(int vm_id) const;

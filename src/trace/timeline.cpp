@@ -8,7 +8,8 @@ namespace vcpusim::trace {
 
 TimelineRecorder::TimelineRecorder(const vm::VirtualSystem& system,
                                    std::size_t max_ticks)
-    : system_(&system),
+    : san::TraceSink(san::kLiveRecorderCategories),
+      system_(&system),
       clock_(system.scheduler_places.clock),
       max_ticks_(max_ticks),
       num_vcpus_(system.num_vcpus()) {
@@ -22,9 +23,11 @@ TimelineRecorder::TimelineRecorder(const vm::VirtualSystem& system,
   }
 }
 
-void TimelineRecorder::on_fire(san::Time /*now*/, const san::Activity& activity,
-                               std::size_t /*case_index*/) {
-  if (&activity != clock_) return;
+void TimelineRecorder::on_event(const san::TraceEvent& event) {
+  if (event.category == san::TraceCategory::kMarker) {
+    san::throw_replayed_stream("TimelineRecorder");
+  }
+  if (event.name != clock_->name()) return;
   std::vector<char> row(static_cast<std::size_t>(num_vcpus_));
   std::vector<int> pcpu_row(static_cast<std::size_t>(num_vcpus_));
   for (int v = 0; v < num_vcpus_; ++v) {

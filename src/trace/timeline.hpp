@@ -20,15 +20,16 @@ enum class TickState : char {
   kSpinning = '~',  ///< spinlock extension: burning the PCPU on a spin
 };
 
-class TimelineRecorder final : public san::TraceObserver {
+class TimelineRecorder final : public san::TraceSink {
  public:
-  /// Samples at each firing of `system`'s scheduler Clock. The recorder
-  /// must not outlive the system. `max_ticks` bounds memory (0 = all).
+  /// Samples at each firing of `system`'s scheduler Clock; attach with
+  /// Simulator::set_trace (a replayed stream throws std::logic_error).
+  /// The recorder must not outlive the system. `max_ticks` bounds memory
+  /// (0 = all).
   explicit TimelineRecorder(const vm::VirtualSystem& system,
                             std::size_t max_ticks = 0);
 
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override;
+  void on_event(const san::TraceEvent& event) override;
 
   std::size_t ticks() const noexcept { return states_.size(); }
   int num_vcpus() const noexcept { return num_vcpus_; }

@@ -7,7 +7,8 @@ namespace vcpusim::vm {
 
 InvariantChecker::InvariantChecker(const VirtualSystem& system,
                                    bool throw_on_violation)
-    : system_(&system),
+    : san::TraceSink(san::kLiveRecorderCategories),
+      system_(&system),
       clock_(system.scheduler_places.clock),
       static_analysis_(san::analyze::analyze_invariants(*system.model)),
       throw_on_violation_(throw_on_violation) {
@@ -160,10 +161,12 @@ std::vector<std::string> InvariantChecker::check_now(san::Time now) {
   return found;
 }
 
-void InvariantChecker::on_fire(san::Time now, const san::Activity& activity,
-                               std::size_t /*case_index*/) {
-  if (&activity != clock_) return;
-  check_now(now);
+void InvariantChecker::on_event(const san::TraceEvent& event) {
+  if (event.category == san::TraceCategory::kMarker) {
+    san::throw_replayed_stream("InvariantChecker");
+  }
+  if (event.name != clock_->name()) return;
+  check_now(event.time);
 }
 
 }  // namespace vcpusim::vm

@@ -1,8 +1,9 @@
 // Runtime model validation (paper Section V: "evaluating the fidelity of
-// the model"): a TraceObserver that re-derives the virtualization
-// model's global invariants from the marking at every scheduler tick and
-// records violations. Attach it to any simulation — tests run it under
-// every algorithm; users run it when developing custom schedulers.
+// the model"): a trace sink that re-derives the virtualization model's
+// global invariants from the marking at every scheduler tick and records
+// violations. Attach it to any simulation with Simulator::set_trace —
+// tests run it under every algorithm; users run it when developing
+// custom schedulers.
 #pragma once
 
 #include <string>
@@ -14,9 +15,10 @@
 
 namespace vcpusim::vm {
 
-class InvariantChecker final : public san::TraceObserver {
+class InvariantChecker final : public san::TraceSink {
  public:
-  /// Checks `system` at each firing of its scheduler Clock. If
+  /// Checks `system` at each firing of its scheduler Clock (a replayed
+  /// stream, e.g. from exp::RunSpec::trace, throws std::logic_error). If
   /// `throw_on_violation` is set, the first violation raises
   /// std::logic_error (aborting the run); otherwise violations are
   /// collected (bounded) and readable afterwards.
@@ -31,8 +33,7 @@ class InvariantChecker final : public san::TraceObserver {
   explicit InvariantChecker(const VirtualSystem& system,
                             bool throw_on_violation = false);
 
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override;
+  void on_event(const san::TraceEvent& event) override;
 
   /// Run all checks against the current marking immediately; returns the
   /// violation messages found in this pass (empty = consistent).

@@ -1,9 +1,9 @@
 // Whole-stack kernel equivalence: every shipped scheduling algorithm,
 // run with the compiled kernel's lowered dispatch (arena predicate and
 // delta programs, bitmask dirty tracking) and with every gate forced
-// through the closure trampoline (SimulatorConfig::verify_footprints,
-// which also switches to the vector dirty path), must produce
-// bit-identical trajectories — same firing sequence, same
+// through the closure trampoline (SimulatorConfig::verify_footprints;
+// both dispatch modes share the one bitmask dirty set, so this pins
+// dispatch only), must produce bit-identical trajectories — same firing sequence, same
 // event/evaluation counts, same reward integrals, same job totals — for
 // every combination of incremental enabling and workload depth. This is
 // the system-level closure of tests/san/compiled_engine_test.cpp: the
@@ -17,33 +17,18 @@
 #include <vector>
 
 #include "san/simulator.hpp"
-#include "san/trace.hpp"
 #include "sched/registry.hpp"
+#include "testing/helpers.hpp"
 #include "vm/metrics.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim {
 namespace {
 
-/// Full firing record; equality across dispatch modes is the trajectory
-/// check.
-class Recorder final : public san::TraceObserver {
- public:
-  struct Entry {
-    san::Time time;
-    std::string activity;
-    std::size_t case_index;
-    bool operator==(const Entry&) const = default;
-  };
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override {
-    entries.push_back({now, activity.name(), case_index});
-  }
-  std::vector<Entry> entries;
-};
-
 struct Outcome {
-  std::vector<Recorder::Entry> fires;
+  /// Full firing record; equality across dispatch modes is the
+  /// trajectory check.
+  std::vector<testing::Fire> fires;
   san::RunStats stats;
   double avail, util, pcpu;
   std::int64_t jobs;
@@ -70,15 +55,15 @@ Outcome run_stack(const std::string& algorithm, bool trampoline,
   config.verify_footprints = trampoline;
   config.incremental_enabling = incremental;
   san::Simulator sim(config);
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
   sim.add_reward(*avail);
   sim.add_reward(*util);
   sim.add_reward(*pcpu);
   if (energy != nullptr) sim.add_reward(*energy);
   sim.set_model(*system->model);
   const auto stats = sim.run();
-  return {std::move(rec.entries), stats,
+  return {testing::fires(rec), stats,
           avail->time_averaged(400.0), util->time_averaged(400.0),
           pcpu->time_averaged(400.0), vm::total_completed_jobs(*system),
           energy != nullptr ? energy->accumulated() : 0.0};

@@ -30,7 +30,7 @@
 #include "exp/runner.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
-#include "trace/event_log.hpp"
+#include "testing/helpers.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim {
@@ -52,25 +52,6 @@ vm::SystemConfig fig8_config(bool spinlock) {
   return cfg;
 }
 
-/// FNV-1a over the full completion sequence: (time bits, qualified
-/// activity name, case index) per event.
-std::uint64_t trace_digest(const trace::EventLog& log) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& e : log.entries()) {
-    mix(&e.time, sizeof(e.time));
-    mix(e.activity.data(), e.activity.size());
-    mix(&e.case_index, sizeof(e.case_index));
-  }
-  return h;
-}
-
 struct TraceRun {
   std::uint64_t events = 0;
   std::uint64_t digest = 0;
@@ -86,10 +67,10 @@ TraceRun run_trace(const std::string& algorithm, bool spinlock,
   config.incremental_enabling = incremental;
   san::Simulator sim(config);
   sim.set_model(*system->model);
-  trace::EventLog log;
-  sim.add_observer(log);
+  auto fires = testing::fire_sink();
+  sim.set_trace(&fires);
   const auto stats = sim.run();
-  return TraceRun{stats.events, trace_digest(log)};
+  return TraceRun{stats.events, testing::fire_digest(fires)};
 }
 
 std::string hexfloat(double v) {

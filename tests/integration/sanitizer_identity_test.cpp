@@ -12,7 +12,7 @@
 #include "san/sanitizer.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
-#include "trace/event_log.hpp"
+#include "testing/helpers.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim {
@@ -27,24 +27,6 @@ vm::SystemConfig fig8_config(bool spinlock) {
     for (auto& vmc : cfg.vms) vmc.spinlock.enabled = true;
   }
   return cfg;
-}
-
-/// FNV-1a over the full completion sequence.
-std::uint64_t trace_digest(const trace::EventLog& log) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& e : log.entries()) {
-    mix(&e.time, sizeof(e.time));
-    mix(e.activity.data(), e.activity.size());
-    mix(&e.case_index, sizeof(e.case_index));
-  }
-  return h;
 }
 
 struct TraceRun {
@@ -64,12 +46,12 @@ TraceRun run_trace(const std::string& algorithm, bool spinlock,
   config.verify_footprints = verify_footprints;
   san::Simulator sim(config);
   sim.set_model(*system->model);
-  trace::EventLog log;
-  sim.add_observer(log);
+  auto fires = testing::fire_sink();
+  sim.set_trace(&fires);
   const auto stats = sim.run();
   TraceRun run;
   run.events = stats.events;
-  run.digest = trace_digest(log);
+  run.digest = testing::fire_digest(fires);
   if (verify_footprints) {
     const san::FootprintReport* report = sim.footprint_report();
     EXPECT_NE(report, nullptr);

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,13 @@
 #include "exp/runner.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
+#include "testing/helpers.hpp"
 #include "testing/json.hpp"
+#include "trace/latency.hpp"
 #include "trace/sinks.hpp"
+#include "trace/timeline.hpp"
 #include "vm/system_builder.hpp"
+#include "vm/validation.hpp"
 
 namespace vcpusim {
 namespace {
@@ -209,6 +214,58 @@ TEST(StructuredTrace, StreamIsWellFormedJsonlWithReplicationMarkers) {
   EXPECT_TRUE(saw_sched);
   EXPECT_TRUE(saw_marking);
   EXPECT_TRUE(saw_enabling);
+}
+
+/// A live recorder samples the marking of the system it was built for
+/// at each Clock fire. Attached with Simulator::set_trace it runs that
+/// system for `ticks`; passed as RunSpec::trace it would receive
+/// replications replayed after the fact from systems it does not watch,
+/// so run_point must throw at the first replication marker.
+void expect_live_only(vm::VirtualSystem& system, san::TraceSink& recorder,
+                      san::Time ticks) {
+  testing::run_traced(system, recorder, ticks, kSeed);
+  exp::RunSpec spec;
+  spec.system = two_pcpu_four_vcpu();
+  spec.scheduler = sched::make_factory("rrs");
+  spec.end_time = kEndTime;
+  spec.warmup = 1.0;
+  spec.policy.min_replications = kReplications;
+  spec.policy.max_replications = kReplications;
+  spec.trace = &recorder;
+  try {
+    exp::run_point(spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, "m"}});
+    ADD_FAILURE() << "a live recorder accepted a replayed stream";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Simulator::set_trace"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StructuredTrace, LiveRecordersSampleDirectRunsAndRefuseReplays) {
+  constexpr san::Time kTicks = 200.0;
+  const auto fresh = [] {
+    return vm::build_system(two_pcpu_four_vcpu(), sched::make_factory("rrs")());
+  };
+  {
+    auto system = fresh();
+    trace::TimelineRecorder timeline(*system);
+    expect_live_only(*system, timeline, kTicks);
+    EXPECT_EQ(timeline.ticks(), 200u);  // the direct run's ticks only
+  }
+  {
+    auto system = fresh();
+    trace::BarrierLatencyAnalyzer latency(*system);
+    expect_live_only(*system, latency, kTicks);
+    EXPECT_GT(latency.overall().count(), 0u);
+  }
+  {
+    auto system = fresh();
+    vm::InvariantChecker checker(*system);
+    expect_live_only(*system, checker, kTicks);
+    EXPECT_EQ(checker.checks_performed(), 200u);
+    EXPECT_TRUE(checker.consistent());
+  }
 }
 
 }  // namespace

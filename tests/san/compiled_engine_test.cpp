@@ -21,26 +21,12 @@
 #include "san/simulator.hpp"
 #include "san/trace.hpp"
 #include "stats/distribution.hpp"
+#include "testing/helpers.hpp"
 
 namespace vcpusim::san {
 namespace {
 
-/// Records every completion for trajectory comparison across dispatch
-/// modes.
-class Recorder final : public TraceObserver {
- public:
-  struct Entry {
-    Time time;
-    std::string activity;
-    std::size_t case_index;
-    bool operator==(const Entry&) const = default;
-  };
-  void on_fire(Time now, const Activity& activity,
-               std::size_t case_index) override {
-    entries.push_back({now, activity.name(), case_index});
-  }
-  std::vector<Entry> entries;
-};
+using testing::Fire;
 
 /// `trampoline` selects the all-closure dispatch: verify_footprints
 /// compiles with CompileOptions::force_trampoline and evaluates every
@@ -124,7 +110,7 @@ struct MixedModel {
 };
 
 struct RunResult {
-  std::vector<Recorder::Entry> fires;
+  std::vector<Fire> fires;
   RunStats stats;
   std::int64_t buffer, done, opaque_hits;
 };
@@ -135,11 +121,11 @@ RunResult run_mixed(bool trampoline, Time end, std::uint64_t seed,
   auto config = config_with(trampoline, end, seed);
   config.incremental_enabling = incremental;
   Simulator sim(config);
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
   sim.set_model(*m.model);
   const auto stats = sim.run();
-  return {std::move(rec.entries), stats, m.buffer->get(), m.done->get(),
+  return {testing::fires(rec), stats, m.buffer->get(), m.done->get(),
           m.opaque_hits->get()};
 }
 
@@ -169,7 +155,7 @@ TEST(CompiledEngine, IncrementalOffMatchesToo) {
 }
 
 /// True when the recorded fire times never decrease.
-bool times_nondecreasing(const std::vector<Recorder::Entry>& entries) {
+bool times_nondecreasing(const std::vector<Fire>& entries) {
   return std::is_sorted(
       entries.begin(), entries.end(),
       [](const auto& a, const auto& b) { return a.time < b.time; });
@@ -194,15 +180,16 @@ TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
         {"r", [count](GateContext&) { count->mut() += 10; }, access({}, {count})});
 
     Simulator sim(config_with(false, 5000.0, seed));
-    Recorder rec;
-    sim.add_observer(rec);
+    auto rec = testing::fire_sink();
+    sim.set_trace(&rec);
     sim.set_model(*model);
     const auto stats = sim.run();
 
     ASSERT_GT(stats.events, 10u);
-    EXPECT_TRUE(times_nondecreasing(rec.entries)) << "seed " << seed;
+    const auto fires = testing::fires(rec);
+    EXPECT_TRUE(times_nondecreasing(fires)) << "seed " << seed;
     std::vector<Time> rare_times;
-    for (const auto& e : rec.entries) {
+    for (const auto& e : fires) {
       if (e.activity == rare.name()) rare_times.push_back(e.time);
     }
     std::vector<Time> expected;
@@ -210,7 +197,7 @@ TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
     EXPECT_EQ(rare_times, expected) << "seed " << seed;
     // slow adds 1 per fire, rare 10.
     EXPECT_EQ(count->get(),
-              static_cast<std::int64_t>(rec.entries.size()) + 9 * 14);
+              static_cast<std::int64_t>(fires.size()) + 9 * 14);
   }
 }
 
@@ -230,12 +217,13 @@ TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
                             access({}, {count})});
     }
     Simulator sim(config_with(trampoline, 50.0, 9));
-    Recorder rec;
-    sim.add_observer(rec);
+    auto rec = testing::fire_sink();
+    sim.set_trace(&rec);
     sim.set_model(*model);
     sim.run();
-    EXPECT_EQ(count->get(), static_cast<std::int64_t>(rec.entries.size()));
-    return std::move(rec.entries);
+    auto fires = testing::fires(rec);
+    EXPECT_EQ(count->get(), static_cast<std::int64_t>(fires.size()));
+    return fires;
   };
   const auto lowered = run(false);
   ASSERT_GT(lowered.size(), 100u);
@@ -260,11 +248,11 @@ TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
   const Activity& three = add("three", 0.75, 2);
   const Activity& half_fifo = add("half_fifo", 0.5, 1);
   Simulator sim(config_with(false, 10.0, 1));
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
   sim.set_model(model);
   sim.run();
-  std::vector<Recorder::Entry> expected;
+  std::vector<Fire> expected;
   for (int j = 1; j <= 40; ++j) {
     const Time t = 0.25 * j;
     if (j % 3 == 0) expected.push_back({t, three.name(), 0});
@@ -274,7 +262,7 @@ TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
     }
     expected.push_back({t, quarter.name(), 0});
   }
-  EXPECT_EQ(rec.entries, expected);
+  EXPECT_EQ(testing::fires(rec), expected);
 }
 
 TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
@@ -282,20 +270,20 @@ TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
   // unfired events stay queued); stepping must replay the one-shot run.
   auto one = MixedModel::build();
   Simulator whole(config_with(false, 100.0, 13));
-  Recorder wrec;
-  whole.add_observer(wrec);
+  auto wrec = testing::fire_sink();
+  whole.set_trace(&wrec);
   whole.set_model(*one.model);
   const auto wstats = whole.run();
 
   auto stepped = MixedModel::build();
   Simulator steps(config_with(false, 100.0, 13));
-  Recorder srec;
-  steps.add_observer(srec);
+  auto srec = testing::fire_sink();
+  steps.set_trace(&srec);
   steps.set_model(*stepped.model);
   steps.reset();
   RunStats sstats;
   for (Time t = 12.5; t <= 100.0; t += 12.5) sstats = steps.advance_until(t);
-  EXPECT_EQ(wrec.entries, srec.entries);
+  EXPECT_EQ(testing::fires(wrec), testing::fires(srec));
   EXPECT_EQ(wstats.events, sstats.events);
   EXPECT_EQ(one.done->get(), stepped.done->get());
 }
@@ -319,20 +307,20 @@ TEST(CompiledEngine, ResetRestoresMarkingsWithoutPerPlaceResets) {
 TEST(CompiledEngine, ResetWithSeedReplaysIdenticalReplication) {
   auto m = MixedModel::build();
   Simulator sim(config_with(false, 80.0, 21));
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
   sim.set_model(*m.model);
   sim.run();
-  const auto first = rec.entries;
+  const auto first = testing::fires(rec);
   const auto done_first = m.done->get();
   ASSERT_FALSE(first.empty());
 
   // Same seed after reset: byte-identical replay off the arena image
   // (the zero-rebuild replication path the system pool relies on).
-  rec.entries.clear();
+  rec.clear();
   sim.reset(21);
   sim.advance_until(80.0);
-  EXPECT_EQ(rec.entries, first);
+  EXPECT_EQ(testing::fires(rec), first);
   EXPECT_EQ(m.done->get(), done_first);
 }
 
@@ -379,6 +367,94 @@ TEST(CompiledEngine, DoubleCompileThrows) {
   EXPECT_EQ(m.buffer->get(), buffer);
   EXPECT_EQ(m.done->get(), done);
   EXPECT_EQ(m.opaque_hits->get(), opaque_hits);
+}
+
+/// Model A of the failed-compile rollback test: P (compiled id 0) and R
+/// (id 1). The clock writes both but reports only P through touch(), so
+/// the dynamic dirtying resolves P's compiled id on every firing; a
+/// corrupted id dirties R's watcher instead of P's and the trajectory
+/// changes.
+struct TouchModel {
+  std::unique_ptr<ComposedModel> model;
+  std::shared_ptr<Place<std::int64_t>> p;
+
+  static TouchModel build() {
+    TouchModel m;
+    m.model = std::make_unique<ComposedModel>("A");
+    auto& sub = m.model->add_submodel("S");
+    auto p = sub.add_place<std::int64_t>("p", 0);
+    auto r = sub.add_place<std::int64_t>("r", 0);
+    auto& clock = sub.add_timed_activity("clock", stats::make_deterministic(1.0));
+    clock.add_output_gate({"inc",
+                           [p](GateContext& ctx) {
+                             p->mut() += 1;
+                             ctx.touch(p.get());
+                           },
+                           access_dynamic({}, {p, r})});
+    auto& watch_p =
+        sub.add_timed_activity("watch_p", stats::make_exponential(0.3));
+    watch_p.add_input_gate({"odd", [p]() { return p->get() % 2 == 1; },
+                            nullptr, access({p}), {}});
+    watch_p.add_output_gate({"noop", [](GateContext&) {}, access({}, {})});
+    auto& watch_r =
+        sub.add_timed_activity("watch_r", stats::make_exponential(0.3));
+    watch_r.add_input_gate({"zero", [r]() { return r->get() == 0; }, nullptr,
+                            access({r}), {}});
+    watch_r.add_output_gate({"noop", [](GateContext&) {}, access({}, {})});
+    m.p = p;
+    return m;
+  }
+};
+
+TEST(CompiledEngine, FailedCompileRollsBackBindingsAndIds) {
+  // Model B owns Q and joins A's P. While a first simulator holds A's
+  // arena, compiling B binds Q, then throws on P ("already
+  // arena-bound"). The failed compile must leave Q inline and readable,
+  // P's compiled id unchanged, and the first simulator's next run
+  // bit-identical to a control run.
+  constexpr Time kEnd = 60.0;
+  constexpr std::uint64_t kSeed = 17;
+  auto control_model = TouchModel::build();
+  Simulator control(config_with(false, kEnd, kSeed));
+  auto control_rec = testing::fire_sink();
+  control.set_trace(&control_rec);
+  control.set_model(*control_model.model);
+  const RunStats control_stats = control.run();
+
+  auto a = TouchModel::build();
+  Simulator first(config_with(false, kEnd, kSeed));
+  auto rec = testing::fire_sink();
+  first.set_trace(&rec);
+  first.set_model(*a.model);
+  first.run();
+  ASSERT_EQ(a.p->compiled_id(), 0u);
+
+  ComposedModel b("B");
+  auto& sub = b.add_submodel("T");
+  auto q = sub.add_place<std::int64_t>("q", 7);
+  sub.join_place("p", a.p);
+  {
+    Simulator second(config_with(false, kEnd, kSeed));
+    EXPECT_THROW(second.set_model(b), std::logic_error);
+  }
+  EXPECT_EQ(a.p->compiled_id(), 0u) << "another engine's id was restamped";
+  EXPECT_EQ(q->compiled_id(), PlaceBase::kNoCompiledId);
+  EXPECT_EQ(q->get(), 7);
+  q->set(9);
+  EXPECT_EQ(q->get(), 9);
+  // Q's marking is back inline: a model holding only Q compiles (an
+  // arena-bound Q would throw "already arena-bound").
+  ComposedModel c("C");
+  c.add_submodel("U").join_place("q", q);
+  EXPECT_NO_THROW(CompiledModel{c});
+
+  rec.clear();
+  first.reset(kSeed);
+  const RunStats stats = first.advance_until(kEnd);
+  EXPECT_EQ(testing::fires(rec), testing::fires(control_rec));
+  EXPECT_EQ(stats.events, control_stats.events);
+  EXPECT_EQ(stats.enabling_evals, control_stats.enabling_evals);
+  EXPECT_EQ(a.p->get(), control_model.p->get());
 }
 
 TEST(CompiledEngine, KernelStatsCensusMatchesModel) {

@@ -135,28 +135,44 @@ TEST(RandomModelStress, TrajectoriesMatchAcrossEnablingModes) {
   // For every random net that survives analysis, the final marking must
   // not depend on whether the footprint-driven enabling index is used —
   // even when declarations are partial (partial means conservative).
+  // The third mode is the index under trampoline dispatch
+  // (verify_footprints): every predicate, opaque instantaneous reads
+  // included, goes through its closure, yet the run must walk the same
+  // dirty set as the lowered one, evaluation for evaluation.
+  struct Mode {
+    bool incremental;
+    bool verify_footprints;
+  };
+  constexpr Mode kModes[] = {{true, false}, {false, false}, {true, true}};
+  int compared = 0;
   for (std::uint64_t seed = 100; seed <= 130; ++seed) {
     std::vector<std::vector<std::int64_t>> finals;
-    for (const bool incremental : {true, false}) {
+    std::vector<std::uint64_t> evals;
+    for (const Mode mode : kModes) {
       PropertyRng rng(seed);
       RandomNet net(rng);
       if (analyze::Analyzer().analyze(net.model).errors() > 0) break;
       SimulatorConfig config;
       config.end_time = 40.0;
       config.seed = seed;
-      config.incremental_enabling = incremental;
+      config.incremental_enabling = mode.incremental;
+      config.verify_footprints = mode.verify_footprints;
       Simulator sim(config);
       sim.set_model(net.model);
-      sim.run();
+      evals.push_back(sim.run().enabling_evals);
       std::vector<std::int64_t> marking;
       marking.reserve(net.places.size());
       for (const auto& place : net.places) marking.push_back(place->get());
       finals.push_back(std::move(marking));
     }
-    if (finals.size() == 2) {
+    if (finals.size() == 3) {
+      ++compared;
       EXPECT_EQ(finals[0], finals[1]) << "seed " << seed;
+      EXPECT_EQ(finals[2], finals[1]) << "seed " << seed;
+      EXPECT_EQ(evals[2], evals[0]) << "seed " << seed;
     }
   }
+  EXPECT_GT(compared, 20);
 }
 
 TEST(RandomModelStress, ReplicationsAreReproducible) {

@@ -6,24 +6,10 @@
 #include <vector>
 
 #include "stats/distribution.hpp"
+#include "testing/helpers.hpp"
 
 namespace vcpusim::san {
 namespace {
-
-/// Records every completion for trajectory assertions.
-class Recorder final : public TraceObserver {
- public:
-  struct Entry {
-    Time time;
-    std::string activity;
-    std::size_t case_index;
-  };
-  void on_fire(Time now, const Activity& activity,
-               std::size_t case_index) override {
-    entries.push_back({now, activity.name(), case_index});
-  }
-  std::vector<Entry> entries;
-};
 
 SimulatorConfig config_for(Time end, std::uint64_t seed = 1) {
   SimulatorConfig c;
@@ -142,14 +128,15 @@ TEST(Simulator, InstantaneousFiresBeforeTimeAdvances) {
 
   Simulator sim(config_for(3.5));
   sim.set_model(cm);
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
   sim.run();
   EXPECT_EQ(fired_at->get(), 3);  // same instant as the timed firing
-  ASSERT_EQ(rec.entries.size(), 2u);
-  EXPECT_EQ(rec.entries[0].activity, "S->timed");
-  EXPECT_EQ(rec.entries[1].activity, "S->inst");
-  EXPECT_EQ(rec.entries[0].time, rec.entries[1].time);
+  const auto fires = testing::fires(rec);
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(fires[0].activity, "S->timed");
+  EXPECT_EQ(fires[1].activity, "S->inst");
+  EXPECT_EQ(fires[0].time, fires[1].time);
 }
 
 TEST(Simulator, InstantaneousEnabledAtTimeZeroFiresBeforeAnything) {
@@ -309,24 +296,20 @@ TEST(Simulator, SameSeedSameTrajectory) {
     queue_out = queue;
   };
 
-  std::vector<Recorder::Entry> first;
+  std::vector<testing::Fire> first;
   for (int run = 0; run < 2; ++run) {
     ComposedModel cm("M");
     std::shared_ptr<TokenPlace> queue;
     build(cm, queue);
     Simulator sim(config_for(200.0, 42));
     sim.set_model(cm);
-    Recorder rec;
-    sim.add_observer(rec);
+    auto rec = testing::fire_sink();
+    sim.set_trace(&rec);
     sim.run();
     if (run == 0) {
-      first = rec.entries;
+      first = testing::fires(rec);
     } else {
-      ASSERT_EQ(first.size(), rec.entries.size());
-      for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].time, rec.entries[i].time);
-        EXPECT_EQ(first[i].activity, rec.entries[i].activity);
-      }
+      EXPECT_EQ(testing::fires(rec), first);
     }
   }
 }
@@ -433,7 +416,7 @@ TEST(Simulator, ProbabilisticCasesViaSimulator) {
 enum class Footprints { kNone, kPartial, kAll };
 
 struct TandemOutcome {
-  std::vector<Recorder::Entry> entries;
+  std::vector<testing::Fire> entries;
   std::int64_t done = 0;
   std::uint64_t events = 0;
   std::uint64_t enabling_evals = 0;
@@ -492,10 +475,10 @@ TandemOutcome run_tandem(Footprints footprints, bool incremental,
   config.incremental_enabling = incremental;
   Simulator sim(config);
   sim.set_model(cm);
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
   const auto stats = sim.run();
-  return {std::move(rec.entries), done->get(), stats.events,
+  return {testing::fires(rec), done->get(), stats.events,
           stats.enabling_evals};
 }
 
@@ -597,10 +580,10 @@ TEST(SimulatorIncremental, DynamicWritesDirtyOnlyTouchedPlaces) {
     config.incremental_enabling = true;
     Simulator sim(config);
     sim.set_model(cm);
-    Recorder rec;
-    sim.add_observer(rec);
+    auto rec = testing::fire_sink();
+    sim.set_trace(&rec);
     sim.run();
-    for (const auto& e : rec.entries) {
+    for (const auto& e : testing::fires(rec)) {
       if (e.activity == "S->watch") return e.time;
     }
     return -1.0;
@@ -650,10 +633,10 @@ TEST(Simulator, ResetWithSeedReplaysFreshSimulator) {
     build(cm);
     Simulator sim(config_for(150.0, seed));
     sim.set_model(cm);
-    Recorder rec;
-    sim.add_observer(rec);
+    auto rec = testing::fire_sink();
+    sim.set_trace(&rec);
     const auto stats = sim.run();
-    return std::pair{rec.entries, stats};
+    return std::pair{testing::fires(rec), stats};
   };
   const auto [first_ref, first_stats] = fresh(42);
   const auto [second_ref, second_stats] = fresh(7);
@@ -667,23 +650,19 @@ TEST(Simulator, ResetWithSeedReplaysFreshSimulator) {
   build(cm);
   Simulator sim(config_for(150.0, 1234));
   sim.set_model(cm);
-  Recorder rec;
-  sim.add_observer(rec);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
 
   const auto replay = [&](std::uint64_t seed) {
-    rec.entries.clear();
+    rec.clear();
     sim.reset(seed);
     return sim.advance_until(150.0);
   };
-  const auto check = [&](const std::vector<Recorder::Entry>& ref,
+  const auto check = [&](const std::vector<testing::Fire>& ref,
                          const RunStats& ref_stats, const RunStats& got) {
     EXPECT_EQ(got.events, ref_stats.events);
     EXPECT_EQ(got.enabling_evals, ref_stats.enabling_evals);
-    ASSERT_EQ(rec.entries.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(rec.entries[i].time, ref[i].time) << i;
-      EXPECT_EQ(rec.entries[i].activity, ref[i].activity) << i;
-    }
+    EXPECT_EQ(testing::fires(rec), ref);
   };
   check(second_ref, second_stats, replay(7));
   replay(999);  // unrelated replication in between

@@ -1,15 +1,66 @@
-// Shared test utilities: a scriptable scheduler test-double and helpers
-// to build and run small virtualization systems deterministically.
+// Shared test utilities: a scriptable scheduler test-double, helpers to
+// build and run small virtualization systems deterministically, and
+// completion recording over the structured trace channel.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <random>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "san/simulator.hpp"
+#include "trace/sinks.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim::testing {
+
+/// One activity completion copied out of a trace: the record trajectory
+/// comparisons check for equality.
+struct Fire {
+  san::Time time = 0.0;
+  std::string activity;
+  std::size_t case_index = 0;
+  bool operator==(const Fire&) const = default;
+};
+
+/// An unbounded ring that keeps only completions (kFire events). Attach
+/// it with Simulator::set_trace; read it back with fires().
+inline trace::RingBufferSink fire_sink() {
+  return trace::RingBufferSink(0, san::trace_bit(san::TraceCategory::kFire));
+}
+
+/// The completions `sink` retained, oldest first.
+inline std::vector<Fire> fires(const trace::RingBufferSink& sink) {
+  std::vector<Fire> out;
+  out.reserve(sink.events().size());
+  for (const san::TraceEvent& e : sink.events()) {
+    if (e.category != san::TraceCategory::kFire) continue;
+    out.push_back({e.time, std::string(e.name), static_cast<std::size_t>(e.a)});
+  }
+  return out;
+}
+
+/// FNV-1a over the completion sequence `sink` retained: the time bits,
+/// the qualified activity name and the case index as std::size_t per
+/// event (the bytes the golden trajectory digests are recorded over).
+inline std::uint64_t fire_digest(const trace::RingBufferSink& sink) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Fire& f : fires(sink)) {
+    mix(&f.time, sizeof(f.time));
+    mix(f.activity.data(), f.activity.size());
+    mix(&f.case_index, sizeof(f.case_index));
+  }
+  return h;
+}
 
 /// Seeded pseudo-random source for property-based tests. Deliberately
 /// separate from stats::Rng (the code under test): a property test must
@@ -122,6 +173,19 @@ inline san::RunStats run_system(vm::VirtualSystem& system, san::Time end_time,
   config.end_time = end_time;
   config.seed = seed;
   return san::run_once(*system.model, config, std::move(rewards));
+}
+
+/// Run `system`'s model once for `end_time` ticks with `sink` attached
+/// (live recorders such as trace::TimelineRecorder sample it directly).
+inline san::RunStats run_traced(vm::VirtualSystem& system, san::TraceSink& sink,
+                                san::Time end_time, std::uint64_t seed = 1) {
+  san::SimulatorConfig config;
+  config.end_time = end_time;
+  config.seed = seed;
+  san::Simulator sim(config);
+  sim.set_model(*system.model);
+  sim.set_trace(&sink);
+  return sim.run();
 }
 
 }  // namespace vcpusim::testing

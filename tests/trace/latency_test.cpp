@@ -8,23 +8,13 @@
 namespace vcpusim::trace {
 namespace {
 
-san::RunStats run_with(vm::VirtualSystem& system,
-                       BarrierLatencyAnalyzer& analyzer, double end,
-                       std::uint64_t seed = 1) {
-  san::SimulatorConfig config;
-  config.end_time = end;
-  config.seed = seed;
-  san::Simulator sim(config);
-  sim.set_model(*system.model);
-  sim.add_observer(analyzer);
-  return sim.run();
-}
+using testing::run_traced;
 
 TEST(BarrierLatency, NoSyncMeansNoEpisodes) {
   auto system = vm::build_system(vm::make_symmetric_config(2, {2}, 0),
                                  sched::make_factory("rrs")());
   BarrierLatencyAnalyzer analyzer(*system);
-  run_with(*system, analyzer, 500.0);
+  run_traced(*system, analyzer, 500.0);
   EXPECT_TRUE(analyzer.episodes(0).empty());
   EXPECT_EQ(analyzer.overall().count(), 0u);
 }
@@ -34,7 +24,7 @@ TEST(BarrierLatency, ObservesBarriersUnderContention) {
   auto system = vm::build_system(vm::make_symmetric_config(1, {2}, 2),
                                  sched::make_factory("rrs")());
   BarrierLatencyAnalyzer analyzer(*system);
-  run_with(*system, analyzer, 2000.0, 7);
+  run_traced(*system, analyzer, 2000.0, 7);
   EXPECT_GT(analyzer.episodes(0).size(), 20u);
   EXPECT_GT(analyzer.summary(0).mean(), 1.0);
   for (const double d : analyzer.episodes(0)) EXPECT_GE(d, 0.0);
@@ -49,15 +39,15 @@ TEST(BarrierLatency, CoSchedulingShortensEpisodes) {
 
   auto rr = vm::build_system(cfg, sched::make_factory("rrs")());
   BarrierLatencyAnalyzer rr_latency(*rr);
-  run_with(*rr, rr_latency, 4000.0, 11);
+  run_traced(*rr, rr_latency, 4000.0, 11);
 
   auto scs = vm::build_system(cfg, sched::make_factory("scs")());
   BarrierLatencyAnalyzer scs_latency(*scs);
-  run_with(*scs, scs_latency, 4000.0, 11);
+  run_traced(*scs, scs_latency, 4000.0, 11);
 
   auto rcs = vm::build_system(cfg, sched::make_factory("rcs")());
   BarrierLatencyAnalyzer rcs_latency(*rcs);
-  run_with(*rcs, rcs_latency, 4000.0, 11);
+  run_traced(*rcs, rcs_latency, 4000.0, 11);
 
   ASSERT_GT(rr_latency.overall().count(), 50u);
   ASSERT_GT(scs_latency.overall().count(), 50u);
@@ -72,7 +62,7 @@ TEST(BarrierLatency, PerVmSeparation) {
   cfg.vms[1].sync_ratio_k = 0;
   auto system = vm::build_system(cfg, sched::make_factory("rrs")());
   BarrierLatencyAnalyzer analyzer(*system);
-  run_with(*system, analyzer, 2000.0, 13);
+  run_traced(*system, analyzer, 2000.0, 13);
   EXPECT_GT(analyzer.episodes(0).size(), 10u);
   EXPECT_TRUE(analyzer.episodes(1).empty());
 }
@@ -81,7 +71,7 @@ TEST(BarrierLatency, ReportMentionsVmNames) {
   auto system = vm::build_system(vm::make_symmetric_config(2, {2}, 3),
                                  sched::make_factory("rrs")());
   BarrierLatencyAnalyzer analyzer(*system);
-  run_with(*system, analyzer, 500.0);
+  run_traced(*system, analyzer, 500.0);
   const auto report = analyzer.report();
   EXPECT_NE(report.find("VM_1:"), std::string::npos);
   EXPECT_NE(report.find("barriers"), std::string::npos);

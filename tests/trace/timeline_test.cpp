@@ -14,21 +14,12 @@ std::unique_ptr<vm::VirtualSystem> small_system(int pcpus = 1,
                           sched::make_factory("rrs")());
 }
 
-san::RunStats run_with(vm::VirtualSystem& system, TimelineRecorder& recorder,
-                       double end, std::uint64_t seed = 1) {
-  san::SimulatorConfig config;
-  config.end_time = end;
-  config.seed = seed;
-  san::Simulator sim(config);
-  sim.set_model(*system.model);
-  sim.add_observer(recorder);
-  return sim.run();
-}
+using testing::run_traced;
 
 TEST(Timeline, SamplesOncePerSchedulerTick) {
   auto system = small_system();
   TimelineRecorder recorder(*system);
-  run_with(*system, recorder, 20.0);
+  run_traced(*system, recorder, 20.0);
   EXPECT_EQ(recorder.ticks(), 20u);
   EXPECT_EQ(recorder.num_vcpus(), 2);
 }
@@ -36,7 +27,7 @@ TEST(Timeline, SamplesOncePerSchedulerTick) {
 TEST(Timeline, BoundedTicksKeepTail) {
   auto system = small_system();
   TimelineRecorder recorder(*system, 5);
-  run_with(*system, recorder, 20.0);
+  run_traced(*system, recorder, 20.0);
   EXPECT_EQ(recorder.ticks(), 5u);
 }
 
@@ -45,7 +36,7 @@ TEST(Timeline, StatesReflectContention) {
   // scheduled; the other is INACTIVE.
   auto system = small_system();
   TimelineRecorder recorder(*system);
-  run_with(*system, recorder, 40.0);
+  run_traced(*system, recorder, 40.0);
   for (std::size_t t = 1; t < recorder.ticks(); ++t) {  // skip warm tick 1
     int active = 0;
     for (int v = 0; v < 2; ++v) {
@@ -63,7 +54,7 @@ TEST(Timeline, StatesReflectContention) {
 TEST(Timeline, FractionsSumToOne) {
   auto system = small_system(2, {2, 1});
   TimelineRecorder recorder(*system);
-  run_with(*system, recorder, 100.0);
+  run_traced(*system, recorder, 100.0);
   for (int v = 0; v < 3; ++v) {
     const double total = recorder.fraction(v, TickState::kInactive) +
                          recorder.fraction(v, TickState::kReady) +
@@ -76,7 +67,7 @@ TEST(Timeline, FractionsSumToOne) {
 TEST(Timeline, BusyDominatesForSaturatedUncontendedSystem) {
   auto system = small_system(2, {1, 1});  // a PCPU each, saturating load
   TimelineRecorder recorder(*system);
-  run_with(*system, recorder, 100.0);
+  run_traced(*system, recorder, 100.0);
   for (int v = 0; v < 2; ++v) {
     EXPECT_GT(recorder.fraction(v, TickState::kBusy), 0.9);
   }
@@ -89,7 +80,7 @@ TEST(Timeline, SpinStateRendered) {
   cfg.vms[0].spinlock.critical_fraction = 1.0;
   auto system = vm::build_system(std::move(cfg), sched::make_factory("rrs")());
   TimelineRecorder recorder(*system);
-  run_with(*system, recorder, 100.0);
+  run_traced(*system, recorder, 100.0);
   double spin_total = 0;
   for (int v = 0; v < 4; ++v) {
     spin_total += recorder.fraction(v, TickState::kSpinning);
@@ -101,7 +92,7 @@ TEST(Timeline, SpinStateRendered) {
 TEST(Timeline, RenderShape) {
   auto system = small_system();
   TimelineRecorder recorder(*system);
-  run_with(*system, recorder, 30.0);
+  run_traced(*system, recorder, 30.0);
   const std::string gantt = recorder.render(10);
   EXPECT_NE(gantt.find("VM1.1 |"), std::string::npos);
   EXPECT_NE(gantt.find("VM2.1 |"), std::string::npos);

@@ -8,16 +8,7 @@
 namespace vcpusim::vm {
 namespace {
 
-san::RunStats run_checked(VirtualSystem& system, InvariantChecker& checker,
-                          double end, std::uint64_t seed = 1) {
-  san::SimulatorConfig config;
-  config.end_time = end;
-  config.seed = seed;
-  san::Simulator sim(config);
-  sim.set_model(*system.model);
-  sim.add_observer(checker);
-  return sim.run();
-}
+using testing::run_traced;
 
 TEST(InvariantChecker, EveryBuiltinAlgorithmIsConsistent) {
   for (const auto& name : sched::builtin_algorithms()) {
@@ -27,7 +18,7 @@ TEST(InvariantChecker, EveryBuiltinAlgorithmIsConsistent) {
     cfg.vms[1].spinlock.critical_fraction = 0.4;
     auto system = build_system(cfg, sched::make_factory(name)());
     InvariantChecker checker(*system);
-    run_checked(*system, checker, 800.0, 29);
+    run_traced(*system, checker, 800.0, 29);
     EXPECT_TRUE(checker.consistent())
         << name << ": " << (checker.violations().empty()
                                 ? ""
