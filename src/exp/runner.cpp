@@ -138,8 +138,18 @@ struct RepRecord {
   vm::BridgeStats bridge;
   stats::PhaseProfile profile;  ///< reset + simulator + bridge phases merged
   san::KernelStats kernel;      ///< compiled-kernel census
+  /// The event stream of a replication that could not stream to the
+  /// user sink directly, forwarded when it folds. Null otherwise.
   std::unique_ptr<trace::RingBufferSink> trace;
 };
+
+/// The kMarker event that opens replication `rep`'s stream.
+void emit_replication_marker(san::TraceSink& sink, std::size_t rep) {
+  if (!sink.wants(san::TraceCategory::kMarker)) return;
+  sink.on_event(san::TraceEvent{san::TraceCategory::kMarker, 0.0, 0,
+                                "replication", static_cast<std::int64_t>(rep),
+                                0, {}});
+}
 
 /// The metric bindings a pool slot is carrying, stored opaquely in
 /// SystemPool::Slot::bindings (the pool cannot see this TU's types).
@@ -213,10 +223,10 @@ stats::ReplicationResult run_point(const RunSpec& spec,
   };
 
   // Shared replication tail of the pooled and rebuild paths: attach the
-  // private trace buffer, replay the replication from the re-seeded
-  // simulator, finalize the metrics and capture the observability
-  // record. reset(seed) + advance_until(end) on a fresh simulator is
-  // exactly run(), so both paths execute the identical sequence.
+  // trace target, replay the replication from the re-seeded simulator,
+  // finalize the metrics and capture the observability record.
+  // reset(seed) + advance_until(end) on a fresh simulator is exactly
+  // run(), so both paths execute the identical sequence.
   const auto execute = [&](const stats::ReplicationTask& task,
                            vm::VirtualSystem& system, san::Simulator& sim,
                            std::vector<BoundMetric>& bound,
@@ -225,11 +235,19 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     const std::size_t rep = task.rep;
     std::unique_ptr<trace::RingBufferSink> buffer;
     if (spec.trace != nullptr) {
-      // Unbounded private buffer; the category mask mirrors the user
-      // sink's so unwanted events are never constructed.
-      buffer = std::make_unique<trace::RingBufferSink>(
-          0, spec.trace->categories());
-      sim.set_trace(buffer.get());
+      if (task.in_order) {
+        // Every earlier replication has been forwarded already, so this
+        // one streams straight into the user sink.
+        emit_replication_marker(*spec.trace, rep);
+        sim.set_trace(spec.trace);
+      } else {
+        // Unbounded private buffer, forwarded at fold; the category
+        // mask mirrors the user sink's so unwanted events are never
+        // constructed.
+        buffer = std::make_unique<trace::RingBufferSink>(
+            0, spec.trace->categories());
+        sim.set_trace(buffer.get());
+      }
     }
     sim.reset(san::replication_seed(spec.base_seed, task.stream.stream),
               task.stream.antithetic);
@@ -344,33 +362,30 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       pool != nullptr ? stats::StreamedReplicationFn(pooled_replication)
                       : stats::StreamedReplicationFn(rebuild_replication);
 
-  const auto controller = stats::make_controller(spec.controller, spec.policy);
-  stats::ReplicationResult result =
-      stats::run_replications(names, one_replication, *controller, spec.jobs);
-
-  // Prune speculative records past the stopping index: they are never
-  // forwarded or folded, and each may hold a full trace buffer.
-  records.erase(records.lower_bound(result.replications), records.end());
-
-  // Forward the buffered per-replication streams in index order, each
-  // preceded by a replication marker — the stream the user sink sees is
-  // therefore identical for every `jobs` value (speculative replications
-  // past the stopping point are buffered but never forwarded). Each
-  // buffer is freed as soon as it has been forwarded.
+  // Forward each buffered replication the moment it folds: folds come
+  // in index order and an in-order replication streamed itself, so the
+  // user sink sees the same stream for every `jobs` value. Speculative
+  // replications past the stopping point never fold, so their buffers
+  // are never forwarded. The executor's batch join orders a head
+  // replication's (possibly worker-thread) sink calls before these.
+  stats::FoldHook forward;
   if (spec.trace != nullptr) {
-    for (std::size_t rep = 0; rep < result.replications; ++rep) {
-      if (spec.trace->wants(san::TraceCategory::kMarker)) {
-        spec.trace->on_event(san::TraceEvent{
-            san::TraceCategory::kMarker, 0.0, 0,
-            "replication", static_cast<std::int64_t>(rep), 0, {}});
+    forward = [&](std::size_t rep) {
+      std::unique_ptr<trace::RingBufferSink> buffer;
+      {
+        const std::lock_guard<std::mutex> lock(records_mutex);
+        const auto it = records.find(rep);
+        if (it != records.end()) buffer = std::move(it->second.trace);
       }
-      const auto it = records.find(rep);
-      if (it != records.end() && it->second.trace != nullptr) {
-        it->second.trace->replay_into(*spec.trace);
-        it->second.trace.reset();
-      }
-    }
+      if (buffer == nullptr) return;
+      emit_replication_marker(*spec.trace, rep);
+      buffer->replay_into(*spec.trace);
+    };
   }
+
+  const auto controller = stats::make_controller(spec.controller, spec.policy);
+  stats::ReplicationResult result = stats::run_replications(
+      names, one_replication, *controller, spec.jobs, forward);
 
   // Fold the deterministic per-replication counters (non-speculative
   // replications only, index order) and the executor bookkeeping into

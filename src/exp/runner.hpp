@@ -114,12 +114,17 @@ struct RunSpec {
 
   // --- Observability (see docs/OBSERVABILITY.md) --------------------
   /// Structured trace sink receiving every non-speculative replication's
-  /// event stream. Each replication records into a private in-memory
-  /// buffer; after the stopping rule fires, the buffers are forwarded in
-  /// replication-index order, each preceded by a kMarker "replication"
-  /// event — so the delivered byte stream is identical for every value
-  /// of `jobs`. The runner does NOT call sink->finish(); the owner does
-  /// when the stream is complete.
+  /// event stream in replication-index order, each preceded by a kMarker
+  /// "replication" event, so the delivered byte stream is identical for
+  /// every value of `jobs`. A replication whose predecessors have all
+  /// folded (every one at jobs == 1, the head of each batch otherwise)
+  /// streams straight into the sink; the others record into a private
+  /// buffer that is forwarded the moment the replication folds, so at
+  /// most one batch is buffered at a time. Sink calls never overlap but
+  /// may come from a worker thread. If the run throws, the sink holds a
+  /// prefix of the stream a successful run would have delivered. The
+  /// runner does NOT call sink->finish(); the owner does when the
+  /// stream is complete.
   san::TraceSink* trace = nullptr;
 
   /// Registry receiving run-level metrics after the replications finish:

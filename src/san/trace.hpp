@@ -105,9 +105,10 @@ class TraceSink {
 
 /// For sinks that sample the live marking when an event arrives (the
 /// timeline, latency and invariant recorders): they subscribe to kMarker
-/// and call this on one. A marker means a replayed stream — exp::run_point
-/// forwards each buffered replication after it ran, from a system the
-/// sink does not watch — so every sample would be garbage.
+/// and call this on one. A marker means an exp::run_point stream: its
+/// replications run on systems the sink does not watch, and some are
+/// replayed from a buffer after they ran, so every sample would be
+/// garbage.
 [[noreturn]] inline void throw_replayed_stream(std::string_view sink) {
   throw std::logic_error(
       std::string(sink) +

@@ -207,7 +207,8 @@ std::unique_ptr<ReplicationController> make_controller(
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    const StreamedReplicationFn& fn,
                                    ReplicationController& controller,
-                                   ParallelExecutor& executor) {
+                                   ParallelExecutor& executor,
+                                   const FoldHook& on_fold) {
   const ReplicationPolicy& policy = controller.policy();
   if (metric_names.empty()) {
     throw std::invalid_argument("run_replications: no metrics");
@@ -234,7 +235,8 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
     batch_obs.assign(batch, {});
     executor.run_indexed(batch, [&](std::size_t b) {
       const std::size_t rep = next + b;
-      batch_obs[b] = fn(ReplicationTask{rep, controller.stream(rep)});
+      // Only the head of a batch starts with every predecessor folded.
+      batch_obs[b] = fn(ReplicationTask{rep, controller.stream(rep), b == 0});
     });
     result.invoked += batch;
     result.batches += 1;
@@ -242,7 +244,9 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
     // Sequential fold: replications past the stopping point within the
     // batch were speculative work and are discarded.
     for (std::size_t b = 0; b < batch; ++b) {
-      if (controller.fold(result, batch_obs[b], next + b)) {
+      const bool stop = controller.fold(result, batch_obs[b], next + b);
+      if (on_fold) on_fold(next + b);
+      if (stop) {
         result.converged = true;
         return result;
       }
@@ -257,9 +261,9 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    const StreamedReplicationFn& fn,
                                    ReplicationController& controller,
-                                   std::size_t jobs) {
+                                   std::size_t jobs, const FoldHook& on_fold) {
   ParallelExecutor executor(jobs);
-  return run_replications(metric_names, fn, controller, executor);
+  return run_replications(metric_names, fn, controller, executor, on_fold);
 }
 
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,

@@ -116,10 +116,16 @@ struct ReplicationStream {
 };
 
 /// One dispatched replication: `rep` is the 0-based fold-order index,
-/// `stream` the RNG assignment chosen by the controller.
+/// `stream` the RNG assignment chosen by the controller. `in_order` is
+/// set when every earlier replication had folded before this one was
+/// dispatched: the first task of each batch, hence every task at
+/// jobs == 1, where every shipped controller dispatches batches of one.
+/// Such a task is never speculative; it folds unless it or its fold
+/// throws.
 struct ReplicationTask {
   std::size_t rep = 0;
   ReplicationStream stream;
+  bool in_order = false;
 };
 
 /// One replication: given the replication index (0-based, usable as an RNG
@@ -136,6 +142,13 @@ using ReplicationFn = std::function<std::vector<double>(std::size_t rep)>;
 /// `task.rep`. Same thread-safety and purity requirements.
 using StreamedReplicationFn =
     std::function<std::vector<double>(const ReplicationTask& task)>;
+
+/// Called on run_replications' calling thread right after each
+/// successful ReplicationController::fold, for replications
+/// 0..replications-1 in index order, never for a speculative index. The
+/// batch join orders it after every call the replication functions of
+/// that batch made.
+using FoldHook = std::function<void(std::size_t rep)>;
 
 /// Selector for make_controller / CLI `--controller` / scenario key.
 enum class ControllerKind { kFixed, kAdaptive, kAntithetic };
@@ -257,18 +270,21 @@ std::unique_ptr<ReplicationController> make_controller(
 /// bit-identical for every value of executor.jobs(). `fn` is never called
 /// with an index >= policy.max_replications. Throws std::invalid_argument
 /// if metric_names is empty or min_replications < 2, std::runtime_error
-/// if fn returns a vector of the wrong size.
+/// if fn returns a vector of the wrong size. `on_fold`, when set, is
+/// invoked after every fold (see FoldHook).
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    const StreamedReplicationFn& fn,
                                    ReplicationController& controller,
-                                   ParallelExecutor& executor);
+                                   ParallelExecutor& executor,
+                                   const FoldHook& on_fold = {});
 
 /// Same, with a private executor (jobs == 0 selects the hardware
 /// concurrency).
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    const StreamedReplicationFn& fn,
                                    ReplicationController& controller,
-                                   std::size_t jobs = 1);
+                                   std::size_t jobs = 1,
+                                   const FoldHook& on_fold = {});
 
 /// Original index-stream interface: runs `fn` under a
 /// FixedPolicyController (replication r <=> stream r). Bit-identical to

@@ -2,8 +2,9 @@
 //
 //  * RingBufferSink — in-memory, optionally bounded (keeps the *tail* of
 //    the run); the programmatic inspection surface (tests, debuggers)
-//    and the replay buffer the experiment runner uses to forward
-//    per-replication streams in replication order.
+//    and the experiment runner's out-of-order buffer: a replication
+//    that runs ahead of an unfolded predecessor records here and is
+//    replayed into the user sink when it folds.
 //  * JsonlSink — one JSON object per line, schema documented in
 //    docs/OBSERVABILITY.md. Deterministic bytes for a given event
 //    stream (doubles rendered with %.17g, no timestamps, no pointers).

@@ -3,12 +3,15 @@
 // replication markers) of every shipped algorithm on a 2-PCPU / 4-VCPU
 // system is pinned byte-for-byte (as is the Chrome trace_event export of
 // one short credit run), and the stream is required to be identical
-// across --jobs values and across incremental-enabling modes.
+// across --jobs values, controllers and incremental-enabling modes. A
+// run that throws must leave a prefix of the stream in the sink.
 //
 // Regenerate (only when a trajectory or format change is intended) with:
 //   VCPUSIM_UPDATE_GOLDEN=1 ./integration_tests --gtest_filter='StructuredTrace.*'
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +27,7 @@
 #include "trace/latency.hpp"
 #include "trace/sinks.hpp"
 #include "trace/timeline.hpp"
+#include "vm/sched_interface.hpp"
 #include "vm/system_builder.hpp"
 #include "vm/validation.hpp"
 
@@ -54,10 +58,10 @@ vm::SystemConfig system_for(const std::string& algorithm) {
   return system;
 }
 
-/// The full stream of `kReplications` replications through the named
-/// stream sink ("jsonl" or "chrome").
-std::string traced_stream(const std::string& algorithm, std::size_t jobs,
-                          const std::string& sink_name, san::Time end_time) {
+/// The spec every fixture traces: `kReplications` replications of
+/// `algorithm` at `jobs` workers.
+exp::RunSpec traced_spec(const std::string& algorithm, std::size_t jobs,
+                         san::Time end_time) {
   exp::RunSpec spec;
   spec.system = system_for(algorithm);
   spec.scheduler = sched::make_factory(algorithm);
@@ -67,13 +71,25 @@ std::string traced_stream(const std::string& algorithm, std::size_t jobs,
   spec.jobs = jobs;
   spec.policy.min_replications = kReplications;
   spec.policy.max_replications = kReplications;
+  return spec;
+}
 
+/// The full stream `spec` delivers to the named stream sink ("jsonl"
+/// or "chrome") while estimating `metric`.
+std::string traced_stream(
+    exp::RunSpec spec, const std::string& sink_name,
+    exp::MetricKind metric = exp::MetricKind::kMeanVcpuAvailability) {
   std::ostringstream os;
   const auto sink = trace::make_stream_sink(sink_name, os);
   spec.trace = sink.get();
-  exp::run_point(spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, "m"}});
+  exp::run_point(spec, {{metric, -1, "m"}});
   sink->finish();
   return os.str();
+}
+
+std::string traced_stream(const std::string& algorithm, std::size_t jobs,
+                          const std::string& sink_name, san::Time end_time) {
+  return traced_stream(traced_spec(algorithm, jobs, end_time), sink_name);
 }
 
 /// The full JSONL stream of `kReplications` replications.
@@ -152,12 +168,121 @@ TEST(StructuredTrace, ChromeDocumentMatchesFixture) {
       << "Chrome trace diverged from the recorded fixture";
 }
 
+/// A replication whose predecessors have all folded streams straight
+/// into the sink; the rest are buffered and forwarded at fold. Uneven
+/// batches (jobs 3), antithetic pairs split across batches and a stop
+/// in mid-batch (speculative replications buffered, never forwarded)
+/// put both kinds side by side in one stream, which must still be
+/// byte-identical to the all-direct jobs-1 stream.
 TEST(StructuredTrace, ByteIdenticalAcrossJobs) {
   for (const std::string algorithm : {"rrs", "credit", "dvfs-cc"}) {
-    SCOPED_TRACE(algorithm);
-    const std::string jobs1 = structured_stream(algorithm, /*jobs=*/1);
-    const std::string jobs8 = structured_stream(algorithm, /*jobs=*/8);
-    EXPECT_EQ(jobs1, jobs8) << "trace bytes depend on the worker count";
+    for (const auto controller :
+         {stats::ControllerKind::kFixed, stats::ControllerKind::kAdaptive,
+          stats::ControllerKind::kAntithetic}) {
+      SCOPED_TRACE(algorithm + " " + stats::controller_name(controller));
+      // Throughput varies across replications: these stop at 4 or 6
+      // replications, mostly in mid-batch, or run to the cap of 7. The
+      // horizon is long enough that the lanes of a batch overlap.
+      const auto stream_at = [&](std::size_t jobs) {
+        exp::RunSpec spec = traced_spec(algorithm, jobs, /*end_time=*/200.0);
+        spec.controller = controller;
+        spec.policy.min_replications = 3;
+        spec.policy.max_replications = 7;
+        spec.policy.target_half_width = 0.015;
+        return traced_stream(spec, "jsonl", exp::MetricKind::kThroughput);
+      };
+      const std::string jobs1 = stream_at(1);
+      ASSERT_FALSE(jobs1.empty());
+      for (const std::size_t jobs : {3u, 8u}) {
+        EXPECT_EQ(jobs1, stream_at(jobs))
+            << "trace bytes depend on the worker count (jobs=" << jobs << ")";
+      }
+    }
+  }
+}
+
+/// rrs that throws once this instance has made `fail_at` decisions.
+/// The count deliberately survives on_reset, so a pooled jobs-1 run
+/// fails partway through a later replication, not the first.
+class FailingRrs final : public vm::Scheduler {
+ public:
+  explicit FailingRrs(long fail_at)
+      : inner_(sched::make_factory("rrs")()), fail_at_(fail_at) {}
+  void on_attach(const vm::SystemTopology& topology) override {
+    inner_->on_attach(topology);
+  }
+  void on_reset(const vm::SystemTopology& topology) override {
+    inner_->on_reset(topology);
+  }
+  bool schedule(std::span<vm::VCPU_host_external> vcpus,
+                std::span<vm::PCPU_external> pcpus, long timestamp) override {
+    if (++decisions_ >= fail_at_) {
+      throw std::runtime_error("injected scheduler failure");
+    }
+    return inner_->schedule(vcpus, pcpus, timestamp);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  vm::SchedulerPtr inner_;
+  long fail_at_;
+  long decisions_ = 0;
+};
+
+std::vector<std::int64_t> replication_markers(const std::string& stream) {
+  std::istringstream lines(stream);
+  std::string line;
+  std::vector<std::int64_t> markers;
+  while (std::getline(lines, line)) {
+    const auto doc = testing::parse_json(line);
+    if (doc.at("kind").string == "marker" &&
+        doc.at("label").string == "replication") {
+      markers.push_back(static_cast<std::int64_t>(doc.at("value").number));
+    }
+  }
+  return markers;
+}
+
+/// The failure contract: replications stream as they fold, so a run that
+/// throws leaves the sink holding a prefix of the stream a successful
+/// run would have delivered (with jobs 1, everything up to the failing
+/// decision).
+TEST(StructuredTrace, FailedRunLeavesAPrefixOfTheStream) {
+  constexpr std::size_t kReps = 12;
+  // About 12 decisions per replication, so a jobs-1 run fails in its
+  // third replication. At jobs 4 the 144 decisions of the run fall on
+  // at most 4 pooled schedulers, so one of them reaches 30.
+  constexpr long kFailAt = 30;
+  const auto spec_at = [&](std::size_t jobs) {
+    exp::RunSpec spec = traced_spec("rrs", jobs, kEndTime);
+    spec.policy.min_replications = kReps;
+    spec.policy.max_replications = kReps;
+    return spec;
+  };
+  const std::string full = traced_stream(spec_at(1), "jsonl");
+  ASSERT_EQ(replication_markers(full).size(), kReps);
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    exp::RunSpec spec = spec_at(jobs);
+    spec.scheduler = [fail_at = kFailAt]() -> vm::SchedulerPtr {
+      return std::make_unique<FailingRrs>(fail_at);
+    };
+    std::ostringstream os;
+    trace::JsonlSink sink(os);
+    spec.trace = &sink;
+    EXPECT_THROW(exp::run_point(
+                     spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, "m"}}),
+                 std::runtime_error);
+    sink.finish();
+    const std::string partial = os.str();
+    ASSERT_LT(partial.size(), full.size());
+    EXPECT_EQ(full.compare(0, partial.size(), partial), 0)
+        << "a failed run delivered bytes a successful run would not";
+    if (jobs == 1) {
+      EXPECT_EQ(replication_markers(partial),
+                (std::vector<std::int64_t>{0, 1, 2}));
+    }
   }
 }
 
@@ -219,8 +344,8 @@ TEST(StructuredTrace, StreamIsWellFormedJsonlWithReplicationMarkers) {
 /// A live recorder samples the marking of the system it was built for
 /// at each Clock fire. Attached with Simulator::set_trace it runs that
 /// system for `ticks`; passed as RunSpec::trace it would receive
-/// replications replayed after the fact from systems it does not watch,
-/// so run_point must throw at the first replication marker.
+/// replications from systems it does not watch, so run_point must throw
+/// at the first replication marker.
 void expect_live_only(vm::VirtualSystem& system, san::TraceSink& recorder,
                       san::Time ticks) {
   testing::run_traced(system, recorder, ticks, kSeed);

@@ -7,7 +7,9 @@
 //     incremental enabling from collapsing to a full rescan every tick;
 //   * the trace sinks stay off the allocator: a JsonlSink serializes
 //     into one reused buffer, and a RingBufferSink's storage grows
-//     geometrically (O(log N) allocations for N events).
+//     geometrically (O(log N) allocations for N events);
+//   * a traced jobs-1 run_point stores nothing per event: replications
+//     stream straight into the sink instead of through a buffer.
 // The allocation counter overrides the global operator new, so these
 // tests live in their own binary.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/rng.hpp"
@@ -219,6 +222,46 @@ TEST(SchedulerHotPath, RingBufferSinkAllocatesLogarithmically) {
     const long bound = 2 * static_cast<long>(std::log2(n)) + 4;
     EXPECT_LE(allocations, bound) << n << " events";
   }
+#endif
+}
+
+/// A traced jobs-1 run_point streams every replication straight into
+/// its sink, so what the trace adds to the run's allocations does not
+/// grow with the horizon: nothing is stored per event. (The untraced run
+/// itself allocates a little more over a longer horizon as its queues
+/// reach new high-water marks; subtracting it isolates the trace.)
+TEST(SchedulerHotPath, TracedRunPointStoresNothingPerEvent) {
+#ifdef VCPUSIM_HOTPATH_SANITIZED
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  const auto allocations = [](san::Time end_time, bool traced) {
+    exp::RunSpec spec;
+    spec.system = vm::make_symmetric_config(4, {2, 2, 2, 2}, 5);
+    spec.scheduler = sched::make_factory("credit");
+    spec.end_time = end_time;
+    spec.warmup = 10.0;
+    spec.jobs = 1;
+    spec.policy.min_replications = 8;
+    spec.policy.max_replications = 8;
+    DiscardBuf discard;
+    std::ostream os(&discard);
+    trace::JsonlSink sink(os);
+    if (traced) spec.trace = &sink;
+    const long before = g_allocations.load(std::memory_order_relaxed);
+    exp::run_point(spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, "m"}});
+    sink.finish();
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+  const auto trace_cost = [&](san::Time end_time) {
+    return allocations(end_time, true) - allocations(end_time, false);
+  };
+  constexpr san::Time kHorizon = 500.0;
+  const long once = trace_cost(kHorizon);
+  const long twice = trace_cost(2 * kHorizon);
+  // A small constant covers the line buffer reaching a new longest line.
+  EXPECT_LE(std::labs(twice - once), 4)
+      << "the trace added " << once << " allocations at end_time "
+      << kHorizon << " and " << twice << " at " << 2 * kHorizon;
 #endif
 }
 

@@ -3,13 +3,19 @@
 // loop (re-implemented here as a frozen reference), the adaptive
 // controller must reproduce the fixed controller's estimates and stopping
 // index with no more invocations, and the antithetic controller must be
-// deterministic, jobs-invariant and fold pair means.
+// deterministic, jobs-invariant and fold pair means. The fold hook and
+// the in_order flag, which the runner's trace forwarding relies on, are
+// pinned for every controller at several widths.
 #include "stats/replication.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "stats/confidence.hpp"
@@ -335,6 +341,89 @@ TEST(Controller, AntitheticRecordsRawReplicationsNotPairMeans) {
     const auto expected =
         single_observation({rep, {rep / 2, (rep & 1U) != 0}});
     EXPECT_EQ(result.observations[rep][0], expected[0]);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Fold hook and in-order dispatch (the runner forwards traces on them).
+// ---------------------------------------------------------------------
+
+/// What one run showed its fold hook and its replication function.
+struct FoldLog {
+  ReplicationResult result;
+  std::vector<std::size_t> folded;    ///< hook calls, in call order
+  std::vector<std::size_t> in_order;  ///< tasks dispatched with in_order
+  std::vector<std::size_t> ready;     ///< tasks whose predecessors had all folded
+  std::size_t tasks = 0;
+};
+
+FoldLog run_logged(ControllerKind kind, std::size_t jobs) {
+  // Converges well before the cap, so wide batches run past the stop.
+  ReplicationPolicy policy;
+  policy.min_replications = 4;
+  policy.max_replications = 200;
+  policy.target_half_width = 0.1;
+  const auto controller = make_controller(kind, policy);
+  FoldLog log;
+  std::mutex mutex;
+  std::atomic<std::size_t> folded{0};
+  const auto fn = [&](const ReplicationTask& task) {
+    const bool ready = folded.load() == task.rep;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++log.tasks;
+      if (task.in_order) log.in_order.push_back(task.rep);
+      if (ready) log.ready.push_back(task.rep);
+    }
+    return stream_observation(task);
+  };
+  log.result = run_replications({"u", "shifted"}, fn, *controller, jobs,
+                                [&](std::size_t rep) {
+                                  log.folded.push_back(rep);
+                                  folded.store(rep + 1);
+                                });
+  std::sort(log.in_order.begin(), log.in_order.end());
+  std::sort(log.ready.begin(), log.ready.end());
+  return log;
+}
+
+TEST(Controller, FoldHookSeesEveryFoldedReplicationInOrder) {
+  std::size_t speculated = 0;
+  for (const auto kind : {ControllerKind::kFixed, ControllerKind::kAdaptive,
+                          ControllerKind::kAntithetic}) {
+    for (const std::size_t jobs : {1u, 3u, 8u}) {
+      SCOPED_TRACE(std::string(controller_name(kind)) +
+                   " jobs=" + std::to_string(jobs));
+      const FoldLog log = run_logged(kind, jobs);
+      ASSERT_TRUE(log.result.converged);
+      std::vector<std::size_t> expected(log.result.replications);
+      std::iota(expected.begin(), expected.end(), std::size_t{0});
+      // Exactly 0..replications-1 in order: no speculative index.
+      EXPECT_EQ(log.folded, expected);
+      EXPECT_EQ(log.tasks, log.result.invoked);
+      speculated += log.result.speculative_waste();
+    }
+  }
+  // The matrix must actually speculate, or the check above is vacuous.
+  EXPECT_GT(speculated, 0u);
+}
+
+TEST(Controller, InOrderMarksExactlyTheTasksWithAllPredecessorsFolded) {
+  for (const auto kind : {ControllerKind::kFixed, ControllerKind::kAdaptive,
+                          ControllerKind::kAntithetic}) {
+    for (const std::size_t jobs : {1u, 3u, 8u}) {
+      SCOPED_TRACE(std::string(controller_name(kind)) +
+                   " jobs=" + std::to_string(jobs));
+      const FoldLog log = run_logged(kind, jobs);
+      EXPECT_EQ(log.in_order, log.ready);
+      // One in-order head per batch.
+      EXPECT_EQ(log.in_order.size(), log.result.batches);
+      if (jobs == 1) {
+        EXPECT_EQ(log.in_order.size(), log.result.invoked);
+      } else {
+        EXPECT_LT(log.in_order.size(), log.result.invoked);
+      }
+    }
   }
 }
 
