@@ -23,6 +23,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstring>
+#include <locale>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -285,8 +286,10 @@ class Place final : public PlaceBase {
       requires(std::ostringstream& os, const U& v) { os << v; };
 
   // Character types would stream as glyphs but to_chars as numbers, so
-  // only the numeric integrals take the to_chars fast path; everything
-  // else renders exactly as operator<< always did.
+  // only the numeric integrals take the integer to_chars path. Floating
+  // point takes to_chars too; everything else renders through operator<<
+  // on a stream imbued with the classic locale. No rendering depends on
+  // the global locale.
   template <class U>
   static constexpr bool kNumericIntegral =
       std::is_integral_v<U> && !std::is_same_v<U, char> &&
@@ -309,8 +312,17 @@ class Place final : public PlaceBase {
                   .ptr;
       }
       out.append(buf, end);
+    } else if constexpr (std::is_floating_point_v<U>) {
+      // to_chars(general, 6) is specified as %.6g in the C locale: what
+      // a default ostream prints under the classic locale, whatever the
+      // global locale is now.
+      char buf[32];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::general, 6)
+                          .ptr);
     } else if constexpr (kStreamable<U>) {
       std::ostringstream os;
+      os.imbue(std::locale::classic());
       os << v;
       out += os.str();
     } else {

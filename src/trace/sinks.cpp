@@ -13,6 +13,19 @@
 #include <utility>
 
 namespace vcpusim::trace {
+namespace {
+
+/// Fibonacci hash of an address: its slot in a direct-mapped cache of
+/// 2^bits slots (RingBufferSink interning, json::QuotedNameCache).
+std::size_t address_slot(const char* p, unsigned bits) {
+  const auto key =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                  (64U - bits));
+}
+
+}  // namespace
+
 namespace json {
 
 void append_int(std::string& out, std::int64_t v) {
@@ -91,6 +104,53 @@ void append_string(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
+QuotedNameCache::QuotedNameCache()
+    : slots_(std::make_unique<Slot[]>(kSlots)) {}
+
+void QuotedNameCache::append(std::string& out, std::string_view s) {
+  Slot& slot = slots_[address_slot(s.data(), kBits)];
+  // An unused slot's source is null: a null view (an empty name) must
+  // not match it.
+  if (s.data() != nullptr && slot.source == s.data() &&
+      slot.len == s.size() &&
+      std::memcmp(slot.quoted + 1, s.data(), s.size()) == 0) {
+    out.append(slot.quoted, s.size() + 2);
+    return;
+  }
+  const std::size_t from = out.size();
+  append_string(out, s);
+  const std::size_t n = out.size() - from;
+  // Escaping lengthens a name, so n == size + 2 means the quoted form
+  // holds the name verbatim.
+  if (n != s.size() + 2 || n > sizeof(slot.quoted)) return;
+  std::memcpy(slot.quoted, out.data() + from, n);
+  slot.source = s.data();
+  slot.len = static_cast<std::uint32_t>(s.size());
+}
+
+bool StampCache::replay(std::string& out, double time,
+                        std::uint64_t seq) const {
+  if (len_ == 0 || seq != seq_ ||
+      std::bit_cast<std::uint64_t>(time) != time_bits_) {
+    return false;
+  }
+  out.append(bytes_, len_);
+  return true;
+}
+
+void StampCache::store(const std::string& out, std::size_t from, double time,
+                       std::uint64_t seq) {
+  const std::size_t n = out.size() - from;
+  if (n > sizeof(bytes_)) {
+    len_ = 0;
+    return;
+  }
+  std::memcpy(bytes_, out.data() + from, n);
+  len_ = n;
+  time_bits_ = std::bit_cast<std::uint64_t>(time);
+  seq_ = seq;
+}
+
 }  // namespace json
 
 namespace {
@@ -121,49 +181,6 @@ std::string_view line_prefix(san::TraceCategory category) {
   return R"({"kind":"?","t":)";
 }
 
-/// One JSONL line for `event` (no trailing newline), appended to `out`.
-void append_line(std::string& out, const san::TraceEvent& event) {
-  out.append(line_prefix(event.category));
-  json::append_double(out, event.time);
-  out.append(",\"seq\":");
-  json::append_uint(out, event.seq);
-  switch (event.category) {
-    case san::TraceCategory::kFire:
-      out.append(",\"activity\":");
-      json::append_string(out, event.name);
-      out.append(",\"case\":");
-      json::append_int(out, event.a);
-      break;
-    case san::TraceCategory::kEnabling:
-      out.append(",\"activity\":");
-      json::append_string(out, event.name);
-      out.append(",\"active\":");
-      json::append_int(out, event.a);
-      break;
-    case san::TraceCategory::kMarking:
-      out.append(",\"place\":");
-      json::append_string(out, event.name);
-      out.append(",\"value\":");
-      json::append_string(out, event.detail);
-      break;
-    case san::TraceCategory::kScheduler:
-      out.append(",\"op\":");
-      json::append_string(out, event.detail);
-      out.append(",\"vcpu\":");
-      json::append_int(out, event.a);
-      out.append(",\"pcpu\":");
-      json::append_int(out, event.b);
-      break;
-    case san::TraceCategory::kMarker:
-      out.append(",\"label\":");
-      json::append_string(out, event.name);
-      out.append(",\"value\":");
-      json::append_int(out, event.a);
-      break;
-  }
-  out.push_back('}');
-}
-
 }  // namespace
 
 OwnedTraceEvent OwnedTraceEvent::from(const san::TraceEvent& event) {
@@ -184,11 +201,7 @@ san::TraceEvent OwnedTraceEvent::view() const {
 
 std::uint32_t RingBufferSink::intern(std::string_view s) {
   if (s.empty()) return 0;
-  // Fibonacci hash of the source address picks a direct-mapped slot.
-  const auto key =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(s.data()));
-  Interned& slot =
-      interned_[(key * 0x9E3779B97F4A7C15ULL) >> (64U - kInternBits)];
+  Interned& slot = interned_[address_slot(s.data(), kInternBits)];
   if (slot.source == s.data() && slot.len == s.size() &&
       std::memcmp(arena_.data() + slot.offset, s.data(), s.size()) == 0) {
     return slot.offset;
@@ -299,15 +312,65 @@ void RingBufferSink::replay_into(san::TraceSink& sink) const {
   }
 }
 
+/// One JSONL line for `event` (no trailing newline), appended to `out`.
+/// Names and the (time, seq) stamp come from the caches; marking values
+/// change with every event and are quoted afresh.
+void JsonlSink::Serializer::append_line(std::string& out,
+                                        const san::TraceEvent& event) {
+  out.append(line_prefix(event.category));
+  if (!stamp.replay(out, event.time, event.seq)) {
+    const std::size_t from = out.size();
+    json::append_double(out, event.time);
+    out.append(",\"seq\":");
+    json::append_uint(out, event.seq);
+    stamp.store(out, from, event.time, event.seq);
+  }
+  switch (event.category) {
+    case san::TraceCategory::kFire:
+      out.append(",\"activity\":");
+      names.append(out, event.name);
+      out.append(",\"case\":");
+      json::append_int(out, event.a);
+      break;
+    case san::TraceCategory::kEnabling:
+      out.append(",\"activity\":");
+      names.append(out, event.name);
+      out.append(",\"active\":");
+      json::append_int(out, event.a);
+      break;
+    case san::TraceCategory::kMarking:
+      out.append(",\"place\":");
+      names.append(out, event.name);
+      out.append(",\"value\":");
+      json::append_string(out, event.detail);
+      break;
+    case san::TraceCategory::kScheduler:
+      out.append(",\"op\":");
+      names.append(out, event.detail);
+      out.append(",\"vcpu\":");
+      json::append_int(out, event.a);
+      out.append(",\"pcpu\":");
+      json::append_int(out, event.b);
+      break;
+    case san::TraceCategory::kMarker:
+      out.append(",\"label\":");
+      names.append(out, event.name);
+      out.append(",\"value\":");
+      json::append_int(out, event.a);
+      break;
+  }
+  out.push_back('}');
+}
+
 std::string JsonlSink::line(const san::TraceEvent& event) {
   std::string out;
-  append_line(out, event);
+  Serializer().append_line(out, event);
   return out;
 }
 
 void JsonlSink::on_event(const san::TraceEvent& event) {
   line_.clear();
-  append_line(line_, event);
+  serializer_.append_line(line_, event);
   line_.push_back('\n');
   os_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
@@ -323,24 +386,29 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
   out.clear();
   if (!first_) out.push_back(',');
   out.append("\n{\"name\":");
-  // One simulated tick -> 1ms of timeline (ts is in microseconds).
-  const double ts = event.time * 1000.0;
+  const auto append_ts = [&] {
+    if (ts_.replay(out, event.time, 0)) return;
+    const std::size_t from = out.size();
+    // One simulated tick -> 1ms of timeline (ts is in microseconds).
+    json::append_double(out, event.time * 1000.0);
+    ts_.store(out, from, event.time, 0);
+  };
   switch (event.category) {
     case san::TraceCategory::kFire:
-      json::append_string(out, event.name);
+      names_.append(out, event.name);
       out.append(",\"cat\":\"fire\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
                  "\"tid\":0,\"ts\":");
-      json::append_double(out, ts);
+      append_ts();
       out.append(",\"args\":{\"case\":");
       json::append_int(out, event.a);
       out.append(",\"seq\":");
       json::append_uint(out, event.seq);
       break;
     case san::TraceCategory::kEnabling:
-      json::append_string(out, event.name);
+      names_.append(out, event.name);
       out.append(",\"cat\":\"enabling\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
                  "\"tid\":1,\"ts\":");
-      json::append_double(out, ts);
+      append_ts();
       out.append(",\"args\":{\"active\":");
       json::append_int(out, event.a);
       break;
@@ -348,9 +416,9 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
       double value = 0.0;
       // Only numeric markings become counters.
       if (!parse_number(event.detail, number_, &value)) return;
-      json::append_string(out, event.name);
+      names_.append(out, event.name);
       out.append(",\"cat\":\"marking\",\"ph\":\"C\",\"pid\":0,\"ts\":");
-      json::append_double(out, ts);
+      append_ts();
       out.append(",\"args\":{\"value\":");
       json::append_double(out, value);
       break;
@@ -358,22 +426,22 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
     case san::TraceCategory::kScheduler:
       // One timeline row per VCPU (tid = vcpu id + 2 keeps rows 0/1 for
       // fire / enabling instants).
-      json::append_string(out, event.detail);
+      names_.append(out, event.detail);
       out.append(",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
                  "\"tid\":");
       json::append_int(out, event.a + 2);
       out.append(",\"ts\":");
-      json::append_double(out, ts);
+      append_ts();
       out.append(",\"args\":{\"vcpu\":");
       json::append_int(out, event.a);
       out.append(",\"pcpu\":");
       json::append_int(out, event.b);
       break;
     case san::TraceCategory::kMarker:
-      json::append_string(out, event.name);
+      names_.append(out, event.name);
       out.append(",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
                  "\"tid\":0,\"ts\":");
-      json::append_double(out, ts);
+      append_ts();
       out.append(",\"args\":{\"value\":");
       json::append_int(out, event.a);
       break;

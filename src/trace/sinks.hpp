@@ -59,6 +59,57 @@ void append_double(std::string& out, double v);
 /// escaped (\n \t \r by name, the rest as \u00xx); other bytes,
 /// including non-ASCII ones, are copied through.
 void append_string(std::string& out, std::string_view s);
+
+/// append_string with memory: a direct-mapped cache, keyed by the
+/// name's source address, of the quoted forms of the names it has seen.
+/// Every hit is confirmed by content, because a view may alias storage
+/// that now holds other bytes (a reused buffer, a freed arena), so the
+/// output never depends on an address. Names that need escaping or are
+/// longer than a slot are quoted afresh each time.
+class QuotedNameCache {
+  static constexpr unsigned kBits = 10;
+  static constexpr std::size_t kSlotBytes = 128;
+
+ public:
+  static constexpr std::size_t kSlots = std::size_t{1} << kBits;
+
+  QuotedNameCache();
+  void append(std::string& out, std::string_view s);
+
+ private:
+  /// One cached name: its address, length and quoted form. A clean name
+  /// quotes as '"' + name + '"', so the quoted form also holds the bytes
+  /// a hit is compared against.
+  struct Slot {
+    const char* source = nullptr;
+    std::uint32_t len = 0;
+    char quoted[kSlotBytes - sizeof(const char*) - sizeof(std::uint32_t)]{};
+  };
+  std::unique_ptr<Slot[]> slots_;
+};
+
+/// The last rendering of a fragment that depends only on (time, seq) —
+/// consecutive events share it. Keyed on the time's bit pattern, so -0
+/// and 0 keep their own renderings and a NaN time still hits.
+class StampCache {
+ public:
+  /// Appends the cached rendering of (time, seq) and returns true, or
+  /// returns false if the last stored one has another key.
+  bool replay(std::string& out, double time, std::uint64_t seq) const;
+  /// Remembers out[from..] as the rendering of (time, seq).
+  void store(const std::string& out, std::size_t from, double time,
+             std::uint64_t seq);
+
+ private:
+  std::uint64_t time_bits_ = 0;
+  std::uint64_t seq_ = 0;
+  /// 0 = nothing cached. A full-width length keeps GCC from proving the
+  /// copy small and inlining it as `rep movs`, which costs several
+  /// times a memcpy call on some x86 parts.
+  std::size_t len_ = 0;
+  /// The longest stamp, `<%.17g>,"seq":<2^64-1>`, is 51 bytes.
+  char bytes_[56]{};
+};
 }  // namespace json
 
 /// In-memory event store. Events are packed into fixed-size records
@@ -193,12 +244,22 @@ class JsonlSink final : public san::TraceSink {
   void finish() override;
 
   /// The serialized line for one event (no trailing newline) — exposed
-  /// so tests and the golden fixtures pin the exact format.
+  /// so tests and the golden fixtures pin the exact format. Runs the
+  /// same serializer as on_event, from empty caches.
   static std::string line(const san::TraceEvent& event);
 
  private:
+  /// Renders lines from cached fragments: quoted names and the
+  /// `"t":…,"seq":…` stamp.
+  struct Serializer {
+    json::QuotedNameCache names;
+    json::StampCache stamp;
+    void append_line(std::string& out, const san::TraceEvent& event);
+  };
+
   std::ostream* os_;
   std::string line_;  ///< reused serialization buffer
+  Serializer serializer_;
 };
 
 class ChromeTraceSink final : public san::TraceSink {
@@ -217,6 +278,8 @@ class ChromeTraceSink final : public san::TraceSink {
   bool first_ = true;
   std::string entry_;   ///< reused serialization buffer
   std::string number_;  ///< NUL-terminated copy of a marking value
+  json::QuotedNameCache names_;
+  json::StampCache ts_;  ///< the last "ts" value, keyed on the event time
 };
 
 /// Valid names for make_stream_sink, sorted.

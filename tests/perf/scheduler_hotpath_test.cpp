@@ -5,8 +5,9 @@
 //     the sched::core run-queue state are all sized at attach time;
 //   * the Scheduling_Func gate's dynamic write footprint keeps
 //     incremental enabling from collapsing to a full rescan every tick;
-//   * the trace sinks stay off the allocator: a JsonlSink serializes
-//     into one reused buffer, and a RingBufferSink's storage grows
+//   * the trace sinks stay off the allocator: JsonlSink and
+//     ChromeTraceSink serialize into one reused buffer each, from caches
+//     sized at construction, and a RingBufferSink's storage grows
 //     geometrically (O(log N) allocations for N events);
 //   * a traced jobs-1 run_point stores nothing per event: replications
 //     stream straight into the sink instead of through a buffer.
@@ -184,6 +185,39 @@ TEST(SchedulerHotPath, JsonlSinkSteadyStateDoesNotAllocate) {
   sink.finish();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
       << "JsonlSink allocated while serializing "
+      << recorded.events().size() << " events";
+#endif
+}
+
+/// The same for a ChromeTraceSink: once its entry buffer and marking
+/// scratch have grown and its name cache is warm, a second pass over
+/// the recorded stream allocates nothing.
+TEST(SchedulerHotPath, ChromeTraceSinkSteadyStateDoesNotAllocate) {
+#ifdef VCPUSIM_HOTPATH_SANITIZED
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  auto system =
+      vm::build_system(vm::make_symmetric_config(4, {2, 2, 2, 2}, 5),
+                       sched::make_factory("credit")());
+  san::SimulatorConfig config;
+  config.end_time = 200.0;
+  config.seed = 3;
+  san::Simulator sim(config);
+  trace::RingBufferSink recorded;
+  sim.set_trace(&recorded);
+  sim.set_model(*system->model);
+  sim.run();
+  ASSERT_GT(recorded.events().size(), 1000U);
+
+  DiscardBuf discard;
+  std::ostream os(&discard);
+  trace::ChromeTraceSink sink(os);
+  recorded.replay_into(sink);  // warm-up: buffers reach capacity
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  recorded.replay_into(sink);
+  sink.finish();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+      << "ChromeTraceSink allocated while serializing "
       << recorded.events().size() << " events";
 #endif
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <locale>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,53 @@ TEST(Place, ToStringNonStreamableTypeFallsBack) {
   };
   Place<Opaque> p("opaque", Opaque{});
   EXPECT_EQ(p.to_string(), "opaque=<struct>");
+}
+
+/// A streamable marking type whose operator<< prints a double.
+struct Load {
+  double remaining = 2048.25;
+  friend std::ostream& operator<<(std::ostream& os, const Load& l) {
+    return os << l.remaining;
+  }
+};
+
+/// Markings render as a default ostream does in the classic locale
+/// (%.6g for floating point), whatever the global locale is: a
+/// comma-decimal locale with digit grouping must not reach the trace.
+TEST(Place, FloatingMarkingIgnoresGlobalLocale) {
+  struct CommaDecimal final : std::numpunct<char> {
+    char do_decimal_point() const override { return ','; }
+    char do_thousands_sep() const override { return '.'; }
+    std::string do_grouping() const override { return "\3"; }
+  };
+  struct GlobalLocale {
+    explicit GlobalLocale(const std::locale& l)
+        : previous(std::locale::global(l)) {}
+    ~GlobalLocale() { std::locale::global(previous); }
+    std::locale previous;
+  };
+  const auto classic = [](auto v) {
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << v;
+    return os.str();
+  };
+  const double values[] = {1234.5, 0.1, -2.75, 1e-7, 123456789.0, 0.0,
+                           -0.0};
+  GlobalLocale comma(std::locale(std::locale::classic(), new CommaDecimal));
+  std::ostringstream probe;
+  probe << 1234.5;
+  ASSERT_EQ(probe.str(), "1.234,5");  // the locale is really in force
+  for (const double v : values) {
+    EXPECT_EQ(Place<double>("d", v).to_string(), "d=" + classic(v));
+    const auto f = static_cast<float>(v);
+    EXPECT_EQ(Place<float>("f", f).to_string(), "f=" + classic(f));
+    const auto ld = static_cast<long double>(v);
+    EXPECT_EQ(Place<long double>("l", ld).to_string(), "l=" + classic(ld));
+  }
+  EXPECT_EQ(Place<double>("d", 1234.5).to_string(), "d=1234.5");
+  // A user type's operator<< runs in the classic locale too.
+  EXPECT_EQ(Place<Load>("load", Load{}).to_string(), "load=2048.25");
 }
 
 TEST(Place, SharedAliasingSeesMutations) {

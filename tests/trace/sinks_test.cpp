@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "testing/helpers.hpp"
 #include "testing/json.hpp"
@@ -447,6 +448,179 @@ TEST(ChromeTraceSink, FinishWithoutEventsIsValid) {
   sink.finish();
   const auto doc = parse_json(os.str());
   EXPECT_TRUE(doc.at("traceEvents").array.empty());
+}
+
+// --- serialization caches -----------------------------------------------
+// Both stream sinks render names and stamps from caches. Every check
+// below feeds one long-lived sink (warm caches) and compares it, event
+// by event, against a rendering from empty caches.
+
+constexpr std::string_view kChromeHeader =
+    R"({"displayTimeUnit":"ms","traceEvents":[)";
+constexpr std::string_view kChromeFooter = "\n]}\n";
+
+/// The Chrome entry a fresh sink writes for `event` ("" if skipped).
+std::string chrome_entry(const TraceEvent& event) {
+  std::ostringstream os;
+  ChromeTraceSink sink(os);
+  sink.on_event(event);
+  sink.finish();
+  const std::string doc = os.str();
+  return doc.substr(kChromeHeader.size(), doc.size() - kChromeHeader.size() -
+                                              kChromeFooter.size());
+}
+
+/// Feeds each event to one JsonlSink and one ChromeTraceSink and builds
+/// what they must write from empty-cache renderings of the same event,
+/// taken at the same moment (so views of reused storage are fine).
+class CacheCheck {
+ public:
+  void feed(const TraceEvent& event) {
+    jsonl_.on_event(event);
+    jsonl_expected_ += JsonlSink::line(event) + "\n";
+    chrome_.on_event(event);
+    const std::string entry = chrome_entry(event);
+    if (entry.empty()) return;
+    if (chrome_entries_++ > 0) chrome_expected_.push_back(',');
+    chrome_expected_ += entry;
+  }
+  void verify() {
+    jsonl_.finish();
+    chrome_.finish();
+    EXPECT_EQ(jsonl_os_.str(), jsonl_expected_);
+    EXPECT_EQ(chrome_os_.str(), std::string(kChromeHeader) +
+                                    chrome_expected_ +
+                                    std::string(kChromeFooter));
+  }
+
+ private:
+  std::ostringstream jsonl_os_;
+  std::ostringstream chrome_os_;
+  JsonlSink jsonl_{jsonl_os_};
+  ChromeTraceSink chrome_{chrome_os_};
+  std::string jsonl_expected_;
+  std::string chrome_expected_;
+  std::size_t chrome_entries_ = 0;
+};
+
+/// The sched op of a scheduler event goes through the name cache too.
+TraceEvent sched_event(double t, std::uint64_t seq, std::string_view op) {
+  return TraceEvent{TraceCategory::kScheduler, t, seq, "sched", 1, 0, op};
+}
+
+TEST(SerializationCache, ReusedAddressRendersNewContent) {
+  CacheCheck check;
+  std::string name = "M->A";  // one address, changing content
+  const char* const address = name.data();
+  for (int round = 0; round < 3; ++round) {
+    name = "M->A";
+    check.feed(fire_event(1, 1, name));
+    check.feed(fire_event(1, 1, name));  // a hit
+    name[3] = 'B';                        // same length, new bytes
+    check.feed(fire_event(1, 1, name));
+    check.feed(TraceEvent{TraceCategory::kMarking, 2, 2, name, 0, 0, "3"});
+    name = "M->";  // shorter, same storage
+    check.feed(fire_event(2, 2, name));
+    check.feed(sched_event(2, 2, name));
+    name = "M\"x";  // needs escaping: never cached
+    check.feed(fire_event(2, 2, name));
+    check.feed(fire_event(2, 2, name));
+    name = "";
+    check.feed(TraceEvent{TraceCategory::kMarker, 0, 0, name, round, 0, {}});
+  }
+  ASSERT_EQ(name.data(), address);  // the storage really was reused
+  check.verify();
+}
+
+/// A default-constructed view (null data, as in a value-initialized
+/// TraceEvent) is the empty name, not a match for an unused slot.
+TEST(SerializationCache, NullEmptyNameRendersEmptyString) {
+  EXPECT_EQ(JsonlSink::line(fire_event(1, 1, std::string_view{})),
+            R"({"kind":"fire","t":1,"seq":1,"activity":"","case":0})");
+  json::QuotedNameCache cache;
+  std::string out;
+  cache.append(out, std::string_view{});
+  cache.append(out, std::string_view{});
+  EXPECT_EQ(out, R"("""")");
+}
+
+TEST(SerializationCache, CollidingNamesMatchEmptyCacheRendering) {
+  // Four names per slot on average, plus names longer than a slot holds.
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < 4 * json::QuotedNameCache::kSlots; ++i) {
+    names.push_back("VM_" + std::to_string(i) + ".VCPU1->Schedule_In");
+  }
+  for (const std::size_t len : {113, 114, 115, 116, 300}) {
+    names.push_back(std::string(len, 'n'));
+  }
+  CacheCheck check;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const double t = static_cast<double>(i / 3);
+      check.feed(fire_event(t, i, names[i], pass));
+      check.feed(fire_event(t, i, names[(i * 7919) % names.size()]));
+    }
+  }
+  check.verify();
+}
+
+TEST(SerializationCache, QuotedNameCacheMatchesAppendString) {
+  json::QuotedNameCache cache;
+  std::vector<std::string> names = {"a", "", "M->A", "tab\there",
+                                    std::string(200, 'z'), "q\"q"};
+  for (std::size_t i = 0; i < 3 * json::QuotedNameCache::kSlots; ++i) {
+    names.push_back("P" + std::to_string(i));
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::string& name : names) {
+      std::string cached = "prefix";
+      cache.append(cached, name);
+      std::string fresh = "prefix";
+      json::append_string(fresh, name);
+      ASSERT_EQ(cached, fresh) << "pass " << pass;
+    }
+  }
+}
+
+TEST(SerializationCache, SignedZeroTimesKeepTheirRenderings) {
+  CacheCheck check;
+  check.feed(fire_event(0.0, 5, "M->A"));
+  check.feed(fire_event(-0.0, 5, "M->A"));
+  check.feed(fire_event(0.0, 5, "M->A"));
+  check.feed(sched_event(-0.0, 5, "in"));
+  check.verify();
+  EXPECT_EQ(JsonlSink::line(fire_event(-0.0, 5, "M->A")),
+            R"({"kind":"fire","t":-0,"seq":5,"activity":"M->A","case":0})");
+}
+
+TEST(SerializationCache, StampFollowsTimeAndSeq) {
+  CacheCheck check;
+  check.feed(fire_event(3.5, 10, "M->A"));
+  check.feed(fire_event(3.5, 11, "M->A"));  // same time, new seq
+  check.feed(fire_event(4.5, 11, "M->A"));  // same seq, new time
+  check.feed(fire_event(3.5, 11, "M->A"));  // back to an older time
+  check.feed(fire_event(3.5, 10, "M->A"));  // and an older seq
+  check.feed(TraceEvent{TraceCategory::kMarking, 3.5, 10, "M->P", 0, 0,
+                        "1.5"});
+  check.feed(sched_event(3.5, 10, "out"));
+  check.feed(TraceEvent{TraceCategory::kEnabling, 0.1 + 0.2, 10, "M->B", 1,
+                        0, {}});
+  check.feed(TraceEvent{TraceCategory::kMarker, 0.1 + 0.2, 0, "replication",
+                        1, 0, {}});
+  check.verify();
+}
+
+TEST(SerializationCache, NonFiniteTimesRenderNull) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CacheCheck check;
+  for (const double t : {kNaN, kNaN, -kNaN, kInf, kInf, -kInf, 1.0, kNaN}) {
+    check.feed(fire_event(t, 7, "M->A"));
+    check.feed(sched_event(t, 7, "in"));
+  }
+  check.verify();
+  EXPECT_EQ(JsonlSink::line(fire_event(kNaN, 7, "M->A")),
+            R"({"kind":"fire","t":null,"seq":7,"activity":"M->A","case":0})");
 }
 
 TEST(MakeStreamSink, ConstructsKnownSinks) {
