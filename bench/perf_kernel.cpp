@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "exp/runner.hpp"
+#include "san/experiment.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/distribution.hpp"
@@ -204,14 +205,16 @@ void BM_ParallelRunPoint(benchmark::State& state) {
 BENCHMARK(BM_ParallelRunPoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Setup-cost amortization of the zero-rebuild replication engine: a
-/// run_point with a deliberately short horizon, so per-replication
+/// Setup-cost amortization of the zero-rebuild replication engine: 32
+/// replications with a deliberately short horizon, so per-replication
 /// system construction (places, gate closures, dependency index) is a
-/// large share of the work. args = (total VCPUs, pooled 0/1): the
-/// pooled row reuses one built (system, simulator) slot per executor
-/// lane via SystemPool, the rebuild row is the legacy
-/// build-per-replication path. CI gates pooled >= 2x rebuild
-/// replications_per_s at every size (see docs/PERFORMANCE.md).
+/// large share of the work. args = (total VCPUs, pooled 0/1): the pooled
+/// row is exp::run_point, which reuses one built (system, simulator)
+/// slot per executor lane via SystemPool; the baseline row is the SAN
+/// layer's build-per-replication driver, san::run_experiment, over a
+/// factory that builds the same system and reward every replication. CI
+/// gates pooled >= 2x baseline replications_per_s at every size (see
+/// docs/PERFORMANCE.md).
 void BM_ReplicationSetup(benchmark::State& state) {
   const int vcpus = static_cast<int>(state.range(0));
   const bool pooled = state.range(1) != 0;
@@ -223,14 +226,32 @@ void BM_ReplicationSetup(benchmark::State& state) {
   spec.end_time = 20.0;  // short horizon: setup cost dominates
   spec.warmup = 5.0;
   spec.jobs = 1;
-  spec.reuse_systems = pooled;
   spec.policy.min_replications = 32;
   spec.policy.max_replications = 32;
   spec.policy.target_half_width = 1e-12;  // never converges early
+
+  san::ExperimentConfig baseline;
+  baseline.end_time = spec.end_time;
+  baseline.base_seed = spec.base_seed;
+  baseline.policy = spec.policy;
+  baseline.jobs = spec.jobs;
+  const san::ReplicaFactory build_replica = [&spec](std::size_t) {
+    std::shared_ptr<vm::VirtualSystem> system =
+        vm::build_system(spec.system, spec.scheduler());
+    san::Replica replica;
+    replica.rewards.push_back(vm::mean_vcpu_availability(*system, spec.warmup));
+    replica.model = std::move(system->model);
+    replica.context = std::move(system);
+    return replica;
+  };
+
   double total_replications = 0;
   for (auto _ : state) {
-    const auto result = exp::run_point(
-        spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, ""}});
+    const auto result =
+        pooled ? exp::run_point(
+                     spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, ""}})
+               : san::run_experiment({"mean_vcpu_availability"},
+                                     build_replica, baseline);
     total_replications += static_cast<double>(result.replications);
   }
   state.counters["replications_per_s"] =

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the simulation kernel and scheduler layers.
+"""Line-coverage gate for the kernel, scheduler and experiment layers.
 
 Runs gcov (JSON intermediate format) over every .gcda file in a
 --coverage build tree, aggregates executed/executable line counts per
-first-party source file, and fails if line coverage of src/san or
-src/sched drops below the per-layer floor.
+first-party source file, and fails if line coverage of src/san,
+src/sched or src/exp drops below the per-layer floor.
 
 Usage:
     python3 scripts/coverage_gate.py BUILD_DIR [--min-san PCT]
@@ -26,10 +26,13 @@ import tempfile
 
 # Layers gated, with their minimum acceptable line coverage (percent).
 # Measured at introduction: src/san 96.0%, src/sched 97.5% (gcc 12);
-# the floors leave ~2 points of slack for toolchain variation.
+# src/exp 97.3% when it joined the gate (gcc 12). The floors leave
+# ~2 points of slack for toolchain variation; src/exp has no flag of its
+# own, edit its floor here.
 DEFAULT_FLOORS = {
     "src/san": 94.0,
     "src/sched": 95.0,
+    "src/exp": 95.3,
 }
 
 
@@ -105,7 +108,8 @@ def main() -> None:
         reports = run_gcov(args.build_dir.resolve(), pathlib.Path(scratch))
     files = aggregate(reports, repo_root)
 
-    floors = {"src/san": args.min_san, "src/sched": args.min_sched}
+    floors = dict(DEFAULT_FLOORS)
+    floors.update({"src/san": args.min_san, "src/sched": args.min_sched})
     failed = False
     for layer, floor in floors.items():
         executed, executable = layer_coverage(files, layer)

@@ -1,7 +1,7 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
@@ -24,6 +24,8 @@
 namespace vcpusim::cli {
 
 namespace {
+
+using stats::json_escape;
 
 constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
        vcpusim compare [SCENARIO] [options] [--algorithms LIST]
@@ -58,7 +60,9 @@ constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
   --seed S               base seed (default 42)
   --half-width W         CI half-width convergence target (default 0.02)
   --min-replications N   replications before the stopping rule may fire
-                         (default 6)
+                         (default 6, lowered to --max-replications when
+                         that is smaller; an explicit minimum above the
+                         maximum is an error)
   --max-replications N   replication cap (default 40)
   --controller NAME      replication controller: fixed (default,
                          jobs-sized batches), adaptive (variance-sized
@@ -71,11 +75,6 @@ constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
   --jobs N               worker threads for replication batches
                          (default 1; 0 = all hardware threads). Results
                          are identical for every value of N
-  --rebuild-systems      build a fresh system per replication instead of
-                         reusing pooled (system, simulator) slots.
-                         Results are bit-identical either way; the flag
-                         exists for benchmarking the zero-rebuild engine
-                         (scenario key: reuse_systems = true/false)
   --metrics-out FILE     write the run-metrics registry (sim.*, sched.*,
                          executor.*, metric.*) as JSON to FILE
   --profile              collect wall-clock phase timings (settle/fire,
@@ -162,6 +161,8 @@ struct Options {
 int parse_args(int argc, const char* const* argv, Options& options,
                std::ostream& err) {
   auto& spec = options.scenario.spec;
+  bool min_given = false;
+  bool max_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&](const char* flag) -> const char* {
@@ -170,6 +171,9 @@ int parse_args(int argc, const char* const* argv, Options& options,
         return nullptr;
       }
       return argv[++i];
+    };
+    const auto int_value = [&arg](const char* v) {
+      return static_cast<int>(parse_count(arg, v, INT_MAX));
     };
     try {
       if (arg == "--help" || arg == "-h") {
@@ -188,11 +192,11 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--pcpus") {
         const char* v = need_value("--pcpus");
         if (v == nullptr) return 1;
-        spec.system.num_pcpus = std::atoi(v);
+        spec.system.num_pcpus = int_value(v);
       } else if (arg == "--vm") {
         const char* v = need_value("--vm");
         if (v == nullptr) return 1;
-        options.vm_sizes.push_back(std::atoi(v));
+        options.vm_sizes.push_back(int_value(v));
       } else if (arg == "--algorithm") {
         const char* v = need_value("--algorithm");
         if (v == nullptr) return 1;
@@ -200,11 +204,11 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--sync") {
         const char* v = need_value("--sync");
         if (v == nullptr) return 1;
-        options.sync_k = std::atoi(v);
+        options.sync_k = int_value(v);
       } else if (arg == "--timeslice") {
         const char* v = need_value("--timeslice");
         if (v == nullptr) return 1;
-        spec.system.default_timeslice = std::atof(v);
+        spec.system.default_timeslice = parse_real(arg, v);
       } else if (arg == "--metric") {
         const char* v = need_value("--metric");
         if (v == nullptr) return 1;
@@ -212,27 +216,29 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--end-time") {
         const char* v = need_value("--end-time");
         if (v == nullptr) return 1;
-        spec.end_time = std::atof(v);
+        spec.end_time = parse_real(arg, v);
       } else if (arg == "--warmup") {
         const char* v = need_value("--warmup");
         if (v == nullptr) return 1;
-        spec.warmup = std::atof(v);
+        spec.warmup = parse_real(arg, v);
       } else if (arg == "--seed") {
         const char* v = need_value("--seed");
         if (v == nullptr) return 1;
-        spec.base_seed = static_cast<std::uint64_t>(std::atoll(v));
+        spec.base_seed = parse_count(arg, v);
       } else if (arg == "--half-width") {
         const char* v = need_value("--half-width");
         if (v == nullptr) return 1;
-        spec.policy.target_half_width = std::atof(v);
+        spec.policy.target_half_width = parse_real(arg, v);
       } else if (arg == "--min-replications") {
         const char* v = need_value("--min-replications");
         if (v == nullptr) return 1;
-        spec.policy.min_replications = static_cast<std::size_t>(std::atoll(v));
+        spec.policy.min_replications = parse_count(arg, v);
+        min_given = true;
       } else if (arg == "--max-replications") {
         const char* v = need_value("--max-replications");
         if (v == nullptr) return 1;
-        spec.policy.max_replications = static_cast<std::size_t>(std::atoll(v));
+        spec.policy.max_replications = parse_count(arg, v);
+        max_given = true;
       } else if (arg == "--controller") {
         const char* v = need_value("--controller");
         if (v == nullptr) return 1;
@@ -244,16 +250,9 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--jobs") {
         const char* v = need_value("--jobs");
         if (v == nullptr) return 1;
-        const long long n = std::atoll(v);
-        if (n < 0) {
-          err << "vcpusim: --jobs must be >= 0\n";
-          return 1;
-        }
-        spec.jobs = static_cast<std::size_t>(n);
+        spec.jobs = parse_count(arg, v);
       } else if (arg == "--dvfs") {
         spec.system.dvfs.enabled = true;
-      } else if (arg == "--rebuild-systems") {
-        spec.reuse_systems = false;
       } else if (arg == "--verify-footprints") {
         spec.verify_footprints = true;
       } else if (arg == "--metrics-out") {
@@ -271,6 +270,7 @@ int parse_args(int argc, const char* const* argv, Options& options,
       return 1;
     }
   }
+  if (max_given && !min_given) lower_min_to_max(spec.policy);
   return 0;
 }
 
@@ -307,16 +307,6 @@ void finalize_scenario(Options& options) {
     }
   }
   scenario.spec.system.validate();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 /// Write the registry JSON to `path`; returns 0 or an exit status.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -30,15 +33,13 @@ std::string trim(const std::string& s) {
   throw std::invalid_argument("line " + std::to_string(line) + ": " + message);
 }
 
-double parse_number(int line, const std::string& key, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const double x = std::stod(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing");
-    return x;
-  } catch (const std::exception&) {
-    fail(line, "invalid number for '" + key + "': " + v);
-  }
+/// How a diagnostic names a scenario key: "line N: 'key'".
+std::string key_at(int line, const std::string& key) {
+  return "line " + std::to_string(line) + ": '" + key + "'";
+}
+
+int parse_int(const std::string& what, const std::string& v) {
+  return static_cast<int>(parse_count(what, v, INT_MAX));
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -53,6 +54,38 @@ std::vector<std::string> split(const std::string& s, char sep) {
 }
 
 }  // namespace
+
+double parse_real(const std::string& what, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+    throw std::invalid_argument(what + " expects a finite number, got '" +
+                                text + "'");
+  }
+  return value;
+}
+
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ptr == end && (ec == std::errc::result_out_of_range || value > max)) {
+    throw std::invalid_argument(what + " is out of range: '" + text +
+                                "' (max " + std::to_string(max) + ")");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(what + " expects a non-negative integer, "
+                                "got '" + text + "'");
+  }
+  return value;
+}
+
+void lower_min_to_max(stats::ReplicationPolicy& policy) {
+  policy.min_replications =
+      std::min(policy.min_replications, policy.max_replications);
+}
 
 exp::MetricRequest parse_metric(const std::string& name) {
   std::string base = lower(trim(name));
@@ -140,6 +173,8 @@ Scenario parse_scenario(std::istream& in) {
   bool in_compare = false;
   bool in_dvfs = false;
   std::string compare_baseline;
+  bool min_given = false;
+  bool max_given = false;
 
   std::string raw;
   int line = 0;
@@ -189,6 +224,7 @@ Scenario parse_scenario(std::istream& in) {
     const std::string key = lower(trim(text.substr(0, eq)));
     const std::string value = trim(text.substr(eq + 1));
     if (value.empty()) fail(line, "empty value for '" + key + "'");
+    const std::string what = key_at(line, key);
 
     if (in_dvfs) {
       if (key == "levels") {
@@ -202,8 +238,8 @@ Scenario parse_scenario(std::istream& in) {
                            "': expected frequency:voltage");
           }
           vm::DvfsLevel level;
-          level.frequency = parse_number(line, key, parts[0]);
-          level.voltage = parse_number(line, key, parts[1]);
+          level.frequency = parse_real(what, parts[0]);
+          level.voltage = parse_real(what, parts[1]);
           scenario.spec.system.dvfs.levels.push_back(level);
         }
         if (scenario.spec.system.dvfs.levels.empty()) {
@@ -217,12 +253,11 @@ Scenario parse_scenario(std::istream& in) {
         } else if (policy == "min") {
           scenario.spec.system.dvfs.initial_level = 0;
         } else {
-          const double n = parse_number(line, key, value);
-          if (n < 0 || n != static_cast<double>(static_cast<int>(n))) {
-            fail(line,
-                 "policy must be 'max', 'min' or a level index >= 0");
+          try {
+            scenario.spec.system.dvfs.initial_level = parse_int(what, value);
+          } catch (const std::invalid_argument&) {
+            fail(line, "policy must be 'max', 'min' or a level index >= 0");
           }
-          scenario.spec.system.dvfs.initial_level = static_cast<int>(n);
         }
       } else {
         fail(line, "unknown dvfs key '" + key + "'");
@@ -252,46 +287,33 @@ Scenario parse_scenario(std::istream& in) {
     if (current_vm == nullptr) {
       // Global section.
       if (key == "pcpus") {
-        scenario.spec.system.num_pcpus =
-            static_cast<int>(parse_number(line, key, value));
+        scenario.spec.system.num_pcpus = parse_int(what, value);
       } else if (key == "timeslice") {
-        scenario.spec.system.default_timeslice = parse_number(line, key, value);
+        scenario.spec.system.default_timeslice = parse_real(what, value);
       } else if (key == "algorithm") {
         scenario.algorithm = lower(value);
       } else if (key == "end_time") {
-        scenario.spec.end_time = parse_number(line, key, value);
+        scenario.spec.end_time = parse_real(what, value);
       } else if (key == "warmup") {
-        scenario.spec.warmup = parse_number(line, key, value);
+        scenario.spec.warmup = parse_real(what, value);
       } else if (key == "seed") {
-        scenario.spec.base_seed =
-            static_cast<std::uint64_t>(parse_number(line, key, value));
+        scenario.spec.base_seed = parse_count(what, value);
       } else if (key == "confidence") {
-        scenario.spec.policy.confidence = parse_number(line, key, value);
+        scenario.spec.policy.confidence = parse_real(what, value);
       } else if (key == "half_width") {
-        scenario.spec.policy.target_half_width = parse_number(line, key, value);
+        scenario.spec.policy.target_half_width = parse_real(what, value);
       } else if (key == "min_replications") {
-        scenario.spec.policy.min_replications =
-            static_cast<std::size_t>(parse_number(line, key, value));
+        scenario.spec.policy.min_replications = parse_count(what, value);
+        min_given = true;
       } else if (key == "max_replications") {
-        scenario.spec.policy.max_replications =
-            static_cast<std::size_t>(parse_number(line, key, value));
+        scenario.spec.policy.max_replications = parse_count(what, value);
+        max_given = true;
       } else if (key == "controller") {
         if (!stats::parse_controller(lower(value), scenario.spec.controller)) {
           fail(line, "controller must be 'fixed', 'adaptive' or 'antithetic'");
         }
       } else if (key == "jobs") {
-        const double n = parse_number(line, key, value);
-        if (n < 0) fail(line, "jobs must be >= 0");
-        scenario.spec.jobs = static_cast<std::size_t>(n);
-      } else if (key == "reuse_systems") {
-        const std::string flag = lower(value);
-        if (flag == "true" || flag == "on" || flag == "1") {
-          scenario.spec.reuse_systems = true;
-        } else if (flag == "false" || flag == "off" || flag == "0") {
-          scenario.spec.reuse_systems = false;
-        } else {
-          fail(line, "reuse_systems must be true/false, on/off or 1/0");
-        }
+        scenario.spec.jobs = parse_count(what, value);
       } else if (key == "verify_footprints") {
         const std::string flag = lower(value);
         if (flag == "true" || flag == "on" || flag == "1") {
@@ -317,7 +339,7 @@ Scenario parse_scenario(std::istream& in) {
 
     // VM section.
     if (key == "vcpus") {
-      current_vm->num_vcpus = static_cast<int>(parse_number(line, key, value));
+      current_vm->num_vcpus = parse_int(what, value);
     } else if (key == "load") {
       try {
         current_vm->load_distribution = stats::parse_distribution(value);
@@ -331,7 +353,7 @@ Scenario parse_scenario(std::istream& in) {
         fail(line, e.what());
       }
     } else if (key == "sync_ratio") {
-      current_vm->sync_ratio_k = static_cast<int>(parse_number(line, key, value));
+      current_vm->sync_ratio_k = parse_int(what, value);
     } else if (key == "sync_mode") {
       const std::string mode = lower(value);
       if (mode == "every_kth") {
@@ -348,8 +370,8 @@ Scenario parse_scenario(std::istream& in) {
                    "critical_fraction");
       }
       current_vm->spinlock.enabled = true;
-      current_vm->spinlock.lock_probability = parse_number(line, key, parts[0]);
-      current_vm->spinlock.critical_fraction = parse_number(line, key, parts[1]);
+      current_vm->spinlock.lock_probability = parse_real(what, parts[0]);
+      current_vm->spinlock.critical_fraction = parse_real(what, parts[1]);
     } else {
       fail(line, "unknown VM key '" + key + "'");
     }
@@ -368,6 +390,7 @@ Scenario parse_scenario(std::istream& in) {
     }
     std::rotate(scenario.compare_algorithms.begin(), it, it + 1);
   }
+  if (max_given && !min_given) lower_min_to_max(scenario.spec.policy);
   if (scenario.metrics.empty()) {
     scenario.metrics = {{exp::MetricKind::kMeanVcpuAvailability, -1, ""},
                         {exp::MetricKind::kPcpuUtilization, -1, ""},

@@ -41,7 +41,9 @@
 // case-insensitive; unknown keys are errors (typo safety).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,5 +77,20 @@ Scenario load_scenario(const std::string& path);
 /// Per-entity kinds accept an index suffix "name[3]"; an index on any
 /// other kind is an error. Throws on unknown names.
 exp::MetricRequest parse_metric(const std::string& name);
+
+/// Lower policy.min_replications to policy.max_replications when it is
+/// above it: a maximum given without a minimum caps the default minimum.
+/// Two explicit bounds that conflict are left for the runner to reject.
+void lower_min_to_max(stats::ReplicationPolicy& policy);
+
+/// Strict numeric values, shared by the scenario keys and the CLI flags.
+/// `what` names the key or flag in the diagnostic. parse_real accepts a
+/// finite decimal number with nothing after it. parse_count accepts a
+/// decimal integer in [0, max], without sign, fraction or exponent. Both
+/// throw std::invalid_argument.
+double parse_real(const std::string& what, const std::string& text);
+std::uint64_t parse_count(
+    const std::string& what, const std::string& text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace vcpusim::cli

@@ -97,7 +97,7 @@ CompareResult compare_points(const RunSpec& spec,
   // model, exactly like the cells of a sweep row.
   std::unique_ptr<SystemPool> local_pool;
   SystemPool* pool = spec.pool;
-  if (spec.reuse_systems && pool == nullptr) {
+  if (pool == nullptr) {
     local_pool = std::make_unique<SystemPool>(spec.system);
     pool = local_pool.get();
   }

@@ -1,15 +1,17 @@
 // Reusable pool of fully built virtualization systems (the zero-rebuild
 // replication engine, docs/PERFORMANCE.md). Building a system allocates
 // every place, gate closure and the simulator's enabling-dependency
-// index — pure setup cost repeated per replication by the rebuild path.
-// The pool amortizes it: each executor lane checks out one built slot,
-// resets it (Simulator::reset(seed) + VirtualSystem::reset()) and runs,
-// so `--jobs N` builds exactly N systems no matter how many replications
-// the stopping rule takes. Reset ≡ fresh-construct is test-enforced
-// (sched::check_scheduler_contract's reset drive plus the
-// reuse-vs-rebuild bit-identity tests), which is what makes the pooled
-// results bit-identical to the rebuild path even though slot-to-
-// replication assignment is scheduling-dependent.
+// index. The pool amortizes that setup: each executor lane checks out
+// one built slot, resets it (Simulator::reset(seed) +
+// VirtualSystem::reset()) and runs, so `--jobs N` builds exactly N
+// systems no matter how many replications the stopping rule takes. It
+// is the only way exp::run_point runs a replication. Pooled results do
+// not depend on which slot serves which replication because reset and
+// rebind are equivalent to a fresh build, which is test-enforced where
+// it is owned: sched::check_scheduler_contract's reset drive and the vm
+// layer's reset/rebind-vs-build_system identity tests
+// (tests/vm/system_reset_test.cpp). tests/exp/pool_test.cpp checks that
+// pooled runs are invariant under `jobs` and pool history.
 #pragma once
 
 #include <cstdint>

@@ -171,26 +171,18 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     throw std::invalid_argument("run_point: warmup must be in [0, end_time)");
   }
   std::unique_ptr<SystemPool> local_pool;
-  SystemPool* pool = nullptr;
-  if (spec.reuse_systems) {
-    if (spec.pool != nullptr) {
-      if (spec.pool->fingerprint() !=
-          SystemPool::fingerprint_of(spec.system)) {
-        throw std::invalid_argument(
-            "run_point: spec.pool was built for a different system "
-            "configuration (fingerprint mismatch)");
-      }
-      pool = spec.pool;
-    } else {
-      local_pool = std::make_unique<SystemPool>(spec.system);
-      pool = local_pool.get();
-    }
+  SystemPool* pool = spec.pool;
+  if (pool == nullptr) {
+    local_pool = std::make_unique<SystemPool>(spec.system);
+    pool = local_pool.get();
+  } else if (pool->fingerprint() != SystemPool::fingerprint_of(spec.system)) {
+    throw std::invalid_argument(
+        "run_point: spec.pool was built for a different system "
+        "configuration (fingerprint mismatch)");
   }
-  const std::uint64_t stamp = pool != nullptr ? pool->next_stamp() : 0;
-  const std::uint64_t pool_builds_before =
-      pool != nullptr ? pool->builds() : 0;
-  const std::uint64_t pool_reuses_before =
-      pool != nullptr ? pool->reuses() : 0;
+  const std::uint64_t stamp = pool->next_stamp();
+  const std::uint64_t pool_builds_before = pool->builds();
+  const std::uint64_t pool_reuses_before = pool->reuses();
 
   if (spec.lint) {
     // Fail fast on structural defects before spending replication time.
@@ -198,7 +190,7 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     san::analyze::Analyzer().check_or_throw(*system->model);
     // The lint build is a perfectly good pooled system: seed the pool so
     // replication 0 checks it out instead of building again.
-    if (pool != nullptr) pool->add_built(std::move(system));
+    pool->add_built(std::move(system));
   }
 
   std::vector<std::string> names;
@@ -212,27 +204,62 @@ stats::ReplicationResult run_point(const RunSpec& spec,
   std::mutex records_mutex;
   std::map<std::size_t, RepRecord> records;
 
-  const auto simulator_config = [&spec](std::uint64_t seed) {
-    san::SimulatorConfig config;
-    config.end_time = spec.end_time;
-    config.seed = seed;
-    config.incremental_enabling = spec.incremental_enabling;
-    config.profile = spec.profile;
-    config.verify_footprints = spec.verify_footprints;
-    return config;
-  };
-
-  // Shared replication tail of the pooled and rebuild paths: attach the
-  // trace target, replay the replication from the re-seeded simulator,
-  // finalize the metrics and capture the observability record.
-  // reset(seed) + advance_until(end) on a fresh simulator is exactly
-  // run(), so both paths execute the identical sequence.
-  const auto execute = [&](const stats::ReplicationTask& task,
-                           vm::VirtualSystem& system, san::Simulator& sim,
-                           std::vector<BoundMetric>& bound,
-                           stats::PhaseProfile reset_profile)
-      -> std::vector<double> {
+  // One replication: check a slot out, build/rebind it only on the first
+  // touch and reset it otherwise (the kReset phase times all of that
+  // setup), replay the replication from the re-seeded simulator with the
+  // trace target attached, finalize the metrics and capture the
+  // observability record.
+  const stats::StreamedReplicationFn one_replication =
+      [&](const stats::ReplicationTask& task) -> std::vector<double> {
     const std::size_t rep = task.rep;
+    stats::PhaseProfile reset_profile;
+    reset_profile.set_enabled(spec.profile);
+    SystemPool::Checkout checkout;
+    {
+      stats::ScopedPhaseTimer timer(&reset_profile, stats::Phase::kReset);
+      checkout = pool->acquire();
+      SystemPool::Slot& slot = checkout.slot();
+      bool built = false;
+      if (slot.system == nullptr) {
+        slot.system = vm::build_system(spec.system, spec.scheduler());
+        built = true;
+      }
+      if (slot.stamp != stamp) {
+        // First touch by this run: bind the slot to this run's
+        // scheduler, simulator configuration and metric set. The
+        // expensive part (build_system) is what stays amortized; the
+        // simulator re-derives its index from the already-built model.
+        if (!built) slot.system->rebind_scheduler(spec.scheduler());
+        san::SimulatorConfig config;
+        config.end_time = spec.end_time;
+        config.seed = san::replication_seed(spec.base_seed, task.stream.stream);
+        config.profile = spec.profile;
+        config.verify_footprints = spec.verify_footprints;
+        slot.simulator = std::make_unique<san::Simulator>(config);
+        slot.simulator->set_model(*slot.system->model);
+        auto bindings = std::make_shared<SlotBindings>();
+        bindings->bound.reserve(metrics.size());
+        for (const auto& m : metrics) {
+          bindings->bound.push_back(bind_metric(*slot.system, m, spec.warmup));
+        }
+        for (auto& b : bindings->bound) {
+          for (auto& r : b.rewards) slot.simulator->add_reward(*r);
+        }
+        slot.bindings = std::move(bindings);
+        slot.stamp = stamp;
+        if (slot.system->scheduler_places.profile != nullptr) {
+          slot.system->scheduler_places.profile->set_enabled(spec.profile);
+        }
+      }
+      // Bridge counters + scheduler state back to just-built (a system
+      // built this very checkout is already there).
+      if (!built) slot.system->reset();
+    }
+    vm::VirtualSystem& system = *checkout.slot().system;
+    san::Simulator& sim = *checkout.slot().simulator;
+    auto& bound =
+        static_cast<SlotBindings*>(checkout.slot().bindings.get())->bound;
+
     std::unique_ptr<trace::RingBufferSink> buffer;
     if (spec.trace != nullptr) {
       if (task.in_order) {
@@ -286,81 +313,6 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     }
     return obs;
   };
-
-  // Legacy path: build everything from scratch for every replication.
-  const auto rebuild_replication = [&](const stats::ReplicationTask& task)
-      -> std::vector<double> {
-    auto system = vm::build_system(spec.system, spec.scheduler());
-    std::vector<BoundMetric> bound;
-    bound.reserve(metrics.size());
-    for (const auto& m : metrics) {
-      bound.push_back(bind_metric(*system, m, spec.warmup));
-    }
-    san::Simulator sim(simulator_config(
-        san::replication_seed(spec.base_seed, task.stream.stream)));
-    sim.set_model(*system->model);
-    for (auto& b : bound) {
-      for (auto& r : b.rewards) sim.add_reward(*r);
-    }
-    if (spec.profile && system->scheduler_places.profile != nullptr) {
-      system->scheduler_places.profile->set_enabled(true);
-    }
-    return execute(task, *system, sim, bound, stats::PhaseProfile{});
-  };
-
-  // Pooled path: check a slot out, build/rebind it only on the first
-  // touch, reset it otherwise. The kReset phase times everything the
-  // rebuild path would have spent in construction.
-  const auto pooled_replication = [&](const stats::ReplicationTask& task)
-      -> std::vector<double> {
-    stats::PhaseProfile reset_profile;
-    reset_profile.set_enabled(spec.profile);
-    SystemPool::Checkout checkout;
-    {
-      stats::ScopedPhaseTimer timer(&reset_profile, stats::Phase::kReset);
-      checkout = pool->acquire();
-      SystemPool::Slot& slot = checkout.slot();
-      bool built = false;
-      if (slot.system == nullptr) {
-        slot.system = vm::build_system(spec.system, spec.scheduler());
-        built = true;
-      }
-      if (slot.stamp != stamp) {
-        // First touch by this run: bind the slot to this run's
-        // scheduler, simulator configuration and metric set. The
-        // expensive part (build_system) is what stays amortized; the
-        // simulator re-derives its index from the already-built model.
-        if (!built) slot.system->rebind_scheduler(spec.scheduler());
-        slot.simulator = std::make_unique<san::Simulator>(simulator_config(
-            san::replication_seed(spec.base_seed, task.stream.stream)));
-        slot.simulator->set_model(*slot.system->model);
-        auto bindings = std::make_shared<SlotBindings>();
-        bindings->bound.reserve(metrics.size());
-        for (const auto& m : metrics) {
-          bindings->bound.push_back(bind_metric(*slot.system, m, spec.warmup));
-        }
-        for (auto& b : bindings->bound) {
-          for (auto& r : b.rewards) slot.simulator->add_reward(*r);
-        }
-        slot.bindings = std::move(bindings);
-        slot.stamp = stamp;
-        if (slot.system->scheduler_places.profile != nullptr) {
-          slot.system->scheduler_places.profile->set_enabled(spec.profile);
-        }
-      }
-      // Bridge counters + scheduler state back to just-built (a system
-      // built this very checkout is already there).
-      if (!built) slot.system->reset();
-    }
-    SystemPool::Slot& slot = checkout.slot();
-    auto& bound = static_cast<SlotBindings*>(slot.bindings.get())->bound;
-    return execute(task, *slot.system, *slot.simulator, bound,
-                   std::move(reset_profile));
-  };
-
-  const stats::StreamedReplicationFn one_replication =
-      pool != nullptr ? stats::StreamedReplicationFn(pooled_replication)
-                      : stats::StreamedReplicationFn(rebuild_replication);
 
   // Forward each buffered replication the moment it folds: folds come
   // in index order and an in-order replication streamed itself, so the
@@ -429,13 +381,11 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     reg.counter("executor.speculative_waste").add(result.speculative_waste());
     reg.counter("executor.batches").add(result.batches);
     reg.gauge("executor.jobs").set(static_cast<double>(result.jobs));
-    if (pool != nullptr) {
-      // Deltas, so a shared external pool reports per-run figures.
-      reg.counter("executor.pool_builds")
-          .add(pool->builds() - pool_builds_before);
-      reg.counter("executor.pool_reuses")
-          .add(pool->reuses() - pool_reuses_before);
-    }
+    // Deltas, so a shared external pool reports per-run figures.
+    reg.counter("executor.pool_builds")
+        .add(pool->builds() - pool_builds_before);
+    reg.counter("executor.pool_reuses")
+        .add(pool->reuses() - pool_reuses_before);
     for (const auto& m : result.metrics) {
       reg.summary("metric." + m.name) = m.samples;
     }

@@ -49,7 +49,7 @@ struct MetricRequest {
 
 struct RunSpec {
   vm::SystemConfig system;
-  vm::SchedulerFactory scheduler;  ///< fresh scheduler per replication
+  vm::SchedulerFactory scheduler;  ///< one scheduler per pool slot bound
 
   /// Opt-in fail-fast: statically analyze the composed model (a
   /// throwaway build) before the first replication and throw
@@ -68,28 +68,15 @@ struct RunSpec {
   /// ReplicationResult bit for bit. See docs/PERFORMANCE.md.
   std::size_t jobs = 1;
 
-  /// Reuse fully built systems across replications (the zero-rebuild
-  /// engine, docs/PERFORMANCE.md): each executor lane checks a built
-  /// (system, simulator) slot out of a SystemPool and resets it instead
-  /// of rebuilding, so a run builds at most `jobs` systems. Results,
-  /// traces and counters are bit-identical to the rebuild path
-  /// (test-enforced). `false` selects the legacy build-per-replication
-  /// path — the comparison baseline for the identity tests and
-  /// BM_ReplicationSetup.
-  bool reuse_systems = true;
-
-  /// Optional externally owned pool, shared across run_point calls whose
+  /// Optional externally owned pool of built systems (the zero-rebuild
+  /// engine, docs/PERFORMANCE.md), shared across run_point calls whose
   /// spec.system has the same SystemPool fingerprint (run_sweep shares
-  /// one pool per sweep row). Throws std::invalid_argument on a
-  /// fingerprint mismatch. Null: the run uses a private pool. Ignored
-  /// when reuse_systems is false.
+  /// one pool per sweep row, compare_points one per comparison). Throws
+  /// std::invalid_argument on a fingerprint mismatch. Null: the run uses
+  /// a private pool. Either way each executor lane checks a built
+  /// (system, simulator) slot out and resets it instead of rebuilding,
+  /// so a run builds at most `jobs` systems.
   SystemPool* pool = nullptr;
-
-  /// Forwarded to san::SimulatorConfig::incremental_enabling: use the
-  /// footprint-driven enabling index (default) or the full-scan
-  /// fallback. Trajectories are identical either way; the flag exists
-  /// for benchmarking and equivalence tests.
-  bool incremental_enabling = true;
 
   /// Forwarded to san::SimulatorConfig::verify_footprints: run every
   /// replication under the footprint sanitizer (san/sanitizer.hpp) and

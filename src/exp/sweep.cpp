@@ -59,12 +59,10 @@ SweepResult run_sweep(const RunSpec& base, const std::vector<SweepPoint>& points
   // instead of rebuilding the whole model. Safe under grid parallelism —
   // slots are exclusively checked out and the pool grows on demand.
   std::vector<std::unique_ptr<SystemPool>> row_pools(points.size());
-  if (base.reuse_systems) {
-    for (std::size_t r = 0; r < points.size(); ++r) {
-      RunSpec probe = base;
-      points[r].apply(probe);
-      row_pools[r] = std::make_unique<SystemPool>(probe.system);
-    }
+  for (std::size_t r = 0; r < points.size(); ++r) {
+    RunSpec probe = base;
+    points[r].apply(probe);
+    row_pools[r] = std::make_unique<SystemPool>(probe.system);
   }
 
   stats::ParallelExecutor executor(jobs);
@@ -74,7 +72,7 @@ SweepResult run_sweep(const RunSpec& base, const std::vector<SweepPoint>& points
     RunSpec spec = base;
     points[row].apply(spec);
     spec.scheduler = sched::make_factory(algorithms[column]);
-    spec.pool = base.reuse_systems ? row_pools[row].get() : nullptr;
+    spec.pool = row_pools[row].get();
     // The registry is not thread-safe and a shared trace sink would
     // interleave cells nondeterministically: cells run with both
     // detached, and sweep-level counters fold into base.metrics below.
@@ -100,16 +98,14 @@ SweepResult run_sweep(const RunSpec& base, const std::vector<SweepPoint>& points
         if (cell.converged) reg.counter("sweep.converged_cells").add(1);
       }
     }
-    if (base.reuse_systems) {
-      std::uint64_t builds = 0;
-      std::uint64_t reuses = 0;
-      for (const auto& p : row_pools) {
-        builds += p->builds();
-        reuses += p->reuses();
-      }
-      reg.counter("executor.pool_builds").add(builds);
-      reg.counter("executor.pool_reuses").add(reuses);
+    std::uint64_t builds = 0;
+    std::uint64_t reuses = 0;
+    for (const auto& p : row_pools) {
+      builds += p->builds();
+      reuses += p->reuses();
     }
+    reg.counter("executor.pool_builds").add(builds);
+    reg.counter("executor.pool_reuses").add(reuses);
   }
   return result;
 }

@@ -1,7 +1,8 @@
 #include "san/analyze/diagnostic.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "stats/metrics.hpp"
 
 namespace vcpusim::san::analyze {
 
@@ -56,28 +57,7 @@ const std::vector<CheckInfo>& check_catalog() {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using stats::json_escape;
 
 void json_field(std::ostringstream& os, const char* key,
                 const std::string& value, bool trailing_comma = true) {

@@ -55,8 +55,9 @@ struct SimulatorConfig {
   /// declares the model ill-formed (zero-time livelock).
   std::uint32_t max_instantaneous_chain = 1'000'000;
   /// Use the footprint-driven enabling index (identical trajectories to
-  /// the full scan as long as declared footprints are complete; the flag
-  /// exists for benchmarking and for distrusting annotations).
+  /// the full scan as long as declared footprints are complete). false
+  /// selects the full-scan reference that the kernel's equivalence tests
+  /// and BM_SettleEnabling compare against; no run option forwards it.
   bool incremental_enabling = true;
   /// Wall-clock profiling of the settle / fire phases into profile()
   /// (stats::PhaseProfile). Off by default: a disabled profile never

@@ -22,17 +22,30 @@ std::string json_number(double v) {
   return s;
 }
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
+  out.reserve(s.size() + 2);
   for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
   return out;
 }
-
-}  // namespace
 
 void MetricsRegistry::claim(const std::string& name, Kind kind) {
   const auto [it, inserted] = kinds_.emplace(name, kind);

@@ -90,4 +90,9 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
+/// `s` escaped for use inside a JSON string literal: quotes, backslashes
+/// and every control character (RFC 8259). The registry's write_json,
+/// the CLI's JSON outputs and the analyzer's JSON report share it.
+std::string json_escape(const std::string& s);
+
 }  // namespace vcpusim::stats

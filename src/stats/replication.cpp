@@ -216,6 +216,12 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
   if (policy.min_replications < 2) {
     throw std::invalid_argument("run_replications: min_replications < 2");
   }
+  if (policy.min_replications > policy.max_replications) {
+    throw std::invalid_argument(
+        "run_replications: min_replications (" +
+        std::to_string(policy.min_replications) + ") > max_replications (" +
+        std::to_string(policy.max_replications) + ")");
+  }
   ReplicationResult result;
   result.metrics.resize(metric_names.size());
   for (std::size_t i = 0; i < metric_names.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace vcpusim::cli {
@@ -116,25 +117,56 @@ TEST(Cli, JobsFlagReproducesSequentialOutput) {
   EXPECT_EQ(sequential.out, parallel.out);
 }
 
-TEST(Cli, RebuildSystemsFlagReproducesPooledOutput) {
-  // --rebuild-systems selects the legacy build-per-replication path; the
-  // zero-rebuild default must print byte-identical results.
-  const std::vector<const char*> base = {
-      "--pcpus", "2", "--vm", "1", "--vm", "1", "--end-time", "300",
-      "--warmup", "50", "--max-replications", "4", "--half-width", "1e-9"};
-  auto rebuild = base;
-  rebuild.push_back("--rebuild-systems");
-  const auto pooled = run(base);
-  const auto rebuilt = run(rebuild);
-  EXPECT_EQ(pooled.exit_code, 0) << pooled.err;
-  EXPECT_EQ(rebuilt.exit_code, 0) << rebuilt.err;
-  EXPECT_EQ(pooled.out, rebuilt.out);
-}
-
 TEST(Cli, NegativeJobsFails) {
   const auto r = run({"--jobs", "-2"});
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("--jobs"), std::string::npos);
+}
+
+TEST(Cli, MalformedNumericFlagsFailNamingTheFlag) {
+  // Trailing text, fractions for counts, negative counts and out-of-range
+  // values are rejected before anything runs, instead of being truncated
+  // or wrapped.
+  const std::vector<std::vector<const char*>> cases = {
+      {"--end-time", "300x"},
+      {"--seed", "12abc"},
+      {"--jobs", "2x"},
+      {"--pcpus", "2.9"},
+      {"--max-replications", "-3"},
+      {"--min-replications", "1e3"},
+      {"--sync", "4294967296"},
+      {"--seed", "18446744073709551616"},
+      {"--warmup", "nan"},
+      {"--half-width", ""},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c[0]) + " '" + c[1] + "'");
+    const auto r = run(c);
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find(c[0]), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
+TEST(Cli, MinAboveMaxReplicationsFails) {
+  const auto r = run({"--pcpus", "2", "--vm", "1", "--end-time", "100",
+                      "--warmup", "10", "--min-replications", "5",
+                      "--max-replications", "3"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("min_replications (5) > max_replications (3)"),
+            std::string::npos)
+      << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
+TEST(Cli, RemovedRebuildSystemsFlagFailsLoudly) {
+  // Every replication runs on a pooled system; the old opt-out flag is
+  // an unknown option now.
+  const auto r = run({"--rebuild-systems"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("unknown option '--rebuild-systems'"),
+            std::string::npos)
+      << r.err;
 }
 
 TEST(Cli, CsvOutput) {

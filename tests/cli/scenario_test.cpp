@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/replication.hpp"
@@ -45,7 +46,6 @@ half_width = 0.01
 min_replications = 4
 max_replications = 16
 jobs = 4
-reuse_systems = off
 metrics = vcpu_utilization, pcpu_utilization, throughput
 
 [vm web]
@@ -67,7 +67,6 @@ spinlock = 0.5 0.3
   EXPECT_DOUBLE_EQ(s.spec.policy.confidence, 0.99);
   EXPECT_EQ(s.spec.policy.max_replications, 16u);
   EXPECT_EQ(s.spec.jobs, 4u);
-  EXPECT_FALSE(s.spec.reuse_systems);
   EXPECT_EQ(s.metrics.size(), 3u);
   EXPECT_EQ(s.metrics[0].kind, exp::MetricKind::kMeanVcpuUtilization);
 
@@ -134,6 +133,62 @@ TEST(Scenario, RejectsMalformedInput) {
   EXPECT_THROW(parse("pcpus = 2\n"), std::invalid_argument);  // no VMs
   EXPECT_THROW(parse("algorithm = warp\n[vm]\nvcpus=1\n"),
                std::invalid_argument);  // unknown algorithm
+}
+
+TEST(Scenario, NumericKeysAreStrict) {
+  // Integers must be exact and in range, reals finite with nothing after
+  // them; every diagnostic names the key and its line.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[vm]\nvcpus = 2.7\n", "'vcpus'"},
+      {"seed = -7\n[vm]\nvcpus = 1\n", "'seed'"},
+      {"max_replications = -3\n[vm]\nvcpus = 1\n", "'max_replications'"},
+      {"min_replications = 4.5\n[vm]\nvcpus = 1\n", "'min_replications'"},
+      {"jobs = 1e2\n[vm]\nvcpus = 1\n", "'jobs'"},
+      {"pcpus = 4294967296\n[vm]\nvcpus = 1\n", "'pcpus'"},
+      {"seed = 18446744073709551616\n[vm]\nvcpus = 1\n", "'seed'"},
+      {"end_time = 300x\n[vm]\nvcpus = 1\n", "'end_time'"},
+      {"warmup = inf\n[vm]\nvcpus = 1\n", "'warmup'"},
+      {"[vm]\nvcpus = 1\nsync_ratio = -1\n", "'sync_ratio'"},
+  };
+  for (const auto& [text, key] : cases) {
+    SCOPED_TRACE(text);
+    try {
+      parse(text);
+      ADD_FAILURE() << "expected throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("line ", 0), 0u) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
+  const auto s = parse("seed = 18446744073709551615\n[vm]\nvcpus = 3\n");
+  EXPECT_EQ(s.spec.base_seed, 18446744073709551615u);
+  EXPECT_EQ(s.spec.system.vms[0].num_vcpus, 3);
+}
+
+TEST(Scenario, ReplicationBounds) {
+  // A maximum given alone caps the default minimum; explicit bounds are
+  // kept as written, and a conflicting pair is left for the runner to
+  // reject.
+  const auto capped = parse("max_replications = 3\n[vm]\nvcpus = 1\n");
+  EXPECT_EQ(capped.spec.policy.min_replications, 3u);
+  EXPECT_EQ(capped.spec.policy.max_replications, 3u);
+  const auto both = parse(
+      "min_replications = 5\nmax_replications = 3\n[vm]\nvcpus = 1\n");
+  EXPECT_EQ(both.spec.policy.min_replications, 5u);
+  EXPECT_EQ(both.spec.policy.max_replications, 3u);
+}
+
+TEST(Scenario, RemovedReuseSystemsKeyFailsLoudly) {
+  try {
+    parse("reuse_systems = off\n[vm]\nvcpus = 1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown key 'reuse_systems'"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(Scenario, UnknownVmKeyRejected) {

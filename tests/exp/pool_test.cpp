@@ -1,9 +1,12 @@
-// Zero-rebuild replication engine: the pooled path (reuse_systems, the
-// default) must be bit-identical to the legacy build-per-replication
-// path — samples, confidence intervals, structured JSONL trace bytes,
-// RunStats counters (including enabling_evals) — for every builtin
-// algorithm, both enabling modes and any jobs value. These tests are
-// the enforcement of the invariant docs/PERFORMANCE.md documents.
+// Zero-rebuild replication engine: exp::run_point runs every replication
+// on a pooled system, and which slot serves which replication depends on
+// thread scheduling and on what the pool served before. Pooled results
+// must be invariant under both: samples, confidence intervals, run
+// counters and structured JSONL trace bytes are identical across jobs 1
+// and 8 and across a pool first used by another algorithm and another
+// metric set, for every builtin algorithm and every metric kind. That a
+// reset or rebound system equals a fresh build is tested where it is
+// owned, in tests/vm/system_reset_test.cpp.
 #include "exp/pool.hpp"
 
 #include <gtest/gtest.h>
@@ -30,7 +33,7 @@ RunSpec pool_spec() {
   spec.end_time = 200.0;
   spec.warmup = 40.0;
   spec.base_seed = 20260805;
-  // Fixed replication count: identical work on both paths.
+  // Fixed replication count: identical work in every run.
   spec.policy.min_replications = 4;
   spec.policy.max_replications = 4;
   spec.policy.target_half_width = 1e-12;
@@ -47,6 +50,24 @@ const std::vector<MetricRequest>& headline_metrics() {
   return kMetrics;
 }
 
+const std::vector<MetricRequest>& every_metric_kind() {
+  static const std::vector<MetricRequest> kMetrics = {
+      {MetricKind::kVcpuAvailability, 0, ""},
+      {MetricKind::kMeanVcpuAvailability, -1, ""},
+      {MetricKind::kPcpuUtilization, -1, ""},
+      {MetricKind::kVcpuUtilization, 0, ""},
+      {MetricKind::kMeanVcpuUtilization, -1, ""},
+      {MetricKind::kVcpuBusyFraction, 0, ""},
+      {MetricKind::kMeanVcpuBusyFraction, -1, ""},
+      {MetricKind::kVmBlockedFraction, 0, ""},
+      {MetricKind::kThroughput, -1, ""},
+      {MetricKind::kMeanSpinFraction, -1, ""},
+      {MetricKind::kMeanEffectiveUtilization, -1, ""},
+      {MetricKind::kEnergy, -1, ""},
+  };
+  return kMetrics;
+}
+
 struct Outcome {
   stats::ReplicationResult result;
   std::uint64_t sim_events = 0;
@@ -58,10 +79,8 @@ struct Outcome {
   std::string trace;
 };
 
-Outcome run_mode(RunSpec spec, bool reuse,
-                 const std::vector<MetricRequest>& metrics,
-                 bool with_trace = false) {
-  spec.reuse_systems = reuse;
+Outcome run(RunSpec spec, const std::vector<MetricRequest>& metrics,
+            bool with_trace = false) {
   stats::MetricsRegistry registry;
   spec.metrics = &registry;
   std::ostringstream os;
@@ -75,20 +94,18 @@ Outcome run_mode(RunSpec spec, bool reuse,
   out.enabling_evals = registry.counter("sim.enabling_evals").value();
   out.sched_ticks = registry.counter("sched.ticks").value();
   out.preemptions = registry.counter("sched.preemptions").value();
-  if (registry.has("executor.pool_builds")) {
-    out.pool_builds = registry.counter("executor.pool_builds").value();
-    out.pool_reuses = registry.counter("executor.pool_reuses").value();
-  }
+  out.pool_builds = registry.counter("executor.pool_builds").value();
+  out.pool_reuses = registry.counter("executor.pool_reuses").value();
   return out;
 }
 
-void expect_bit_identical(const Outcome& rebuild, const Outcome& pooled) {
-  EXPECT_EQ(pooled.result.replications, rebuild.result.replications);
-  EXPECT_EQ(pooled.result.converged, rebuild.result.converged);
-  ASSERT_EQ(pooled.result.metrics.size(), rebuild.result.metrics.size());
-  for (std::size_t i = 0; i < rebuild.result.metrics.size(); ++i) {
-    const auto& a = rebuild.result.metrics[i];
-    const auto& b = pooled.result.metrics[i];
+void expect_bit_identical(const Outcome& reference, const Outcome& other) {
+  EXPECT_EQ(other.result.replications, reference.result.replications);
+  EXPECT_EQ(other.result.converged, reference.result.converged);
+  ASSERT_EQ(other.result.metrics.size(), reference.result.metrics.size());
+  for (std::size_t i = 0; i < reference.result.metrics.size(); ++i) {
+    const auto& a = reference.result.metrics[i];
+    const auto& b = other.result.metrics[i];
     SCOPED_TRACE("metric " + a.name);
     EXPECT_EQ(b.name, a.name);
     // EXPECT_EQ on doubles is exact — the contract is bit-identity, not
@@ -101,73 +118,83 @@ void expect_bit_identical(const Outcome& rebuild, const Outcome& pooled) {
     EXPECT_EQ(b.ci.mean, a.ci.mean);
     EXPECT_EQ(b.ci.half_width, a.ci.half_width);
   }
-  EXPECT_EQ(pooled.sim_events, rebuild.sim_events);
-  EXPECT_EQ(pooled.enabling_evals, rebuild.enabling_evals)
-      << "the reused simulator must perform exactly the rebuild path's "
-         "enabling work";
-  EXPECT_EQ(pooled.sched_ticks, rebuild.sched_ticks);
-  EXPECT_EQ(pooled.preemptions, rebuild.preemptions);
-  EXPECT_EQ(pooled.trace, rebuild.trace)
+  EXPECT_EQ(other.sim_events, reference.sim_events);
+  EXPECT_EQ(other.enabling_evals, reference.enabling_evals)
+      << "a reused simulator must perform exactly a fresh one's enabling "
+         "work";
+  EXPECT_EQ(other.sched_ticks, reference.sched_ticks);
+  EXPECT_EQ(other.preemptions, reference.preemptions);
+  EXPECT_EQ(other.trace, reference.trace)
       << "structured trace byte streams diverge";
 }
 
-TEST(PoolIdentity, MatchesRebuildForEveryAlgorithmEnablingModeAndJobs) {
-  for (const auto& algorithm : sched::builtin_algorithms()) {
-    for (const bool incremental : {true, false}) {
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-        SCOPED_TRACE(algorithm + (incremental ? "/incremental" : "/full-scan") +
-                     "/jobs=" + std::to_string(jobs));
-        RunSpec spec = pool_spec();
-        spec.scheduler = sched::make_factory(algorithm);
-        spec.incremental_enabling = incremental;
-        spec.jobs = jobs;
-        const auto rebuild =
-            run_mode(spec, /*reuse=*/false, headline_metrics(), true);
-        const auto pooled =
-            run_mode(spec, /*reuse=*/true, headline_metrics(), true);
-        expect_bit_identical(rebuild, pooled);
-      }
-    }
+/// Run `spec` at jobs 1 on a private pool as the reference, then at
+/// jobs 8, and at jobs 1 and 8 on an external pool whose slots were
+/// first bound by `other_algorithm` with `other_metrics` at jobs 8:
+/// every run must match the reference bit for bit.
+void expect_jobs_and_history_invariant(
+    RunSpec spec, const std::vector<MetricRequest>& metrics,
+    const std::string& other_algorithm,
+    const std::vector<MetricRequest>& other_metrics) {
+  spec.jobs = 1;
+  const auto reference = run(spec, metrics, true);
+  {
+    SCOPED_TRACE("private pool, jobs=8");
+    RunSpec parallel = spec;
+    parallel.jobs = 8;
+    expect_bit_identical(reference, run(parallel, metrics, true));
+  }
+  SystemPool pool(spec.system);
+  RunSpec warm = spec;
+  warm.scheduler = sched::make_factory(other_algorithm);
+  warm.jobs = 8;
+  warm.pool = &pool;
+  run(warm, other_metrics);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("pool first used by " + other_algorithm +
+                 ", jobs=" + std::to_string(jobs));
+    RunSpec reused = spec;
+    reused.jobs = jobs;
+    reused.pool = &pool;
+    const auto outcome = run(reused, metrics, true);
+    EXPECT_EQ(outcome.pool_builds + outcome.pool_reuses,
+              reference.result.replications);
+    expect_bit_identical(reference, outcome);
   }
 }
 
-TEST(PoolIdentity, MatchesRebuildForEveryMetricKind) {
+TEST(PoolIdentity, JobsAndPoolHistoryInvariantForEveryAlgorithm) {
+  const auto algorithms = sched::builtin_algorithms();
+  for (std::size_t a = 0; a < algorithms.size(); ++a) {
+    SCOPED_TRACE(algorithms[a]);
+    RunSpec spec = pool_spec();
+    spec.scheduler = sched::make_factory(algorithms[a]);
+    expect_jobs_and_history_invariant(
+        spec, headline_metrics(), algorithms[(a + 1) % algorithms.size()],
+        every_metric_kind());
+  }
+}
+
+TEST(PoolIdentity, JobsAndPoolHistoryInvariantForEveryMetricKind) {
   RunSpec spec = pool_spec();
   for (auto& vmc : spec.system.vms) vmc.spinlock.enabled = true;
-  spec.jobs = 8;
-  const std::vector<MetricRequest> all_kinds = {
-      {MetricKind::kVcpuAvailability, 0, ""},
-      {MetricKind::kMeanVcpuAvailability, -1, ""},
-      {MetricKind::kPcpuUtilization, -1, ""},
-      {MetricKind::kVcpuUtilization, 0, ""},
-      {MetricKind::kMeanVcpuUtilization, -1, ""},
-      {MetricKind::kVcpuBusyFraction, 0, ""},
-      {MetricKind::kMeanVcpuBusyFraction, -1, ""},
-      {MetricKind::kVmBlockedFraction, 0, ""},
-      {MetricKind::kThroughput, -1, ""},
-      {MetricKind::kMeanSpinFraction, -1, ""},
-      {MetricKind::kMeanEffectiveUtilization, -1, ""},
-  };
-  const auto rebuild = run_mode(spec, /*reuse=*/false, all_kinds);
-  const auto pooled = run_mode(spec, /*reuse=*/true, all_kinds);
-  expect_bit_identical(rebuild, pooled);
+  expect_jobs_and_history_invariant(spec, every_metric_kind(), "rcs",
+                                    headline_metrics());
 }
 
 TEST(PoolIdentity, SharedExternalPoolStaysIdenticalAcrossRuns) {
   // State-leak check: the SAME built system serves three consecutive
-  // runs off one external pool; every run must still match a fresh
-  // rebuild run bit for bit, and the second/third runs must not build.
+  // runs off one external pool; every run must still match a run on a
+  // private pool bit for bit, and the second/third runs must not build.
   RunSpec spec = pool_spec();
-  const auto reference = run_mode(spec, /*reuse=*/false, headline_metrics(),
-                                  true);
+  const auto reference = run(spec, headline_metrics(), true);
   SystemPool pool(spec.system);
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     RunSpec pooled_spec = spec;
     pooled_spec.pool = &pool;
-    const auto pooled =
-        run_mode(pooled_spec, /*reuse=*/true, headline_metrics(), true);
-    expect_bit_identical(reference, pooled);
+    expect_bit_identical(reference,
+                         run(pooled_spec, headline_metrics(), true));
   }
   // jobs=1: one slot, built once, reused by every later checkout.
   EXPECT_EQ(pool.builds(), 1u);
@@ -175,13 +202,9 @@ TEST(PoolIdentity, SharedExternalPoolStaysIdenticalAcrossRuns) {
 }
 
 TEST(PoolCounters, PrivatePoolExportsBuildAndReuseDeltas) {
-  RunSpec spec = pool_spec();
-  const auto pooled = run_mode(spec, /*reuse=*/true, headline_metrics());
+  const auto pooled = run(pool_spec(), headline_metrics());
   EXPECT_EQ(pooled.pool_builds, 1u);
   EXPECT_EQ(pooled.pool_reuses, 3u);
-  const auto rebuild = run_mode(spec, /*reuse=*/false, headline_metrics());
-  EXPECT_EQ(rebuild.pool_builds, 0u);
-  EXPECT_EQ(rebuild.pool_reuses, 0u);
 }
 
 TEST(PoolCounters, LintBuildSeedsThePool) {
@@ -190,7 +213,7 @@ TEST(PoolCounters, LintBuildSeedsThePool) {
   // including the first — counts as a reuse.
   RunSpec spec = pool_spec();
   spec.lint = true;
-  const auto pooled = run_mode(spec, /*reuse=*/true, headline_metrics());
+  const auto pooled = run(spec, headline_metrics());
   EXPECT_EQ(pooled.pool_builds, 1u);
   EXPECT_EQ(pooled.pool_reuses, 4u);
 }

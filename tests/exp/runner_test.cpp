@@ -82,20 +82,6 @@ TEST(Runner, ValidationErrors) {
                std::invalid_argument);
 }
 
-TEST(Runner, FreshSchedulerPerReplicationWhenRebuilding) {
-  // With the rebuild path, a factory that counts instantiations shows
-  // one fresh scheduler per replication (no shared state).
-  int instances = 0;
-  RunSpec spec = quick_spec();
-  spec.reuse_systems = false;
-  spec.scheduler = [&instances]() {
-    ++instances;
-    return sched::make_factory("rrs")();
-  };
-  run_point(spec, {{MetricKind::kThroughput, -1, ""}});
-  EXPECT_GE(instances, 3);
-}
-
 TEST(Runner, PooledRunBuildsOneSchedulerPerExecutorSlot) {
   // The zero-rebuild engine reuses the built system — and its scheduler,
   // via Scheduler::on_reset — across replications: a 1-job run
@@ -103,7 +89,6 @@ TEST(Runner, PooledRunBuildsOneSchedulerPerExecutorSlot) {
   // stopping rule takes.
   int instances = 0;
   RunSpec spec = quick_spec();
-  ASSERT_TRUE(spec.reuse_systems);  // pooled is the default
   spec.scheduler = [&instances]() {
     ++instances;
     return sched::make_factory("rrs")();

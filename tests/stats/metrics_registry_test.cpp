@@ -131,5 +131,21 @@ TEST(MetricsRegistry, JsonEscapesNamesAndNonFiniteValues) {
   EXPECT_TRUE(doc.at("gauges").at("inf").is_null());
 }
 
+TEST(MetricsRegistry, JsonEscapesControlCharactersInNames) {
+  // A raw control byte inside a JSON string is invalid JSON, and the test
+  // parser tolerates it, so assert the escaped bytes themselves.
+  MetricsRegistry registry;
+  registry.counter(std::string("metric.a\tb\x01" "c\nd")).add(1);
+  const std::string json = registry.to_json();
+  EXPECT_NE(json.find("\"metric.a\\tb\\u0001c\\nd\": 1"), std::string::npos)
+      << json;
+  for (const char c : json) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+    }
+  }
+  EXPECT_EQ(json_escape("q\"b\\s\x1f\r"), "q\\\"b\\\\s\\u001f\\u000d");
+}
+
 }  // namespace
 }  // namespace vcpusim::stats

@@ -115,6 +115,16 @@ TEST(Replication, RejectsMinBelowTwo) {
                                 },
                                 policy),
                std::invalid_argument);
+  // A minimum above the cap can never be met: rejected, not silently
+  // truncated to an unconverged run.
+  policy.min_replications = 5;
+  policy.max_replications = 3;
+  EXPECT_THROW(run_replications({"m"},
+                                [](std::size_t) {
+                                  return std::vector<double>{1.0};
+                                },
+                                policy),
+               std::invalid_argument);
 }
 
 TEST(Replication, UnknownMetricNameThrows) {
