@@ -45,7 +45,7 @@ std::string json_number(double value) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -114,4 +114,6 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote " << rows.size() << " rows to " << argv[1] << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

@@ -5,7 +5,7 @@
 // over-committed setup.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -34,4 +34,6 @@ int main() {
                "'balance' places siblings on distinct queues; 'priority' "
                "deliberately starves the lower-priority VM.\n";
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

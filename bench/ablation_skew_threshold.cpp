@@ -5,7 +5,7 @@
 #include "bench_util.hpp"
 #include "sched/relaxed_co.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -37,4 +37,6 @@ int main() {
   }
   std::cout << "\n" << table.render();
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

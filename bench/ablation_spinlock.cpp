@@ -10,7 +10,7 @@
 // construction; stacking-prone per-PCPU round-robin maximizes it.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -46,4 +46,6 @@ int main() {
                "busy/active ratio. Lock-holder preemption shows up as the "
                "gap between raw and effective utilization.\n";
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

@@ -2,7 +2,7 @@
 // of synchronization points — does barrier regularity matter?
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -25,4 +25,6 @@ int main() {
   }
   std::cout << "\n" << table.render();
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

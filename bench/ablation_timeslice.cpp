@@ -6,7 +6,7 @@
 // of RRS while co-scheduling is largely insensitive.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -28,4 +28,6 @@ int main() {
   }
   std::cout << "\n" << table.render();
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

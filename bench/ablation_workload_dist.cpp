@@ -4,7 +4,7 @@
 // three algorithms' synchronization latency.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -33,4 +33,6 @@ int main() {
   }
   std::cout << "\n" << table.render();
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

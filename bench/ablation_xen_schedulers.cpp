@@ -12,7 +12,7 @@
 #include "sched/credit.hpp"
 #include "sched/sedf.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -79,4 +79,6 @@ int main() {
               << table.render();
   }
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

@@ -3,10 +3,12 @@
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli/scenario.hpp"
 #include "exp/quality.hpp"
 #include "exp/runner.hpp"
 #include "exp/table.hpp"
@@ -36,13 +38,21 @@ inline void print_header(const std::string& title,
 }
 
 /// Replication worker threads from the environment (VCPUSIM_JOBS;
-/// 0 = all hardware threads). Estimates are bit-identical for every
-/// value, so this only changes wall-clock time — see docs/PERFORMANCE.md.
+/// 0 = all hardware threads), parsed as strictly as the --jobs flag.
+/// Estimates are bit-identical for every value, so this only changes
+/// wall-clock time — see docs/PERFORMANCE.md.
 inline std::size_t jobs_from_env() {
   const char* v = std::getenv("VCPUSIM_JOBS");
   if (v == nullptr || *v == '\0') return 1;
-  const long long n = std::atoll(v);
-  return n < 0 ? 1 : static_cast<std::size_t>(n);
+  return cli::parse_count("VCPUSIM_JOBS", v);
+}
+
+/// The catch clause of every figure binary's main: a bad VCPUSIM_*
+/// value or a failed run prints one line and exits 1 instead of
+/// aborting on an uncaught exception.
+inline int report_failure(const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }
 
 /// Evaluate one metric for one algorithm on one system configuration,

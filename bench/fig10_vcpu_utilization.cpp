@@ -6,7 +6,7 @@
 // portion of time a VCPU processes workload while it holds a PCPU.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -44,4 +44,6 @@ int main() {
                "from the paper: our RCS (guest-aware idle-yield) edges out "
                "SCS instead of trailing it slightly — see EXPERIMENTS.md.\n";
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

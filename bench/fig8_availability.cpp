@@ -3,7 +3,7 @@
 // number of PCPUs varied from 1 to 4 and synchronization ratio 1:5.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -37,4 +37,6 @@ int main() {
                "below the 1-VCPU VMs; co-scheduling fairness improves with "
                "more PCPUs.\n";
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

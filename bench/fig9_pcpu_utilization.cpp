@@ -3,7 +3,7 @@
 // sync ratio 1:5, 4 PCPUs, under RRS, SCS and RCS.
 #include "bench_util.hpp"
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   bench::print_header(
@@ -35,4 +35,6 @@ int main() {
                "(fragmentation); RCS mitigates it, staying above 90%; RRS "
                "pins utilization at ~100%.\n";
   return 0;
+} catch (const std::exception& e) {
+  return vcpusim::bench::report_failure(e);
 }

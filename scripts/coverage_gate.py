@@ -36,26 +36,45 @@ DEFAULT_FLOORS = {
 }
 
 
-def run_gcov(build_dir: pathlib.Path, scratch: pathlib.Path) -> list[dict]:
-    """Invoke gcov in JSON mode on every .gcda and parse the reports."""
-    gcda_files = sorted(build_dir.rglob("*.gcda"))
-    if not gcda_files:
-        sys.exit(f"no .gcda files under {build_dir} — run the tests in a "
-                 "build configured with -DVCPUSIM_COVERAGE=ON first")
+def run_gcov(data_files: list[pathlib.Path],
+             scratch: pathlib.Path) -> list[dict]:
+    """Invoke gcov in JSON mode on `data_files` and parse the reports.
+
+    Pass .gcda files to read the units that ran, or .gcno files to also
+    report units no binary executed (gcov counts them as never run).
+    Reports are named by a hash of the object path, so units with the
+    same basename (src/stats/metrics.cpp, src/vm/metrics.cpp) do not
+    overwrite each other.
+    """
+    if not data_files:
+        sys.exit("no gcov data files — build with -DVCPUSIM_COVERAGE=ON "
+                 "and run it first")
     gcov = shutil.which("gcov")
     if gcov is None:
         sys.exit("gcov not found on PATH")
     subprocess.run(
-        [gcov, "--json-format", *map(str, gcda_files)],
+        [gcov, "--json-format", "--hash-filenames", *map(str, data_files)],
         cwd=scratch,
         check=True,
         stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
     reports = []
     for path in scratch.glob("*.gcov.json.gz"):
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             reports.append(json.load(fh))
     return reports
+
+
+def repo_relative(file: str, repo_root: pathlib.Path) -> str | None:
+    """A gcov source path relative to the repo, or None outside it."""
+    source = pathlib.Path(file)
+    if not source.is_absolute():
+        source = repo_root / source
+    try:
+        return str(source.resolve().relative_to(repo_root))
+    except ValueError:
+        return None
 
 
 def aggregate(reports: list[dict], repo_root: pathlib.Path) -> dict:
@@ -68,14 +87,10 @@ def aggregate(reports: list[dict], repo_root: pathlib.Path) -> dict:
     files: dict[str, dict[int, bool]] = {}
     for report in reports:
         for entry in report.get("files", []):
-            source = pathlib.Path(entry["file"])
-            if not source.is_absolute():
-                source = repo_root / source
-            try:
-                rel = source.resolve().relative_to(repo_root)
-            except ValueError:
+            rel = repo_relative(entry["file"], repo_root)
+            if rel is None:
                 continue  # system / third-party header
-            lines = files.setdefault(str(rel), {})
+            lines = files.setdefault(rel, {})
             for line in entry.get("lines", []):
                 number = line["line_number"]
                 lines[number] = lines.get(number, False) or line["count"] > 0
@@ -105,7 +120,8 @@ def main() -> None:
 
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory() as scratch:
-        reports = run_gcov(args.build_dir.resolve(), pathlib.Path(scratch))
+        reports = run_gcov(sorted(args.build_dir.resolve().rglob("*.gcda")),
+                           pathlib.Path(scratch))
     files = aggregate(reports, repo_root)
 
     floors = dict(DEFAULT_FLOORS)

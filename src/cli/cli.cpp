@@ -163,6 +163,12 @@ int parse_args(int argc, const char* const* argv, Options& options,
   auto& spec = options.scenario.spec;
   bool min_given = false;
   bool max_given = false;
+  // Values the flags leave alone come from the scenario file, if one was
+  // loaded (and already checked there), or from the defaults.
+  KnobSources sources{"the default --end-time", "the default --warmup",
+                      "the default --half-width",
+                      "the default --min-replications",
+                      "the default --max-replications"};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&](const char* flag) -> const char* {
@@ -189,6 +195,10 @@ int parse_args(int argc, const char* const* argv, Options& options,
         if (v == nullptr) return 1;
         options.scenario = load_scenario(v);
         options.have_scenario_file = true;
+        const std::string file = v;
+        sources = {file + ": end_time", file + ": warmup",
+                   file + ": half_width", file + ": min_replications",
+                   file + ": max_replications"};
       } else if (arg == "--pcpus") {
         const char* v = need_value("--pcpus");
         if (v == nullptr) return 1;
@@ -217,10 +227,12 @@ int parse_args(int argc, const char* const* argv, Options& options,
         const char* v = need_value("--end-time");
         if (v == nullptr) return 1;
         spec.end_time = parse_real(arg, v);
+        sources.end_time = arg;
       } else if (arg == "--warmup") {
         const char* v = need_value("--warmup");
         if (v == nullptr) return 1;
         spec.warmup = parse_real(arg, v);
+        sources.warmup = arg;
       } else if (arg == "--seed") {
         const char* v = need_value("--seed");
         if (v == nullptr) return 1;
@@ -229,15 +241,18 @@ int parse_args(int argc, const char* const* argv, Options& options,
         const char* v = need_value("--half-width");
         if (v == nullptr) return 1;
         spec.policy.target_half_width = parse_real(arg, v);
+        sources.half_width = arg;
       } else if (arg == "--min-replications") {
         const char* v = need_value("--min-replications");
         if (v == nullptr) return 1;
         spec.policy.min_replications = parse_count(arg, v);
+        sources.min_replications = arg;
         min_given = true;
       } else if (arg == "--max-replications") {
         const char* v = need_value("--max-replications");
         if (v == nullptr) return 1;
         spec.policy.max_replications = parse_count(arg, v);
+        sources.max_replications = arg;
         max_given = true;
       } else if (arg == "--controller") {
         const char* v = need_value("--controller");
@@ -271,6 +286,12 @@ int parse_args(int argc, const char* const* argv, Options& options,
     }
   }
   if (max_given && !min_given) lower_min_to_max(spec.policy);
+  try {
+    check_run_knobs(spec, sources);
+  } catch (const std::exception& e) {
+    err << "vcpusim: " << e.what() << "\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -6,6 +6,7 @@
 #include <climits>
 #include <cmath>
 #include <fstream>
+#include <locale>
 #include <sstream>
 #include <stdexcept>
 
@@ -85,6 +86,40 @@ std::uint64_t parse_count(const std::string& what, const std::string& text,
 void lower_min_to_max(stats::ReplicationPolicy& policy) {
   policy.min_replications =
       std::min(policy.min_replications, policy.max_replications);
+}
+
+void check_run_knobs(const exp::RunSpec& spec, const KnobSources& from) {
+  const auto show = [](double v) {
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << v;
+    return os.str();
+  };
+  const auto reject = [](const std::string& message) {
+    throw std::invalid_argument(message);
+  };
+  if (!(spec.end_time > 0)) {
+    reject(from.end_time + " must be positive, got " + show(spec.end_time));
+  }
+  if (spec.warmup < 0) {
+    reject(from.warmup + " must not be negative, got " + show(spec.warmup));
+  }
+  if (spec.warmup >= spec.end_time) {
+    reject(from.warmup + " (" + show(spec.warmup) + ") must be below " +
+           from.end_time + " (" + show(spec.end_time) + ")");
+  }
+  if (!(spec.policy.target_half_width > 0)) {
+    reject(from.half_width + " must be positive, got " +
+           show(spec.policy.target_half_width));
+  }
+  if (spec.policy.max_replications < 2) {
+    reject(from.max_replications + " must be at least 2, got " +
+           std::to_string(spec.policy.max_replications));
+  }
+  if (spec.policy.min_replications < 2) {
+    reject(from.min_replications + " must be at least 2, got " +
+           std::to_string(spec.policy.min_replications));
+  }
 }
 
 exp::MetricRequest parse_metric(const std::string& name) {
@@ -175,6 +210,9 @@ Scenario parse_scenario(std::istream& in) {
   std::string compare_baseline;
   bool min_given = false;
   bool max_given = false;
+  KnobSources sources{"the default end_time", "the default warmup",
+                      "the default half_width", "the default min_replications",
+                      "the default max_replications"};
 
   std::string raw;
   int line = 0;
@@ -294,19 +332,24 @@ Scenario parse_scenario(std::istream& in) {
         scenario.algorithm = lower(value);
       } else if (key == "end_time") {
         scenario.spec.end_time = parse_real(what, value);
+        sources.end_time = what;
       } else if (key == "warmup") {
         scenario.spec.warmup = parse_real(what, value);
+        sources.warmup = what;
       } else if (key == "seed") {
         scenario.spec.base_seed = parse_count(what, value);
       } else if (key == "confidence") {
         scenario.spec.policy.confidence = parse_real(what, value);
       } else if (key == "half_width") {
         scenario.spec.policy.target_half_width = parse_real(what, value);
+        sources.half_width = what;
       } else if (key == "min_replications") {
         scenario.spec.policy.min_replications = parse_count(what, value);
+        sources.min_replications = what;
         min_given = true;
       } else if (key == "max_replications") {
         scenario.spec.policy.max_replications = parse_count(what, value);
+        sources.max_replications = what;
         max_given = true;
       } else if (key == "controller") {
         if (!stats::parse_controller(lower(value), scenario.spec.controller)) {
@@ -391,6 +434,7 @@ Scenario parse_scenario(std::istream& in) {
     std::rotate(scenario.compare_algorithms.begin(), it, it + 1);
   }
   if (max_given && !min_given) lower_min_to_max(scenario.spec.policy);
+  check_run_knobs(scenario.spec, sources);
   if (scenario.metrics.empty()) {
     scenario.metrics = {{exp::MetricKind::kMeanVcpuAvailability, -1, ""},
                         {exp::MetricKind::kPcpuUtilization, -1, ""},

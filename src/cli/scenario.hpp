@@ -83,6 +83,24 @@ exp::MetricRequest parse_metric(const std::string& name);
 /// Two explicit bounds that conflict are left for the runner to reject.
 void lower_min_to_max(stats::ReplicationPolicy& policy);
 
+/// Where each cross-checked run knob was set, as a diagnostic names it:
+/// a flag ("--warmup"), a scenario key ("line 3: 'warmup'") or a
+/// default ("the default --warmup").
+struct KnobSources {
+  std::string end_time;
+  std::string warmup;
+  std::string half_width;
+  std::string min_replications;
+  std::string max_replications;
+};
+
+/// The checks no single value can make alone: end_time > 0,
+/// 0 <= warmup < end_time, half_width > 0, and at least two replications
+/// for both bounds (a confidence interval needs two samples). A minimum
+/// above the maximum is left for the runner to reject. Throws
+/// std::invalid_argument naming the sources of the offending values.
+void check_run_knobs(const exp::RunSpec& spec, const KnobSources& from);
+
 /// Strict numeric values, shared by the scenario keys and the CLI flags.
 /// `what` names the key or flag in the diagnostic. parse_real accepts a
 /// finite decimal number with nothing after it. parse_count accepts a

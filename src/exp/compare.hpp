@@ -63,8 +63,8 @@ struct CompareResult {
 /// under spec.policy / spec.controller and fixes the replication count;
 /// the other algorithms are forced to exactly that count so every paired
 /// difference is over the full common sample. spec.scheduler is ignored;
-/// spec.metrics / spec.trace are not attached (cells of a comparison run
-/// detached, like sweep cells). Throws std::invalid_argument on fewer
+/// spec.metrics / spec.trace are not attached (the cells of a comparison
+/// run detached). Throws std::invalid_argument on fewer
 /// than two algorithms or empty metrics.
 CompareResult compare_points(const RunSpec& spec,
                              const std::vector<std::string>& algorithms,

@@ -28,10 +28,10 @@ namespace vcpusim::exp {
 
 /// Thread-safe free list of built (system, simulator, metric-binding)
 /// slots for one system configuration. One pool may serve several
-/// run_point calls (run_sweep shares a pool across the grid cells of a
-/// row); the per-call `stamp` tells a checkout whether the slot is
-/// already bound to the current run's scheduler and metric set or needs
-/// a cheap rebind first.
+/// run_point calls (compare_points shares one across the algorithms of a
+/// comparison); the per-call `stamp` tells a checkout whether the slot
+/// is already bound to the current run's scheduler and metric set or
+/// needs a cheap rebind first.
 class SystemPool {
  public:
   struct Slot {

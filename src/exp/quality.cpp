@@ -33,7 +33,13 @@ Quality quality_preset(const std::string& name) {
 
 Quality quality_from_env() {
   const char* env = std::getenv("VCPUSIM_QUALITY");
-  return quality_preset(env != nullptr && *env != '\0' ? env : "paper");
+  const std::string name = env != nullptr && *env != '\0' ? env : "paper";
+  try {
+    return quality_preset(name);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(
+        "VCPUSIM_QUALITY must be fast, paper or full, got '" + name + "'");
+  }
 }
 
 void apply(const Quality& quality, RunSpec& spec) {

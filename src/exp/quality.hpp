@@ -19,7 +19,8 @@ struct Quality {
 /// The named preset ("fast", "paper", "full"); throws on unknown names.
 Quality quality_preset(const std::string& name);
 
-/// Preset from $VCPUSIM_QUALITY, defaulting to "paper".
+/// Preset from $VCPUSIM_QUALITY, defaulting to "paper"; throws
+/// std::invalid_argument naming the variable on unknown names.
 Quality quality_from_env();
 
 /// Apply a quality preset onto a RunSpec.

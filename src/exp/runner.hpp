@@ -70,8 +70,8 @@ struct RunSpec {
 
   /// Optional externally owned pool of built systems (the zero-rebuild
   /// engine, docs/PERFORMANCE.md), shared across run_point calls whose
-  /// spec.system has the same SystemPool fingerprint (run_sweep shares
-  /// one pool per sweep row, compare_points one per comparison). Throws
+  /// spec.system has the same SystemPool fingerprint (compare_points
+  /// shares one across the algorithms of a comparison). Throws
   /// std::invalid_argument on a fingerprint mismatch. Null: the run uses
   /// a private pool. Either way each executor lane checks a built
   /// (system, simulator) slot out and resets it instead of rebuilding,

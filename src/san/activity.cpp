@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "san/sanitizer.hpp"
-
 namespace vcpusim::san {
 
 Activity::Activity(std::string name, stats::DistributionPtr delay,
@@ -58,53 +56,6 @@ void Activity::add_case(Case c) {
   explicit_cases_ = true;
   total_weight_ += c.weight;
   cases_.push_back(std::move(c));
-}
-
-std::size_t Activity::case_count() const noexcept { return cases_.size(); }
-
-bool Activity::enabled() const {
-  for (const auto& gate : input_gates_) {
-    if (!gate.predicate()) return false;
-  }
-  return true;
-}
-
-std::size_t Activity::fire(GateContext& ctx) {
-  for (const auto& gate : input_gates_) {
-    if (!gate.input_function) continue;
-    if (ctx.sanitizer != nullptr) {
-      ctx.sanitizer->enter_gate(gate.name, gate.footprint);
-    }
-    gate.input_function(ctx);
-  }
-  std::size_t chosen = 0;
-  if (cases_.size() > 1) {
-    const double u = ctx.rng.uniform01() * total_weight_;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < cases_.size(); ++i) {
-      acc += cases_[i].weight;
-      if (u < acc) {
-        chosen = i;
-        break;
-      }
-      chosen = i;  // guard against fp round-off at u ~ total_weight_
-    }
-  }
-  for (const auto& gate : cases_[chosen].output_gates) {
-    if (ctx.sanitizer != nullptr) {
-      ctx.sanitizer->enter_gate(gate.name, gate.footprint);
-    }
-    gate.function(ctx);
-  }
-  return chosen;
-}
-
-Time Activity::sample_delay(stats::Rng& rng) const {
-  if (!delay_) {
-    throw std::logic_error("Activity '" + name_ +
-                           "': sample_delay on instantaneous activity");
-  }
-  return delay_->sample(rng);
 }
 
 }  // namespace vcpusim::san

@@ -8,6 +8,8 @@
 //
 // Completion runs the input functions of all input gates, then selects a
 // case by its probability weight, then runs that case's output gates.
+// An Activity only declares this; san::CompiledModel executes it
+// (san/compiled.hpp).
 #pragma once
 
 #include <string>
@@ -15,7 +17,6 @@
 
 #include "san/gate.hpp"
 #include "stats/distribution.hpp"
-#include "stats/rng.hpp"
 
 namespace vcpusim::san {
 
@@ -52,8 +53,6 @@ class Activity {
   /// Add an explicit probabilistic case.
   void add_case(Case c);
 
-  std::size_t case_count() const noexcept;
-
   // --- Structural introspection (san::analyze) ----------------------
   const std::vector<InputGate>& input_gates() const noexcept {
     return input_gates_;
@@ -68,17 +67,6 @@ class Activity {
   bool has_explicit_cases() const noexcept { return explicit_cases_; }
   /// Sum of case weights (1.0 for the implicit default case).
   double total_case_weight() const noexcept { return total_weight_; }
-
-  /// All input gate predicates hold (an activity with no gates is always
-  /// enabled — used for free-running clocks).
-  bool enabled() const;
-
-  /// Run input functions, select a case with `ctx.rng`, run that case's
-  /// output gates. Returns the selected case index.
-  std::size_t fire(GateContext& ctx);
-
-  /// Sample a completion delay (timed activities only).
-  Time sample_delay(stats::Rng& rng) const;
 
  private:
   Activity(std::string name, int priority);  // instantaneous ctor

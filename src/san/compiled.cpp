@@ -201,8 +201,8 @@ void CompiledModel::compile_activity(const Activity& activity) {
 
   ca.in_begin = static_cast<std::uint32_t>(fire_ops_.size());
   for (const InputGate& g : activity.input_gates()) {
-    // Mirrors Activity::fire — gates without an input function execute
-    // nothing, whatever their declared effects say.
+    // Gates without an input function execute nothing, whatever their
+    // declared effects say.
     if (!g.input_function) continue;
     emit_fire(g.name, g.footprint, g.input_function);
   }

@@ -146,7 +146,7 @@ class CompiledModel {
   const CompiledActivity* find(const Activity* activity) const;
 
   /// Conjunction of the activity's predicate program (true when empty —
-  /// ungated activities are always enabled, as in Activity::enabled).
+  /// an activity without input gates is always enabled).
   /// Inline: the settle loop evaluates this several times per event.
   bool enabled(const CompiledActivity& a) const {
     for (std::uint32_t i = a.pred_begin; i < a.pred_end; ++i) {
@@ -177,16 +177,18 @@ class CompiledModel {
     return true;
   }
 
-  /// Execute the activity's fire program: input ops, case draw (RNG
-  /// consumption identical to Activity::fire), chosen case's ops.
+  /// Execute the activity's fire program: every input gate's op, then
+  /// the case draw, then the chosen case's ops. Returns the case index.
   /// Inline like enabled(): the event loop executes one fire program per
   /// firing, and most shipped-model gates lower to short delta spans.
   std::size_t fire(const CompiledActivity& a, GateContext& ctx) const {
     run_ops(a.in_begin, a.in_end, ctx);
     std::size_t chosen = 0;
     if (a.case_count > 1) {
-      // Case selection must consume the RNG stream exactly as
-      // Activity::fire does, fp round-off guard included.
+      // The RNG rule: one uniform01 draw per firing, and only when the
+      // activity has more than one case. The draw u * total_weight picks
+      // the first case whose cumulative weight exceeds it; if fp
+      // round-off leaves u at the total, the last case is chosen.
       const double u = ctx.rng.uniform01() * a.total_weight;
       double acc = 0.0;
       for (std::size_t i = 0; i < a.case_count; ++i) {

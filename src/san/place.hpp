@@ -82,30 +82,14 @@ class PlaceBase {
   /// Restore the initial marking (start of a replication).
   virtual void reset() = 0;
 
-  /// Debug rendering of the current marking.
-  virtual std::string to_string() const {
-    std::string out = name_;
-    out += '=';
-    value_string_to(out);
-    return out;
-  }
-
-  /// The marking value alone (no "name=" prefix) — what structured
-  /// marking trace events carry.
-  virtual std::string value_string() const {
-    std::string out;
-    value_string_to(out);
-    return out;
-  }
-
-  /// Append value_string() to `out` (cleared by the caller) without
-  /// constructing a fresh string — the form the tracing hot path uses so
-  /// marking events stop allocating per event.
+  /// Append the rendered marking value to `out` (cleared by the caller)
+  /// — what structured marking trace events carry. Appending into a
+  /// reused buffer keeps the tracing hot path allocation-free.
   virtual void value_string_to(std::string& out) const = 0;
 
   // --- compiled-engine storage introspection (san/compiled.hpp) ------
   // Cold surface: every virtual below is called at compile/teardown
-  // time only, never per event.
+  // time only, never per event. Place<T> implements them from T.
 
   /// How the compiled engine can host this place's marking.
   enum class StorageKind : std::uint8_t {
@@ -114,34 +98,24 @@ class PlaceBase {
     kPodVector,   ///< vector of POD elements: contents restored by span copy
   };
 
-  virtual StorageKind storage_kind() const noexcept {
-    return StorageKind::kOpaque;
-  }
+  virtual StorageKind storage_kind() const noexcept = 0;
   /// Bytes / alignment of one arena slot (kTrivial only; 0 / 1 otherwise).
-  virtual std::size_t storage_size() const noexcept { return 0; }
-  virtual std::size_t storage_align() const noexcept { return 1; }
+  virtual std::size_t storage_size() const noexcept = 0;
+  virtual std::size_t storage_align() const noexcept = 0;
   /// Address of the live marking (the arena slot once bound, the inline
   /// member otherwise). Compiled predicates and deltas read through the
   /// pointers captured from here at compile time.
-  virtual void* marking_ptr() noexcept { return nullptr; }
+  virtual void* marking_ptr() noexcept = 0;
 
   /// Relocate the live marking into `slot` (kTrivial only). Throws
   /// std::logic_error if the marking is already bound — a model can be
   /// compiled by at most one engine at a time.
-  virtual void bind_storage(void* slot) {
-    (void)slot;
-    throw std::logic_error("Place '" + name_ +
-                           "': marking type cannot live in the arena");
-  }
+  virtual void bind_storage(void* slot) = 0;
   /// Move the marking back inline (no-op when not bound).
-  virtual void unbind_storage() noexcept {}
+  virtual void unbind_storage() noexcept = 0;
   /// Copy-construct the *initial* marking at `dst` (kTrivial only) —
   /// fills the compiled engine's initial-image block.
-  virtual void write_initial(void* dst) const {
-    (void)dst;
-    throw std::logic_error("Place '" + name_ +
-                           "': marking type has no arena image");
-  }
+  virtual void write_initial(void* dst) const = 0;
 
   /// kPodVector restore recipe: `restore(vec, initial, count)` copies the
   /// initial elements back into the live vector (throwing if the run
@@ -153,7 +127,7 @@ class PlaceBase {
     void (*restore)(void* vec, const void* initial, std::size_t count) =
         nullptr;
   };
-  virtual PodVectorSpan pod_vector_span() { return {}; }
+  virtual PodVectorSpan pod_vector_span() = 0;
 
   /// Dense index assigned by san::CompiledModel while this place's model
   /// is compiled (kNoCompiledId otherwise). Engine bookkeeping — the
@@ -243,7 +217,9 @@ class Place final : public PlaceBase {
       }
       store_ = new (slot) T(value_);
     } else {
-      PlaceBase::bind_storage(slot);
+      (void)slot;
+      throw std::logic_error("Place '" + name() +
+                             "': marking type cannot live in the arena");
     }
   }
 
@@ -260,7 +236,9 @@ class Place final : public PlaceBase {
     if constexpr (std::is_trivially_copyable_v<T>) {
       new (dst) T(initial_);
     } else {
-      PlaceBase::write_initial(dst);
+      (void)dst;
+      throw std::logic_error("Place '" + name() +
+                             "': marking type has no arena image");
     }
   }
 

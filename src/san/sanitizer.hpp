@@ -90,8 +90,8 @@ class FootprintSanitizer final : public PlaceAccessListener {
   void begin_predicate(const Activity& activity);
   void end_predicate();
   void begin_firing(const Activity& activity, GateContext& ctx);
-  /// Called by Activity::fire before each gate function runs; closes
-  /// the checks of the previous gate of this firing.
+  /// Called by the compiled fire program before each gate function
+  /// runs; closes the checks of the previous gate of this firing.
   void enter_gate(const std::string& gate_name, const GateAccess& footprint);
   void end_firing();
 

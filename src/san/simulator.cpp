@@ -272,9 +272,10 @@ void Simulator::schedule(std::uint32_t timed_index) {
       Event{now_ + delay, seq_++, hot.activation, hot.priority, timed_index});
 }
 
-bool Simulator::eval_sanitized(const Activity& a) {
+bool Simulator::eval_sanitized(const Activity& a,
+                               const CompiledModel::CompiledActivity& c) {
   sanitizer_->begin_predicate(a);
-  const bool en = a.enabled();
+  const bool en = compiled_->enabled(c);
   sanitizer_->end_predicate();
   return en;
 }

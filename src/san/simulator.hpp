@@ -362,19 +362,25 @@ class Simulator {
   /// Build the dirty sets' rows from the declared gate footprints; also
   /// fills place_ids_ and touch_lookup_.
   void build_enabling_index();
-  /// Evaluate one activity's enabling closure inside the sanitizer's
-  /// predicate scope.
-  bool eval_sanitized(const Activity& a);
+  /// Evaluate one activity's predicate program inside the sanitizer's
+  /// predicate scope. Sanitized runs compile with force_trampoline, so
+  /// the program calls the input gates' predicate closures in order.
+  bool eval_sanitized(const Activity& a,
+                      const CompiledModel::CompiledActivity& c);
   /// Enabling checks. Sanitized runs go through eval_sanitized (the
   /// sanitizer brackets the closure evaluation); otherwise the compiled
   /// kernel evaluates straight off the arena.
   bool eval_timed(std::uint32_t timed_index) {
-    if (sanitizer_ != nullptr) return eval_sanitized(*activities_[timed_index]);
+    if (sanitizer_ != nullptr) {
+      return eval_sanitized(*activities_[timed_index],
+                            *timed_compiled_[timed_index]);
+    }
     return compiled_->enabled(*timed_compiled_[timed_index]);
   }
   bool eval_inst(std::uint32_t inst_index) {
     if (sanitizer_ != nullptr) {
-      return eval_sanitized(*instantaneous_[inst_index]);
+      return eval_sanitized(*instantaneous_[inst_index],
+                            *inst_compiled_[inst_index]);
     }
     return compiled_->enabled(*inst_compiled_[inst_index]);
   }

@@ -1,5 +1,5 @@
 // Fixed-size thread pool for embarrassingly parallel simulation work
-// (replication batches, sweep cells). Mobius distributes replications
+// (replication batches). Mobius distributes replications
 // across worker processes; we do the same across threads.
 //
 // Determinism contract: run_indexed assigns work by index, tasks write

@@ -138,18 +138,4 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << (histograms_.empty() ? "}" : "\n  }") << "\n}\n";
 }
 
-std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
-}
-
-void MetricsRegistry::clear() {
-  kinds_.clear();
-  counters_.clear();
-  gauges_.clear();
-  summaries_.clear();
-  histograms_.clear();
-}
-
 }  // namespace vcpusim::stats

@@ -1,6 +1,6 @@
 // Run-metrics registry: named counters, gauges, summaries (Welford) and
 // histograms that every layer of a run — simulator, scheduler bridge,
-// replication executor, sweep driver — registers into, exported as one
+// replication executor — registers into, exported as one
 // JSON document (vcpusim run --metrics-out). Unifies the ad-hoc RunStats
 // counters behind a single inspection surface; see docs/OBSERVABILITY.md
 // for the naming scheme ("layer.metric", e.g. "sim.events").
@@ -75,9 +75,6 @@ class MetricsRegistry {
   /// Keys are sorted, doubles printed with %.17g (round-trip exact), so
   /// the same registry state always renders the same bytes.
   void write_json(std::ostream& os) const;
-  std::string to_json() const;
-
-  void clear();
 
  private:
   enum class Kind { kCounter, kGauge, kSummary, kHistogram };

@@ -272,23 +272,4 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
   return run_replications(metric_names, fn, controller, executor, on_fold);
 }
 
-ReplicationResult run_replications(const std::vector<std::string>& metric_names,
-                                   const ReplicationFn& fn,
-                                   const ReplicationPolicy& policy,
-                                   ParallelExecutor& executor) {
-  FixedPolicyController controller(policy);
-  return run_replications(
-      metric_names,
-      [&fn](const ReplicationTask& task) { return fn(task.rep); }, controller,
-      executor);
-}
-
-ReplicationResult run_replications(const std::vector<std::string>& metric_names,
-                                   const ReplicationFn& fn,
-                                   const ReplicationPolicy& policy,
-                                   std::size_t jobs) {
-  ParallelExecutor executor(jobs);
-  return run_replications(metric_names, fn, policy, executor);
-}
-
 }  // namespace vcpusim::stats

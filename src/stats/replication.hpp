@@ -128,18 +128,14 @@ struct ReplicationTask {
   bool in_order = false;
 };
 
-/// One replication: given the replication index (0-based, usable as an RNG
-/// stream id), produce one observation per metric. The vector size and
-/// ordering must match `metric_names` on every call.
+/// One replication: given its task, produce one observation per metric.
+/// The vector size and ordering must match `metric_names` on every call.
 ///
 /// With jobs > 1 the function is invoked concurrently from multiple
 /// threads and speculatively for indices past the stopping point, so it
-/// must be thread-safe and a pure function of the replication index
-/// (derive all randomness from `rep`, e.g. via san::replication_seed).
-using ReplicationFn = std::function<std::vector<double>(std::size_t rep)>;
-
-/// Stream-aware variant: randomness must derive from `task.stream`, not
-/// `task.rep`. Same thread-safety and purity requirements.
+/// must be thread-safe and a pure function of the task. Randomness must
+/// derive from `task.stream`, not `task.rep` (the antithetic controller
+/// maps two indices onto one mirrored stream).
 using StreamedReplicationFn =
     std::function<std::vector<double>(const ReplicationTask& task)>;
 
@@ -285,19 +281,5 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    ReplicationController& controller,
                                    std::size_t jobs = 1,
                                    const FoldHook& on_fold = {});
-
-/// Original index-stream interface: runs `fn` under a
-/// FixedPolicyController (replication r <=> stream r). Bit-identical to
-/// the pre-controller implementation.
-ReplicationResult run_replications(const std::vector<std::string>& metric_names,
-                                   const ReplicationFn& fn,
-                                   const ReplicationPolicy& policy = {},
-                                   std::size_t jobs = 1);
-
-/// Same, reusing a caller-owned executor (batch size = executor.jobs()).
-ReplicationResult run_replications(const std::vector<std::string>& metric_names,
-                                   const ReplicationFn& fn,
-                                   const ReplicationPolicy& policy,
-                                   ParallelExecutor& executor);
 
 }  // namespace vcpusim::stats

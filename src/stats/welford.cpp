@@ -39,10 +39,6 @@ double Welford::sample_variance() const noexcept {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
 
-double Welford::population_variance() const noexcept {
-  return n_ < 1 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
 double Welford::stddev() const noexcept { return std::sqrt(sample_variance()); }
 
 }  // namespace vcpusim::stats

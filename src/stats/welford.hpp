@@ -20,9 +20,6 @@ class Welford {
   /// Unbiased sample variance; 0 for n < 2.
   double sample_variance() const noexcept;
 
-  /// Population variance (divide by n); 0 for n < 1.
-  double population_variance() const noexcept;
-
   /// Sample standard deviation.
   double stddev() const noexcept;
 

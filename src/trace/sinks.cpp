@@ -183,22 +183,6 @@ std::string_view line_prefix(san::TraceCategory category) {
 
 }  // namespace
 
-OwnedTraceEvent OwnedTraceEvent::from(const san::TraceEvent& event) {
-  OwnedTraceEvent owned;
-  owned.category = event.category;
-  owned.time = event.time;
-  owned.seq = event.seq;
-  owned.name = std::string(event.name);
-  owned.a = event.a;
-  owned.b = event.b;
-  owned.detail = std::string(event.detail);
-  return owned;
-}
-
-san::TraceEvent OwnedTraceEvent::view() const {
-  return san::TraceEvent{category, time, seq, name, a, b, detail};
-}
-
 std::uint32_t RingBufferSink::intern(std::string_view s) {
   if (s.empty()) return 0;
   Interned& slot = interned_[address_slot(s.data(), kInternBits)];

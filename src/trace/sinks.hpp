@@ -31,22 +31,6 @@
 
 namespace vcpusim::trace {
 
-/// A trace event that owns its strings (the copy-out type for callers
-/// that keep events past the lifetime of a sink's views).
-struct OwnedTraceEvent {
-  san::TraceCategory category = san::TraceCategory::kFire;
-  san::Time time = 0.0;
-  std::uint64_t seq = 0;
-  std::string name;
-  std::int64_t a = 0;
-  std::int64_t b = 0;
-  std::string detail;
-
-  static OwnedTraceEvent from(const san::TraceEvent& event);
-  /// A view aliasing this event's storage (valid while it lives).
-  san::TraceEvent view() const;
-};
-
 /// Append helpers shared by the stream sinks. Each writes straight into
 /// `out` (no temporaries), so a reused buffer stops allocating once it
 /// has grown to the longest line. Exposed so tests pin the renderings.

@@ -148,6 +148,50 @@ TEST(Cli, MalformedNumericFlagsFailNamingTheFlag) {
   }
 }
 
+TEST(Cli, CrossFieldRunKnobsFailNamingTheFlags) {
+  // Values that parse but cannot run together fail before anything runs,
+  // with a message naming the flags (or the default a flag left alone),
+  // not the library function that would have rejected them.
+  struct Case {
+    std::vector<const char*> args;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {{"--end-time", "200"},
+       "the default --warmup (200) must be below --end-time (200)"},
+      {{"--warmup", "500", "--end-time", "300"},
+       "--warmup (500) must be below --end-time (300)"},
+      {{"--warmup", "-1"}, "--warmup must not be negative, got -1"},
+      {{"--end-time", "0"}, "--end-time must be positive, got 0"},
+      {{"--max-replications", "1"},
+       "--max-replications must be at least 2, got 1"},
+      {{"--min-replications", "1"},
+       "--min-replications must be at least 2, got 1"},
+      {{"--half-width", "-1"}, "--half-width must be positive, got -1"},
+      {{"--half-width", "0"}, "--half-width must be positive, got 0"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    const auto r = run(c.args);
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.err, "vcpusim: " + c.message + "\n");
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
+TEST(Cli, ScenarioValuesOverriddenByFlagsAreCheckedTogether) {
+  const std::string path = ::testing::TempDir() + "cli_knobs.scn";
+  {
+    std::ofstream file(path);
+    file << "end_time = 1000\nwarmup = 100\n[vm]\nvcpus = 1\n";
+  }
+  const auto r = run({"--scenario", path.c_str(), "--end-time", "50"});
+  std::remove(path.c_str());
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(r.err, "vcpusim: " + path +
+                       ": warmup (100) must be below --end-time (50)\n");
+}
+
 TEST(Cli, MinAboveMaxReplicationsFails) {
   const auto r = run({"--pcpus", "2", "--vm", "1", "--end-time", "100",
                       "--warmup", "10", "--min-replications", "5",

@@ -166,6 +166,34 @@ TEST(Scenario, NumericKeysAreStrict) {
   EXPECT_EQ(s.spec.system.vms[0].num_vcpus, 3);
 }
 
+TEST(Scenario, CrossFieldRunKnobsFailNamingTheKeys) {
+  // Values that parse but cannot run together are rejected at load time,
+  // naming each key's line (or the default the file left alone).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"end_time = 300\nwarmup = 300\n[vm]\nvcpus = 1\n",
+       "line 2: 'warmup' (300) must be below line 1: 'end_time' (300)"},
+      {"end_time = 100\n[vm]\nvcpus = 1\n",
+       "the default warmup (200) must be below line 1: 'end_time' (100)"},
+      {"warmup = -5\n[vm]\nvcpus = 1\n",
+       "line 1: 'warmup' must not be negative, got -5"},
+      {"half_width = -1\n[vm]\nvcpus = 1\n",
+       "line 1: 'half_width' must be positive, got -1"},
+      {"max_replications = 1\n[vm]\nvcpus = 1\n",
+       "line 1: 'max_replications' must be at least 2, got 1"},
+      {"min_replications = 1\n[vm]\nvcpus = 1\n",
+       "line 1: 'min_replications' must be at least 2, got 1"},
+  };
+  for (const auto& [text, message] : cases) {
+    SCOPED_TRACE(text);
+    try {
+      parse(text);
+      ADD_FAILURE() << "expected throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+}
+
 TEST(Scenario, ReplicationBounds) {
   // A maximum given alone caps the default minimum; explicit bounds are
   // kept as written, and a conflicting pair is left for the runner to

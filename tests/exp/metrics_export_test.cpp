@@ -1,14 +1,14 @@
-// run_point / run_sweep observability contract: the metrics registry is
+// run_point observability contract: the metrics registry is
 // populated with the documented names, its deterministic entries do not
 // depend on the worker count, profiling exports phase timers, and the
 // trace forwarded to a RunSpec sink is replication-ordered.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "exp/sweep.hpp"
 #include "san/trace.hpp"
 #include "sched/registry.hpp"
 #include "stats/metrics.hpp"
@@ -88,7 +88,9 @@ TEST(MetricsExport, DeterministicEntriesIdenticalAcrossJobs) {
     }
     deterministic.summary("metric.avail") =
         reg.summary_values("metric.avail");
-    jsons.push_back(deterministic.to_json());
+    std::ostringstream json;
+    deterministic.write_json(json);
+    jsons.push_back(json.str());
   }
   EXPECT_EQ(jsons[0], jsons[1]);
   EXPECT_EQ(sim_events[0], sim_events[1]);
@@ -152,31 +154,6 @@ TEST(MetricsExport, TraceForwardedInReplicationOrderEvenWhenParallel) {
   }
   EXPECT_EQ(sink.markers, expected);
   EXPECT_GT(sink.events, result.replications);
-}
-
-TEST(MetricsExport, SweepFoldsCellCounters) {
-  stats::MetricsRegistry reg;
-  RunSpec base = base_spec();
-  base.metrics = &reg;
-  const std::vector<SweepPoint> points = {
-      {"4vcpu", [](RunSpec& s) { s.system = vm::make_symmetric_config(2, {2, 2}, 5); }},
-      {"3vcpu", [](RunSpec& s) { s.system = vm::make_symmetric_config(2, {2, 1}, 5); }},
-  };
-  const auto result = run_sweep(base, points, {"rrs", "fifo"},
-                                availability().front());
-
-  EXPECT_EQ(result.row_labels.size(), 2U);
-  EXPECT_EQ(result.column_labels.size(), 2U);
-  EXPECT_EQ(reg.counter_value("sweep.cells"), 4U);
-  EXPECT_EQ(reg.counter_value("sweep.points"), 2U);
-  EXPECT_EQ(reg.counter_value("sweep.algorithms"), 2U);
-  EXPECT_EQ(reg.counter_value("sweep.replications"), 4U * 3U);
-  // min == max == 3 at jobs 1: no cell speculates past its stopping index.
-  EXPECT_TRUE(reg.has("sweep.speculative_waste"));
-  EXPECT_EQ(reg.counter_value("sweep.speculative_waste"), 0U);
-  // Per-cell sim.* counters are deliberately NOT folded (the registry
-  // is not thread-safe and cells run concurrently).
-  EXPECT_FALSE(reg.has("sim.events"));
 }
 
 }  // namespace

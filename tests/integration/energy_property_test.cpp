@@ -42,9 +42,16 @@ vm::SystemConfig random_dvfs_config(testing::PropertyRng& rng) {
   return config;
 }
 
+/// One recorded frequency switch: PCPU `pcpu` moved to `level` at `time`.
+struct FreqSwitch {
+  double time = 0.0;
+  std::int64_t pcpu = 0;
+  std::int64_t level = 0;
+};
+
 struct EnergyRun {
   double accumulated = 0.0;
-  std::vector<trace::OwnedTraceEvent> freq_events;
+  std::vector<FreqSwitch> freq_events;
 };
 
 EnergyRun run_energy(const vm::SystemConfig& config,
@@ -68,7 +75,7 @@ EnergyRun run_energy(const vm::SystemConfig& config,
   out.accumulated = energy->accumulated();
   for (const san::TraceEvent e : sink.events()) {
     if (e.detail == "freq") {
-      out.freq_events.push_back(trace::OwnedTraceEvent::from(e));
+      out.freq_events.push_back({e.time, e.a, e.b});
     }
   }
   return out;
@@ -79,7 +86,7 @@ EnergyRun run_energy(const vm::SystemConfig& config,
 /// segments between the recorded switches ("freq" events: a = PCPU,
 /// b = new level).
 double replay_energy(const vm::SystemConfig& config,
-                     const std::vector<trace::OwnedTraceEvent>& events) {
+                     const std::vector<FreqSwitch>& events) {
   const auto levels = config.dvfs.effective_levels();
   std::vector<double> power;
   power.reserve(levels.size());
@@ -98,7 +105,7 @@ double replay_energy(const vm::SystemConfig& config,
   for (const auto& e : events) {
     total += rate() * (e.time - t);
     t = e.time;
-    level.at(static_cast<std::size_t>(e.a)) = static_cast<int>(e.b);
+    level.at(static_cast<std::size_t>(e.pcpu)) = static_cast<int>(e.level);
   }
   total += rate() * (kEndTime - t);
   return total;

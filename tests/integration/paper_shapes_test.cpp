@@ -4,6 +4,10 @@
 // paper conclusion fails CI.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exp/runner.hpp"
 #include "sched/registry.hpp"
 
@@ -137,6 +141,66 @@ TEST(PaperFigure10, RrsDegradesAsSyncRateIncreases) {
   const double relaxed_sync = vcpu_util("rrs", {2, 4}, 5);
   const double tight_sync = vcpu_util("rrs", {2, 4}, 2);
   EXPECT_LT(tight_sync, relaxed_sync - 0.02);
+}
+
+// --- Closed forms, exact at RunSpec defaults ---------------------------
+//
+// SCS and RRS hand out PCPUs on a fixed timetable that does not depend on
+// the guests' work: SCS alternates whole gangs every 5-tick timeslice and
+// RRS rotates one global run queue every timeslice. Each metric is then
+// a periodic function of time, and its time average over one alternation
+// period is a ratio of slot counts. RunSpec's defaults reward the window
+// [warmup, end_time) = [200, 3000), 2800 ticks. That is a whole number of
+// periods (10 ticks for the SCS gangs and for RRS on 2 PCPUs, 20 ticks for
+// RRS on 1 PCPU), so every replication averages whole periods, whatever
+// the phase, and lands on the closed form exactly: zero variance, so the
+// run stops at the minimum of 6 replications with half-width 0. A window
+// that ended mid-period (say 2805 ticks) would instead add a partial
+// timeslice whose share depends on which gang or VCPU holds it.
+
+exp::RunSpec default_spec(const std::string& algorithm, int pcpus,
+                          const std::vector<int>& vms) {
+  exp::RunSpec spec;  // end_time 3000, warmup 200, timeslice 5, seed 42
+  spec.system = vm::make_symmetric_config(pcpus, vms, 5);
+  spec.scheduler = sched::make_factory(algorithm);
+  return spec;
+}
+
+TEST(PaperClosedForm, ScsPcpuUtilizationIsTheGangShare) {
+  // On 4 PCPUs no two gangs of {2,3} or {2,4} fit together, so SCS runs
+  // them in turn, one timeslice each. Per 10-tick period the PCPUs are
+  // busy 5*2 + 5*g PCPU-ticks out of 10*4:
+  //   {2,3}: (2 + 3) / (4 + 4) = 0.625;  {2,4}: (2 + 4) / (4 + 4) = 0.75.
+  const std::vector<std::pair<int, double>> cases = {{3, 0.625}, {4, 0.75}};
+  for (const auto& [wide, expected] : cases) {
+    const auto result =
+        exp::run_point(default_spec("scs", 4, {2, wide}),
+                       {{exp::MetricKind::kPcpuUtilization, -1, "u"}});
+    const auto& u = result.metric("u");
+    EXPECT_NEAR(u.ci.mean, expected, 1e-9) << "{2," << wide << "}";
+    EXPECT_NEAR(u.ci.half_width, 0.0, 1e-9) << "{2," << wide << "}";
+  }
+}
+
+TEST(PaperClosedForm, RrsAvailabilityIsTheFairShare) {
+  // 2+1+1 VMs put 4 VCPUs on one round-robin queue. On k PCPUs each VCPU
+  // holds a PCPU for k of every 4 timeslices, so its availability is k/4
+  // (1 once every VCPU has its own PCPU), for every VCPU alike.
+  for (const int k : {1, 2, 4}) {
+    std::vector<exp::MetricRequest> metrics;
+    for (int vcpu = 0; vcpu < 4; ++vcpu) {
+      metrics.push_back({exp::MetricKind::kVcpuAvailability, vcpu,
+                         "a" + std::to_string(vcpu)});
+    }
+    const auto result =
+        exp::run_point(default_spec("rrs", k, {2, 1, 1}), metrics);
+    for (int vcpu = 0; vcpu < 4; ++vcpu) {
+      const auto& a = result.metric("a" + std::to_string(vcpu));
+      EXPECT_NEAR(a.ci.mean, k / 4.0, 1e-9) << "k=" << k << " vcpu=" << vcpu;
+      EXPECT_NEAR(a.ci.half_width, 0.0, 1e-9)
+          << "k=" << k << " vcpu=" << vcpu;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Parallel execution guarantees across the whole stack: every jobs value
-// reproduces the sequential estimates bit for bit (run_point and
-// run_sweep), and the simulator's incremental enabling reproduces the
-// full-scan trajectory on every shipped scheduler model.
+// reproduces run_point's sequential estimates bit for bit, and the
+// simulator's incremental enabling reproduces the full-scan trajectory
+// on every shipped scheduler model.
 #include <gtest/gtest.h>
 
 #include "exp/runner.hpp"
-#include "exp/sweep.hpp"
 #include "sched/registry.hpp"
 #include "testing/helpers.hpp"
 #include "vm/metrics.hpp"
@@ -79,34 +78,6 @@ TEST(ParallelDeterminism, ConvergenceStopIdenticalAcrossJobCounts) {
   const auto sequential = exp::run_point(spec, metrics);
   spec.jobs = 4;
   expect_identical(sequential, exp::run_point(spec, metrics));
-}
-
-TEST(ParallelDeterminism, SweepGridIdenticalAcrossJobCounts) {
-  exp::RunSpec base = fig8_spec("rrs");
-  base.policy.max_replications = 4;
-  const std::vector<exp::SweepPoint> points = {
-      {"2pcpu", [](exp::RunSpec& s) {
-         s.system = vm::make_symmetric_config(2, {2, 1, 1}, 5);
-       }},
-      {"4pcpu", [](exp::RunSpec& s) {
-         s.system = vm::make_symmetric_config(4, {2, 1, 1}, 5);
-       }},
-  };
-  const exp::MetricRequest metric{exp::MetricKind::kPcpuUtilization, -1, ""};
-  const auto sequential =
-      exp::run_sweep(base, points, {"rrs", "scs", "rcs"}, metric);
-  const auto parallel =
-      exp::run_sweep(base, points, {"rrs", "scs", "rcs"}, metric, 4);
-  ASSERT_EQ(sequential.cells.size(), parallel.cells.size());
-  for (std::size_t r = 0; r < sequential.cells.size(); ++r) {
-    ASSERT_EQ(sequential.cells[r].size(), parallel.cells[r].size());
-    for (std::size_t c = 0; c < sequential.cells[r].size(); ++c) {
-      EXPECT_EQ(sequential.cells[r][c].ci.mean, parallel.cells[r][c].ci.mean)
-          << r << "," << c;
-      EXPECT_EQ(sequential.cells[r][c].replications,
-                parallel.cells[r][c].replications);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/distribution.hpp"
@@ -405,6 +408,198 @@ TEST(Simulator, ProbabilisticCasesViaSimulator) {
   const double total = static_cast<double>(heads->get() + tails->get());
   EXPECT_EQ(total, 20000.0);
   EXPECT_NEAR(heads->get() / total, 0.7, 0.02);
+}
+
+TEST(Simulator, MachineRepairmanModelMatchesAnalytic) {
+  // The classic machine-repairman model: one submodel per machine, all
+  // joined on a shared repairman place.
+  // N = 3 machines, each failing at rate lambda = 0.1 while up; a single
+  // shared repairman place serializes repairs at rate mu = 1.0.
+  // Analytic (birth-death): with rho = lambda/mu,
+  //   P(k down) ~ N!/(N-k)! * rho^k; E[#up] = N - E[k].
+  constexpr int kMachines = 3;
+  constexpr double kLambda = 0.1;
+  constexpr double kMu = 1.0;
+
+  ComposedModel model("Shop");
+  auto& common = model.add_submodel("Common");
+  auto repairman_busy = common.add_place<std::int64_t>("repairman_busy", 0);
+
+  std::vector<std::shared_ptr<TokenPlace>> up_places;
+  for (int m = 1; m <= kMachines; ++m) {
+    auto& sub = model.add_submodel("Machine_" + std::to_string(m));
+    auto up = sub.add_place<std::int64_t>("up", 1);
+    auto in_repair = sub.add_place<std::int64_t>("in_repair", 0);
+    up_places.push_back(up);
+    sub.join_place("repairman_busy", repairman_busy);
+
+    auto& fail = sub.add_timed_activity("fail", stats::make_exponential(kLambda));
+    fail.add_input_gate({"is_up", [up]() { return up->get() == 1; }, nullptr});
+    fail.add_output_gate({"down", [up](GateContext&) { up->set(0); }});
+
+    // Seize the (single) repairman.
+    auto& seize = sub.add_instantaneous_activity("seize");
+    seize.add_input_gate({"down_and_free",
+                          [up, in_repair, repairman_busy]() {
+                            return up->get() == 0 && in_repair->get() == 0 &&
+                                   repairman_busy->get() == 0;
+                          },
+                          nullptr});
+    seize.add_output_gate({"start", [in_repair, repairman_busy](GateContext&) {
+                             in_repair->set(1);
+                             repairman_busy->set(1);
+                           }});
+
+    auto& repair = sub.add_timed_activity("repair", stats::make_exponential(kMu));
+    repair.add_input_gate(
+        {"repairing", [in_repair]() { return in_repair->get() == 1; }, nullptr});
+    repair.add_output_gate({"done",
+                            [up, in_repair, repairman_busy](GateContext&) {
+                              up->set(1);
+                              in_repair->set(0);
+                              repairman_busy->set(0);
+                            }});
+  }
+
+  RewardVariable mean_up(
+      "mean_up",
+      [up_places]() {
+        double up = 0;
+        for (const auto& p : up_places) up += static_cast<double>(p->get());
+        return up;
+      },
+      2000.0);
+
+  SimulatorConfig config;
+  config.end_time = 300000.0;
+  config.seed = 17;
+  Simulator sim(config);
+  sim.set_model(model);
+  sim.add_reward(mean_up);
+  sim.run();
+
+  // Analytic stationary distribution of machines down.
+  const double rho = kLambda / kMu;
+  double weights[kMachines + 1];
+  double total = 0;
+  for (int k = 0; k <= kMachines; ++k) {
+    double w = std::pow(rho, k);
+    for (int j = 0; j < k; ++j) w *= (kMachines - j);  // N!/(N-k)!
+    weights[k] = w;
+    total += w;
+  }
+  double expected_down = 0;
+  for (int k = 0; k <= kMachines; ++k) {
+    expected_down += k * weights[k] / total;
+  }
+  const double expected_up = kMachines - expected_down;
+
+  EXPECT_NEAR(mean_up.time_averaged(300000.0), expected_up, 0.03);
+}
+
+// Activity semantics, driven through the kernel that executes them, in
+// both dispatch modes: lowered, and all-trampoline (verify_footprints).
+
+TEST(Activity, FireRunsInputThenOutputFunctions) {
+  // A completion runs every input function, then the chosen case's
+  // output gates.
+  for (const bool sanitized : {false, true}) {
+    ComposedModel cm("M");
+    auto& sub = cm.add_submodel("S");
+    auto p = sub.add_place<std::int64_t>("p", 0);
+    std::vector<std::string> order;
+    auto& a = sub.add_timed_activity("a", stats::make_deterministic(1.0));
+    a.add_input_gate({"in", [p]() { return p->get() == 0; },
+                      [&order](GateContext&) { order.push_back("input"); }});
+    a.add_output_gate({"out", [&order, p](GateContext&) {
+                         order.push_back("output");
+                         p->set(1);
+                       }});
+    SimulatorConfig config = config_for(5.0);
+    config.verify_footprints = sanitized;
+    Simulator sim(config);
+    sim.set_model(cm);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"input", "output"}))
+        << "sanitized=" << sanitized;
+  }
+}
+
+TEST(Activity, EnabledWithoutGates) {
+  // An activity without input gates is always enabled: a free-running
+  // unit clock fires once per tick.
+  for (const bool sanitized : {false, true}) {
+    ComposedModel cm("M");
+    auto& sub = cm.add_submodel("S");
+    auto fires = sub.add_place<std::int64_t>("fires", 0);
+    auto& clock = sub.add_timed_activity("clock",
+                                         stats::make_deterministic(1.0));
+    clock.add_output_gate(
+        {"count", [fires](GateContext&) { fires->mut() += 1; }});
+    SimulatorConfig config = config_for(10.5);
+    config.verify_footprints = sanitized;
+    Simulator sim(config);
+    sim.set_model(cm);
+    sim.run();
+    EXPECT_EQ(fires->get(), 10) << "sanitized=" << sanitized;
+  }
+}
+
+TEST(Activity, EnablingIsConjunctionOfGatePredicates) {
+  // An activity fires only while every input gate holds.
+  for (const bool sanitized : {false, true}) {
+    for (const auto& [g1, g2] : {std::pair{1, 1}, std::pair{0, 1},
+                                 std::pair{1, 0}}) {
+      ComposedModel cm("M");
+      auto& sub = cm.add_submodel("S");
+      auto a = sub.add_place<std::int64_t>("a", g1);
+      auto b = sub.add_place<std::int64_t>("b", g2);
+      auto fires = sub.add_place<std::int64_t>("fires", 0);
+      auto& gated = sub.add_timed_activity("gated",
+                                           stats::make_deterministic(1.0));
+      gated.add_input_gate({"g1", [a]() { return a->get() > 0; }, nullptr});
+      gated.add_input_gate({"g2", [b]() { return b->get() > 0; }, nullptr});
+      gated.add_output_gate(
+          {"count", [fires](GateContext&) { fires->mut() += 1; }});
+      SimulatorConfig config = config_for(10.5);
+      config.verify_footprints = sanitized;
+      Simulator sim(config);
+      sim.set_model(cm);
+      sim.run();
+      EXPECT_EQ(fires->get(), g1 != 0 && g2 != 0 ? 10 : 0)
+          << "sanitized=" << sanitized << " g1=" << g1 << " g2=" << g2;
+    }
+  }
+}
+
+TEST(Activity, CaseSelectionFollowsWeights) {
+  // 3:1 case weights select 75% / 25%, and the sanitized (trampoline)
+  // dispatch draws the same cases as the lowered one.
+  std::vector<std::int64_t> firsts;
+  for (const bool sanitized : {false, true}) {
+    ComposedModel cm("M");
+    auto& sub = cm.add_submodel("S");
+    auto first = sub.add_place<std::int64_t>("first", 0);
+    auto second = sub.add_place<std::int64_t>("second", 0);
+    auto& pick = sub.add_timed_activity("pick", stats::make_deterministic(1.0));
+    Case c1{3.0, {}};
+    c1.output_gates.push_back(
+        {"c1", [first](GateContext&) { first->mut() += 1; }});
+    Case c2{1.0, {}};
+    c2.output_gates.push_back(
+        {"c2", [second](GateContext&) { second->mut() += 1; }});
+    pick.add_case(std::move(c1));
+    pick.add_case(std::move(c2));
+    SimulatorConfig config = config_for(20000.5, 9);
+    config.verify_footprints = sanitized;
+    Simulator sim(config);
+    sim.set_model(cm);
+    sim.run();
+    ASSERT_EQ(first->get() + second->get(), 20000);
+    EXPECT_NEAR(static_cast<double>(first->get()) / 20000.0, 0.75, 0.02);
+    firsts.push_back(first->get());
+  }
+  EXPECT_EQ(firsts[0], firsts[1]);
 }
 
 // ---------------------------------------------------------------------

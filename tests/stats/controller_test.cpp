@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -57,9 +58,10 @@ void expect_bitwise_equal(const ReplicationResult& a,
 /// The pre-controller run_replications loop, frozen verbatim: sequential
 /// fold, CI refresh past min_replications, stop when all metrics are
 /// tight, cap at max_replications. The bit-identity baseline.
-ReplicationResult reference_loop(const std::vector<std::string>& names,
-                                 const ReplicationFn& fn,
-                                 const ReplicationPolicy& policy) {
+ReplicationResult reference_loop(
+    const std::vector<std::string>& names,
+    const std::function<std::vector<double>(std::size_t)>& fn,
+    const ReplicationPolicy& policy) {
   ReplicationResult result;
   result.metrics.resize(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) result.metrics[i].name = names[i];
@@ -133,23 +135,12 @@ TEST(Controller, FixedMatchesFrozenReferenceLoop) {
     policy.target_half_width = target;
     SCOPED_TRACE("target=" + std::to_string(target));
     const auto reference = reference_loop({"u", "shifted"}, indexed, policy);
+    FixedPolicyController controller(policy);
     const auto refactored =
-        run_replications({"u", "shifted"}, indexed, policy);
+        run_replications({"u", "shifted"}, stream_observation, controller);
     expect_bitwise_equal(reference, refactored);
     EXPECT_EQ(refactored.controller, "fixed");
   }
-}
-
-TEST(Controller, FixedStreamedApiMatchesLegacyOverload) {
-  const auto policy = mid_stream_policy();
-  const auto legacy = run_replications(
-      {"u", "shifted"},
-      [](std::size_t rep) { return stream_observation({rep, {rep, false}}); },
-      policy);
-  FixedPolicyController controller(policy);
-  const auto streamed =
-      run_replications({"u", "shifted"}, stream_observation, controller);
-  expect_bitwise_equal(legacy, streamed);
 }
 
 TEST(Controller, FixedAssignsUnmirroredIdentityStreams) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "stats/executor.hpp"
@@ -13,11 +15,31 @@
 namespace vcpusim::stats {
 namespace {
 
+/// Replication r observes fn(r), under the fixed controller (which maps
+/// replication r to stream r).
+ReplicationResult run_indexed(
+    const std::vector<std::string>& names,
+    const std::function<std::vector<double>(std::size_t)>& fn,
+    const ReplicationPolicy& policy, ParallelExecutor& executor) {
+  FixedPolicyController controller(policy);
+  return run_replications(
+      names, [&fn](const ReplicationTask& task) { return fn(task.rep); },
+      controller, executor);
+}
+
+ReplicationResult run_indexed(
+    const std::vector<std::string>& names,
+    const std::function<std::vector<double>(std::size_t)>& fn,
+    const ReplicationPolicy& policy = {}, std::size_t jobs = 1) {
+  ParallelExecutor executor(jobs);
+  return run_indexed(names, fn, policy, executor);
+}
+
 TEST(Replication, ConstantMetricConvergesAtMinReplications) {
   ReplicationPolicy policy;
   policy.min_replications = 5;
   policy.target_half_width = 0.01;
-  const auto result = run_replications(
+  const auto result = run_indexed(
       {"m"}, [](std::size_t) { return std::vector<double>{1.0}; }, policy);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.replications, 5u);
@@ -30,7 +52,7 @@ TEST(Replication, StopsAtMaxWhenNeverConverging) {
   policy.max_replications = 7;
   policy.target_half_width = 1e-12;
   std::size_t calls = 0;
-  const auto result = run_replications(
+  const auto result = run_indexed(
       {"m"},
       [&calls](std::size_t rep) {
         ++calls;
@@ -49,7 +71,7 @@ TEST(Replication, AllMetricsMustConverge) {
   policy.max_replications = 200;
   policy.target_half_width = 0.15;
   Rng rng(1);
-  const auto result = run_replications(
+  const auto result = run_indexed(
       {"steady", "noisy"},
       [&rng](std::size_t) {
         return std::vector<double>{0.5, rng.uniform01()};
@@ -66,7 +88,7 @@ TEST(Replication, ReplicationIndicesArePassedInOrder) {
   ReplicationPolicy policy;
   policy.min_replications = 4;
   policy.target_half_width = 1.0;
-  run_replications(
+  run_indexed(
       {"m"},
       [&seen](std::size_t rep) {
         seen.push_back(rep);
@@ -81,7 +103,7 @@ TEST(Replication, MeanAggregatesAcrossReplications) {
   policy.min_replications = 4;
   policy.max_replications = 4;
   policy.target_half_width = 1e9;
-  const auto result = run_replications(
+  const auto result = run_indexed(
       {"m"},
       [](std::size_t rep) {
         return std::vector<double>{static_cast<double>(rep)};
@@ -92,14 +114,14 @@ TEST(Replication, MeanAggregatesAcrossReplications) {
 }
 
 TEST(Replication, RejectsEmptyMetricList) {
-  EXPECT_THROW(run_replications({}, [](std::size_t) {
+  EXPECT_THROW(run_indexed({}, [](std::size_t) {
                  return std::vector<double>{};
                }),
                std::invalid_argument);
 }
 
 TEST(Replication, RejectsWrongObservationCount) {
-  EXPECT_THROW(run_replications({"a", "b"},
+  EXPECT_THROW(run_indexed({"a", "b"},
                                 [](std::size_t) {
                                   return std::vector<double>{1.0};
                                 }),
@@ -109,7 +131,7 @@ TEST(Replication, RejectsWrongObservationCount) {
 TEST(Replication, RejectsMinBelowTwo) {
   ReplicationPolicy policy;
   policy.min_replications = 1;
-  EXPECT_THROW(run_replications({"m"},
+  EXPECT_THROW(run_indexed({"m"},
                                 [](std::size_t) {
                                   return std::vector<double>{1.0};
                                 },
@@ -119,7 +141,7 @@ TEST(Replication, RejectsMinBelowTwo) {
   // truncated to an unconverged run.
   policy.min_replications = 5;
   policy.max_replications = 3;
-  EXPECT_THROW(run_replications({"m"},
+  EXPECT_THROW(run_indexed({"m"},
                                 [](std::size_t) {
                                   return std::vector<double>{1.0};
                                 },
@@ -128,7 +150,7 @@ TEST(Replication, RejectsMinBelowTwo) {
 }
 
 TEST(Replication, UnknownMetricNameThrows) {
-  const auto result = run_replications(
+  const auto result = run_indexed(
       {"m"}, [](std::size_t) { return std::vector<double>{1.0}; });
   EXPECT_THROW(result.metric("nope"), std::out_of_range);
 }
@@ -168,10 +190,10 @@ TEST(Replication, ParallelJobsProduceBitIdenticalResults) {
   policy.max_replications = 37;
   policy.target_half_width = 0.08;  // converges somewhere mid-stream
   const auto sequential =
-      run_replications({"u", "shifted"}, indexed_observation, policy);
+      run_indexed({"u", "shifted"}, indexed_observation, policy);
   ASSERT_GT(sequential.replications, policy.min_replications);
   for (const std::size_t jobs : {2u, 3u, 8u, 16u}) {
-    const auto parallel = run_replications({"u", "shifted"},
+    const auto parallel = run_indexed({"u", "shifted"},
                                            indexed_observation, policy, jobs);
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     expect_bitwise_equal(sequential, parallel);
@@ -187,7 +209,7 @@ TEST(Replication, ParallelNeverCallsBeyondMaxReplications) {
   policy.target_half_width = 1e-12;  // never converges
   std::mutex mu;
   std::vector<std::size_t> seen;
-  const auto result = run_replications(
+  const auto result = run_indexed(
       {"m"},
       [&](std::size_t rep) -> std::vector<double> {
         std::lock_guard<std::mutex> lock(mu);
@@ -210,14 +232,14 @@ TEST(Replication, ParallelStopsAtSequentialConvergencePoint) {
   policy.min_replications = 3;
   policy.max_replications = 100;
   policy.target_half_width = 0.2;
-  const auto sequential = run_replications({"u"}, [](std::size_t rep) {
+  const auto sequential = run_indexed({"u"}, [](std::size_t rep) {
     return std::vector<double>{indexed_observation(rep)[0]};
   }, policy);
   ASSERT_TRUE(sequential.converged);
   ASSERT_LT(sequential.replications, policy.max_replications);
 
   std::atomic<std::size_t> calls{0};
-  const auto parallel = run_replications(
+  const auto parallel = run_indexed(
       {"u"},
       [&](std::size_t rep) {
         calls.fetch_add(1, std::memory_order_relaxed);
@@ -235,9 +257,9 @@ TEST(Replication, ExecutorOverloadSharesOnePool) {
   policy.min_replications = 5;
   policy.max_replications = 20;
   policy.target_half_width = 1e9;
-  const auto a = run_replications({"u", "shifted"}, indexed_observation,
+  const auto a = run_indexed({"u", "shifted"}, indexed_observation,
                                   policy, executor);
-  const auto b = run_replications({"u", "shifted"}, indexed_observation,
+  const auto b = run_indexed({"u", "shifted"}, indexed_observation,
                                   policy, 1);
   expect_bitwise_equal(a, b);
 }
@@ -247,7 +269,7 @@ TEST(Replication, ParallelPropagatesReplicationExceptions) {
   policy.min_replications = 2;
   policy.max_replications = 40;
   policy.target_half_width = 1e-12;
-  EXPECT_THROW(run_replications(
+  EXPECT_THROW(run_indexed(
                    {"m"},
                    [](std::size_t rep) -> std::vector<double> {
                      if (rep == 9) throw std::runtime_error("replication died");
