@@ -6,6 +6,7 @@
 //
 //   $ ./consolidation_study [max_vms] [sync_k]
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "exp/quality.hpp"
@@ -13,7 +14,7 @@
 #include "exp/table.hpp"
 #include "sched/registry.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vcpusim;
 
   const int max_vms = argc > 1 ? std::atoi(argv[1]) : 6;
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
             << "service target: VCPU utilization while scheduled >= "
             << exp::format_percent(kUtilTarget) << "\n\n";
 
-  for (const std::string& algorithm : {"rrs", "rcs", "credit"}) {
+  for (const char* algorithm : {"rrs", "rcs", "credit"}) {
     exp::Table table({"VMs", "total VCPUs", "VCPU util", "PCPU util",
                       "jobs/tick/VM", "meets target"});
     int sustained = 0;
@@ -54,4 +55,8 @@ int main(int argc, char** argv) {
               << " VM(s) at the service target\n\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  // A bad VCPUSIM_QUALITY or a failed run: one line and exit 1.
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

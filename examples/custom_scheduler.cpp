@@ -27,6 +27,7 @@
 // statically (replication safety, snapshot read-only discipline) — the
 // same check `vcpusim lint` runs; see docs/ANALYZER.md.
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -100,7 +101,7 @@ bool llf_schedule(VCPU_host_external* vcpus, int num_vcpu,
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace vcpusim;
 
   std::cout << "custom_scheduler: evaluating a user C scheduling function\n"
@@ -146,4 +147,8 @@ int main() {
   std::cout << table.render()
             << "\n(4 PCPUs, VMs {2,4} VCPUs, sync ratio 1:3, 95% CIs)\n";
   return 0;
+} catch (const std::exception& e) {
+  // A bad VCPUSIM_QUALITY or a failed run: one line and exit 1.
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

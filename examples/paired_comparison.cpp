@@ -7,6 +7,7 @@
 //
 //   $ ./paired_comparison [vms] [sync_k]
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "exp/compare.hpp"
@@ -15,7 +16,7 @@
 #include "exp/table.hpp"
 #include "sched/registry.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vcpusim;
 
   const int vms = argc > 1 ? std::atoi(argv[1]) : 4;
@@ -62,4 +63,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  // A bad VCPUSIM_QUALITY or a failed run: one line and exit 1.
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

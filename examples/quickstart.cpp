@@ -30,16 +30,16 @@ int main(int argc, char** argv) {
 
   exp::Table table({"algorithm", "VCPU availability", "PCPU utilization",
                     "VCPU utilization", "replications"});
-  for (const std::string& algorithm : {"rrs", "scs", "rcs"}) {
+  for (const char* algorithm : {"rrs", "scs", "rcs"}) {
     exp::RunSpec spec;
     spec.system = system;
     spec.scheduler = sched::make_factory(algorithm);
     exp::apply(exp::quality_preset("fast"), spec);
 
     const auto result = exp::run_point(
-        spec, {{exp::MetricKind::kMeanVcpuAvailability},
-               {exp::MetricKind::kPcpuUtilization},
-               {exp::MetricKind::kMeanVcpuUtilization}});
+        spec, {{exp::MetricKind::kMeanVcpuAvailability, -1, ""},
+               {exp::MetricKind::kPcpuUtilization, -1, ""},
+               {exp::MetricKind::kMeanVcpuUtilization, -1, ""}});
 
     table.add_row({algorithm,
                    exp::format_ci_percent(result.metric("mean_vcpu_availability").ci),

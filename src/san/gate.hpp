@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "san/place.hpp"
@@ -243,7 +244,22 @@ PredTerm marking_probe(std::shared_ptr<Place<T>> place, F) {
   return t;
 }
 
+// InputGate and OutputGate are built with braces, `{name, predicate}` or
+// `{name, function, footprint}`. Their constructors default the optional
+// trailing members, so a brace list may leave them out without a
+// -Wmissing-field-initializers warning.
+
 struct InputGate {
+  InputGate() = default;
+  InputGate(std::string name, std::function<bool()> predicate,
+            std::function<void(GateContext&)> input_function = nullptr,
+            GateAccess footprint = {}, std::vector<PredTerm> pred_terms = {})
+      : name(std::move(name)),
+        predicate(std::move(predicate)),
+        input_function(std::move(input_function)),
+        footprint(std::move(footprint)),
+        pred_terms(std::move(pred_terms)) {}
+
   std::string name;
   /// Enabling predicate evaluated against the current marking. An
   /// activity is enabled iff all its input gate predicates hold.
@@ -263,6 +279,13 @@ struct InputGate {
 };
 
 struct OutputGate {
+  OutputGate() = default;
+  OutputGate(std::string name, std::function<void(GateContext&)> function,
+             GateAccess footprint = {})
+      : name(std::move(name)),
+        function(std::move(function)),
+        footprint(std::move(footprint)) {}
+
   std::string name;
   /// Marking-update function executed on activity completion.
   std::function<void(GateContext&)> function;

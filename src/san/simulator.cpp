@@ -354,12 +354,8 @@ void Simulator::complete(Activity& activity, bool timed,
     const auto& writes =
         timed ? timed_trace_writes_[index] : inst_trace_writes_[index];
     for (const PlaceBase* place : writes) {
-      // Rendered into the reusable buffer: marking events allocate only
-      // while the buffer grows to the high-water mark, then never again.
-      value_buf_.clear();
-      place->value_string_to(value_buf_);
       trace_->on_event(TraceEvent{TraceCategory::kMarking, now_, seq,
-                                  place->name(), 0, 0, value_buf_});
+                                  place->name(), 0, 0, {}, place});
     }
   }
 }

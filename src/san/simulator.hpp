@@ -448,9 +448,6 @@ class Simulator {
   static constexpr std::uint32_t kNoPlaceId = 0xffff'ffffu;
   std::vector<std::uint32_t> touch_lookup_;
   std::int64_t inst_enabled_count_ = 0;
-  /// Reusable render buffer for kMarking trace events (satellite of the
-  /// no-allocation tracing guarantee; see tests/perf).
-  std::string value_buf_;
   /// Built lazily on the first reset() with verify_footprints set (the
   /// invariant analysis needs the initial marking); installed as the
   /// thread-local place-access listener for the duration of each

@@ -19,7 +19,9 @@
 // Overhead contract: with no sink attached the simulator's only cost is
 // one null-pointer test per emission site — no allocation, no
 // formatting — preserving the zero-allocation steady state pinned by
-// tests/perf/scheduler_hotpath_test.cpp.
+// tests/perf/scheduler_hotpath_test.cpp. With a sink attached the
+// simulator still formats nothing: a marking event carries its place,
+// and a sink renders the value only if it keeps the event.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +64,12 @@ inline const char* trace_category_name(TraceCategory c) noexcept {
 /// the model (activity / place names) or the emitter's stack and are
 /// valid only for the duration of the TraceSink::on_event call — sinks
 /// that retain events must copy (trace::RingBufferSink does).
+///
+/// A kMarking event comes in one of two forms. The simulator's carries
+/// `place`, whose live marking is the value, and no `detail`; a replayed
+/// one (trace::RingBufferSink) carries the rendered value in `detail`
+/// and no `place`. Read the value through detail_text, which serves
+/// both.
 struct TraceEvent {
   TraceCategory category = TraceCategory::kFire;
   Time time = 0.0;
@@ -74,9 +82,25 @@ struct TraceEvent {
   std::int64_t a = 0;
   /// kScheduler: PCPU id (assign) or -1 (release). Otherwise 0.
   std::int64_t b = 0;
-  /// kMarking: rendered marking value. kScheduler: "in"/"out".
+  /// kMarking without `place`: rendered marking value. kScheduler:
+  /// "in"/"out".
   std::string_view detail;
+  /// kMarking from the simulator: the place whose live marking (valid
+  /// during on_event only) is the value. Otherwise null.
+  const PlaceBase* place = nullptr;
 };
+
+/// The event's detail text in either form: for an event that carries a
+/// place, the marking rendered into `scratch` (PlaceBase::value_string_to,
+/// the one renderer); otherwise `detail`. The view is valid until
+/// `scratch` changes or the event's storage goes.
+inline std::string_view detail_text(const TraceEvent& event,
+                                    std::string& scratch) {
+  if (event.place == nullptr) return event.detail;
+  scratch.clear();
+  event.place->value_string_to(scratch);
+  return scratch;
+}
 
 /// Receiver of structured trace events. Implementations must not mutate
 /// the model and must tolerate events from multiple consecutive runs.

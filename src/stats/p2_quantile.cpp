@@ -16,7 +16,11 @@ P2Quantile::P2Quantile(double q) : q_(q) {
 
 double P2Quantile::exact_small_sample() const {
   std::array<double, 5> sorted = heights_;
-  std::sort(sorted.begin(), sorted.begin() + static_cast<long>(count_));
+  // count_ < 5 here (see value()); the clamp lets GCC 12 see that the
+  // range fits, so it stops warning -Warray-bounds.
+  std::sort(sorted.begin(),
+            sorted.begin() + static_cast<long>(std::min<std::size_t>(
+                                 count_, sorted.size())));
   if (count_ == 0) return 0.0;
   const auto rank = static_cast<std::size_t>(
       std::ceil(q_ * static_cast<double>(count_))) ;

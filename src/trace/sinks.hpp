@@ -33,7 +33,8 @@ namespace vcpusim::trace {
 
 /// Append helpers shared by the stream sinks. Each writes straight into
 /// `out` (no temporaries), so a reused buffer stops allocating once it
-/// has grown to the longest line. Exposed so tests pin the renderings.
+/// has grown to the longest line. Exposed so tests pin the renderings;
+/// JsonlSink writes the same bytes straight into its line buffer.
 namespace json {
 void append_int(std::string& out, std::int64_t v);
 void append_uint(std::string& out, std::uint64_t v);
@@ -59,6 +60,9 @@ class QuotedNameCache {
 
   QuotedNameCache();
   void append(std::string& out, std::string_view s);
+  /// The bytes append would add, written at `out`, which has room for
+  /// 6 * s.size() + 2 of them; returns the end.
+  char* write(char* out, std::string_view s);
 
  private:
   /// One cached name: its address, length and quoted form. A clean name
@@ -69,6 +73,11 @@ class QuotedNameCache {
     std::uint32_t len = 0;
     char quoted[kSlotBytes - sizeof(const char*) - sizeof(std::uint32_t)]{};
   };
+  /// The quoted form cached for `s`, or nullptr.
+  const char* find(std::string_view s) const;
+  /// Caches `quoted`, the quoted form of `s`, if it holds `s` verbatim.
+  void remember(std::string_view s, const char* quoted, std::size_t n);
+
   std::unique_ptr<Slot[]> slots_;
 };
 
@@ -77,12 +86,11 @@ class QuotedNameCache {
 /// and 0 keep their own renderings and a NaN time still hits.
 class StampCache {
  public:
-  /// Appends the cached rendering of (time, seq) and returns true, or
-  /// returns false if the last stored one has another key.
-  bool replay(std::string& out, double time, std::uint64_t seq) const;
-  /// Remembers out[from..] as the rendering of (time, seq).
-  void store(const std::string& out, std::size_t from, double time,
-             std::uint64_t seq);
+  /// The cached rendering of (time, seq), or an empty view if the last
+  /// stored one has another key.
+  std::string_view find(double time, std::uint64_t seq) const;
+  /// Remembers `rendered` as the rendering of (time, seq).
+  void store(std::string_view rendered, double time, std::uint64_t seq);
 
  private:
   std::uint64_t time_bits_ = 0;
@@ -215,12 +223,16 @@ class RingBufferSink final : public san::TraceSink {
   std::string arena_;
   std::array<Interned, kInternSlots> interned_{};
   std::size_t total_ = 0;
+  /// A kernel marking's value, rendered at on_event (the live marking
+  /// changes later) and interned from here.
+  std::string text_;
 };
 
 class JsonlSink final : public san::TraceSink {
  public:
-  /// Writes to `os`, which must outlive the sink, with one os.write per
-  /// event. The stream is flushed by finish().
+  /// Writes to `os`, which must outlive the sink, one line per event,
+  /// each handed to the stream buffer before on_event returns. The
+  /// stream is flushed by finish().
   explicit JsonlSink(std::ostream& os, std::uint8_t categories = san::kTraceAll)
       : san::TraceSink(categories), os_(&os) {}
 
@@ -233,16 +245,30 @@ class JsonlSink final : public san::TraceSink {
   static std::string line(const san::TraceEvent& event);
 
  private:
-  /// Renders lines from cached fragments: quoted names and the
-  /// `"t":…,"seq":…` stamp.
-  struct Serializer {
-    json::QuotedNameCache names;
-    json::StampCache stamp;
-    void append_line(std::string& out, const san::TraceEvent& event);
+  /// Writes each line into one reused char buffer, sized once per line
+  /// from the event's string lengths, with names and the
+  /// `"t":…,"seq":…` stamp copied from caches.
+  class Serializer {
+   public:
+    /// The line for `event`, newline included; valid until the next call.
+    std::string_view write_line(const san::TraceEvent& event);
+
+   private:
+    /// Room for `more` bytes after the first `used`, which are kept.
+    char* reserve(std::size_t used, std::size_t more);
+
+    json::QuotedNameCache names_;
+    json::StampCache stamp_;
+    std::vector<char> buf_;
+    std::string text_;  ///< a streamed marking's rendered value
   };
 
+  /// Hands `line` to the stream buffer as ostream::write would, minus
+  /// its sentry object: nothing when the stream is not good(), badbit
+  /// on a short write, tie() flushed first and unitbuf honoured.
+  void deliver(std::string_view line);
+
   std::ostream* os_;
-  std::string line_;  ///< reused serialization buffer
   Serializer serializer_;
 };
 
@@ -261,6 +287,7 @@ class ChromeTraceSink final : public san::TraceSink {
   bool open_ = false;
   bool first_ = true;
   std::string entry_;   ///< reused serialization buffer
+  std::string text_;    ///< a kernel marking's rendered value
   std::string number_;  ///< NUL-terminated copy of a marking value
   json::QuotedNameCache names_;
   json::StampCache ts_;  ///< the last "ts" value, keyed on the event time

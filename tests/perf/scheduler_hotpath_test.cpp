@@ -101,8 +101,8 @@ TEST(SchedulerHotPath, SteadyStateTickDoesNotAllocate) {
 }
 
 /// Steady-state tracing is allocation-free: fire and marking events
-/// carry string_views into model-owned names, and marking values render
-/// into the simulator's reusable buffer. The event queue itself still
+/// carry string_views into model-owned names, and marking events carry
+/// the place rather than rendered text. The event queue itself still
 /// allocates rarely as occupancy reaches new high-water marks, so the
 /// check is differential — with every trace category enabled, the traced
 /// run (same seed, hence the bit-identical trajectory) must allocate

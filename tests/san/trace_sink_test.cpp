@@ -23,14 +23,15 @@ class RecordingSink final : public TraceSink {
       : TraceSink(categories) {}
 
   void on_event(const TraceEvent& event) override {
+    const std::string_view detail = detail_text(event, text_);
     std::ostringstream os;
     os << trace_category_name(event.category) << " t=" << event.time
        << " seq=" << event.seq << " name=" << event.name << " a=" << event.a
-       << " b=" << event.b << " d=" << event.detail;
+       << " b=" << event.b << " d=" << detail;
     lines.push_back(os.str());
     events.push_back({event.category, event.time, event.seq,
                       std::string(event.name), event.a, event.b,
-                      std::string(event.detail)});
+                      std::string(detail)});
   }
 
   struct Owned {
@@ -52,6 +53,9 @@ class RecordingSink final : public TraceSink {
     }
     return n;
   }
+
+ private:
+  std::string text_;  ///< a kernel marking's rendered value
 };
 
 /// Deterministic clock incrementing a counter, with declared footprint.

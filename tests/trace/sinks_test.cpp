@@ -6,13 +6,21 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <ios>
 #include <limits>
+#include <memory>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <streambuf>
+#include <utility>
 #include <vector>
 
+#include "san/simulator.hpp"
+#include "stats/distribution.hpp"
 #include "testing/helpers.hpp"
 #include "testing/json.hpp"
 
@@ -621,6 +629,300 @@ TEST(SerializationCache, NonFiniteTimesRenderNull) {
   check.verify();
   EXPECT_EQ(JsonlSink::line(fire_event(kNaN, 7, "M->A")),
             R"({"kind":"fire","t":null,"seq":7,"activity":"M->A","case":0})");
+}
+
+// --- the stream contract ---------------------------------------------------
+// JsonlSink hands each line to the stream buffer itself; what a caller
+// observes of the stream is what ostream::write would leave.
+
+/// Accepts half of what it is offered and counts the offers.
+class ShortBuf final : public std::streambuf {
+ public:
+  std::size_t offers = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    ++offers;
+    return n / 2;
+  }
+  int_type overflow(int_type) override { return traits_type::eof(); }
+};
+
+/// Keeps what it is given and counts sync() calls.
+class SyncCountingBuf final : public std::streambuf {
+ public:
+  std::string bytes;
+  int syncs = 0;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    bytes.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      bytes.push_back(traits_type::to_char_type(c));
+    }
+    return traits_type::not_eof(c);
+  }
+  int sync() override {
+    ++syncs;
+    return 0;
+  }
+};
+
+TEST(JsonlSink, StreamNotGoodIsNotWritten) {
+  for (const auto state : {std::ios_base::failbit, std::ios_base::badbit}) {
+    std::ostringstream os;
+    os.setstate(state);
+    JsonlSink sink(os);
+    sink.on_event(fire_event(1, 1, "M->A"));
+    EXPECT_EQ(os.str(), "");
+    // ostream::write adds failbit to a bad stream and nothing otherwise.
+    EXPECT_EQ(os.rdstate(), state == std::ios_base::badbit
+                                ? std::ios_base::badbit | std::ios_base::failbit
+                                : std::ios_base::failbit);
+  }
+}
+
+TEST(JsonlSink, ShortWriteSetsBadbit) {
+  ShortBuf buf;
+  std::ostream os(&buf);
+  JsonlSink sink(os);
+  sink.on_event(fire_event(1, 1, "M->A"));
+  EXPECT_TRUE(os.bad());
+  EXPECT_EQ(buf.offers, 1U);
+  sink.on_event(fire_event(2, 2, "M->A"));
+  EXPECT_EQ(buf.offers, 1U);  // a bad stream is not offered more
+}
+
+TEST(JsonlSink, FlushesTieAndHonoursUnitbuf) {
+  SyncCountingBuf tied_buf;
+  std::ostream tied(&tied_buf);
+  SyncCountingBuf buf;
+  std::ostream os(&buf);
+  os.tie(&tied);
+  os << std::unitbuf;
+  JsonlSink sink(os);
+  sink.on_event(fire_event(1, 1, "M->A"));
+  sink.on_event(fire_event(2, 2, "M->A"));
+  EXPECT_EQ(tied_buf.syncs, 2);  // tie() flushed before each line
+  EXPECT_EQ(buf.syncs, 2);       // and the stream synced after it
+  EXPECT_EQ(buf.bytes, JsonlSink::line(fire_event(1, 1, "M->A")) + "\n" +
+                           JsonlSink::line(fire_event(2, 2, "M->A")) + "\n");
+  EXPECT_TRUE(os.good());
+}
+
+// --- marking values through a simulator ------------------------------------
+// The simulator's marking events carry the place; a sink renders the
+// value when it keeps the event, and JsonlSink writes integers, floats
+// and <struct> into the line without an escape scan. Each check runs a
+// real simulator and compares that path with the text a replayed event
+// carries.
+
+/// A streamed marking whose text needs escaping: q"<n>\ and a newline.
+struct Quoted {
+  std::int64_t n = 0;
+};
+std::ostream& operator<<(std::ostream& os, const Quoted& q) {
+  return os << "q\"" << q.n << "\\\n";
+}
+
+/// No operator<<: renders as <struct>.
+struct Opaque {
+  std::int64_t n = 0;
+};
+
+constexpr double kReals[] = {1.0 / 3.0, 123456789.0, -2.5e-7, 0.1 + 0.2};
+
+/// Serializes every event in both forms: as the simulator delivers it
+/// (the place, no text) and as a replay delivers it (the text, no
+/// place). Records the kernel form too, and each marking's text.
+class TwoForms final : public san::TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    kernel_jsonl.on_event(event);
+    kernel_chrome.on_event(event);
+    recorded.on_event(event);
+    TraceEvent replayed = event;
+    replayed.detail = san::detail_text(event, text_);
+    replayed.place = nullptr;
+    text_jsonl.on_event(replayed);
+    text_chrome.on_event(replayed);
+    if (event.place != nullptr) {
+      texts.emplace_back(std::string(event.name), std::string(replayed.detail));
+    }
+  }
+  void finish() override {
+    kernel_jsonl.finish();
+    kernel_chrome.finish();
+    text_jsonl.finish();
+    text_chrome.finish();
+  }
+
+  std::ostringstream kernel_jsonl_os;
+  std::ostringstream kernel_chrome_os;
+  std::ostringstream text_jsonl_os;
+  std::ostringstream text_chrome_os;
+  JsonlSink kernel_jsonl{kernel_jsonl_os};
+  ChromeTraceSink kernel_chrome{kernel_chrome_os};
+  JsonlSink text_jsonl{text_jsonl_os};
+  ChromeTraceSink text_chrome{text_chrome_os};
+  RingBufferSink recorded;
+  /// (place, value text) of each marking event, in order.
+  std::vector<std::pair<std::string, std::string>> texts;
+
+ private:
+  std::string text_;
+};
+
+/// One clock whose every tick rewrites a place of each kind: streamed
+/// text, double, int64 and uint64 at their extremes, and a struct.
+class MarkingValues : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto& sub = model_.add_submodel("S");
+    auto quoted = sub.add_place<Quoted>("quoted", Quoted{});
+    auto real = sub.add_place<double>("real", 0.0);
+    auto wide = sub.add_place<std::int64_t>("wide", 0);
+    auto unsigned_wide = sub.add_place<std::uint64_t>("unsigned", 0);
+    auto opaque = sub.add_place<Opaque>("opaque", Opaque{});
+    auto& tick = sub.add_timed_activity("tick", stats::make_deterministic(1.0));
+    tick.add_output_gate(
+        {"rewrite",
+         [=](san::GateContext&) {
+           const std::int64_t k = ++quoted->mut().n;
+           const bool odd = k % 2 == 1;
+           real->set(kReals[static_cast<std::size_t>(k - 1) % 4]);
+           wide->set(odd ? std::numeric_limits<std::int64_t>::min()
+                         : std::numeric_limits<std::int64_t>::max());
+           unsigned_wide->set(odd ? std::numeric_limits<std::uint64_t>::max()
+                                  : 0);
+           opaque->mut().n = k;
+         },
+         san::access({}, {quoted, real, wide, unsigned_wide, opaque})});
+    san::SimulatorConfig config;
+    config.end_time = 4.5;
+    san::Simulator sim(config);
+    sim.set_model(model_);
+    sim.set_trace(&sink_);
+    sim.run();
+    sink_.finish();
+  }
+
+  /// The JSONL "value" strings of one place, in order.
+  std::vector<std::string> jsonl_values(const std::string& place) const {
+    std::vector<std::string> values;
+    std::istringstream lines(sink_.kernel_jsonl_os.str());
+    std::string line;
+    while (std::getline(lines, line)) {
+      const auto doc = parse_json(line);
+      if (doc.at("kind").string == "marking" &&
+          doc.at("place").string == place) {
+        values.push_back(doc.at("value").string);
+      }
+    }
+    return values;
+  }
+
+  /// The Chrome counter values of one place, in order.
+  std::vector<double> counters(const std::string& place) const {
+    std::vector<double> values;
+    const auto doc = parse_json(sink_.kernel_chrome_os.str());
+    for (const auto& e : doc.at("traceEvents").array) {
+      if (e.at("ph").string == "C" && e.at("name").string == place) {
+        values.push_back(e.at("args").at("value").number);
+      }
+    }
+    return values;
+  }
+
+  san::ComposedModel model_{"M"};
+  TwoForms sink_;
+};
+
+TEST_F(MarkingValues, KernelAndReplayedFormsGiveIdenticalLines) {
+  ASSERT_EQ(sink_.texts.size(), 4U * 5U);
+  EXPECT_EQ(sink_.kernel_jsonl_os.str(), sink_.text_jsonl_os.str());
+  EXPECT_EQ(sink_.kernel_chrome_os.str(), sink_.text_chrome_os.str());
+}
+
+TEST_F(MarkingValues, StreamedTextIsEscapedAsAppendString) {
+  std::istringstream lines(sink_.kernel_jsonl_os.str());
+  std::string line;
+  std::size_t k = 0;
+  while (std::getline(lines, line)) {
+    if (line.find(R"("place":"S->quoted")") == std::string::npos) continue;
+    ++k;
+    const std::string text = "q\"" + std::to_string(k) + "\\\n";
+    std::string quoted;
+    json::append_string(quoted, text);
+    EXPECT_EQ(line.substr(line.size() - quoted.size() - 1), quoted + "}");
+    EXPECT_EQ(parse_json(line).at("value").string, text);
+  }
+  EXPECT_EQ(k, 4U);
+}
+
+TEST_F(MarkingValues, StreamedTextRoundTripsThroughReplay) {
+  std::vector<std::string> texts;
+  for (const auto& [place, text] : sink_.texts) {
+    if (place == "S->quoted") texts.push_back(text);
+  }
+  std::vector<std::string> recorded;
+  for (const TraceEvent e : sink_.recorded.events()) {
+    EXPECT_EQ(e.place, nullptr);
+    if (e.category == TraceCategory::kMarking && e.name == "S->quoted") {
+      recorded.emplace_back(e.detail);
+    }
+  }
+  EXPECT_EQ(recorded, texts);
+  EXPECT_EQ(recorded.front(), "q\"1\\\n");
+
+  std::ostringstream jsonl;
+  std::ostringstream chrome;
+  JsonlSink replay_jsonl(jsonl);
+  ChromeTraceSink replay_chrome(chrome);
+  sink_.recorded.replay_into(replay_jsonl);
+  sink_.recorded.replay_into(replay_chrome);
+  replay_jsonl.finish();
+  replay_chrome.finish();
+  EXPECT_EQ(jsonl.str(), sink_.kernel_jsonl_os.str());
+  EXPECT_EQ(chrome.str(), sink_.kernel_chrome_os.str());
+}
+
+TEST_F(MarkingValues, DoublePlaceRendersSixSignificantDigits) {
+  const std::vector<std::string> expected = {"0.333333", "1.23457e+08",
+                                             "-2.5e-07", "0.3"};
+  EXPECT_EQ(jsonl_values("S->real"), expected);
+  // The counter keeps the value of the text, not of the marking.
+  std::vector<double> parsed;
+  for (const std::string& text : expected) {
+    parsed.push_back(std::strtod(text.c_str(), nullptr));
+  }
+  EXPECT_EQ(counters("S->real"), parsed);
+  EXPECT_NE(parsed.front(), kReals[0]);
+}
+
+TEST_F(MarkingValues, IntegersAtTheExtremes) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kUMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(jsonl_values("S->wide"),
+            (std::vector<std::string>{"-9223372036854775808",
+                                      "9223372036854775807",
+                                      "-9223372036854775808",
+                                      "9223372036854775807"}));
+  EXPECT_EQ(jsonl_values("S->unsigned"),
+            (std::vector<std::string>{"18446744073709551615", "0",
+                                      "18446744073709551615", "0"}));
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  EXPECT_EQ(counters("S->wide"),
+            (std::vector<double>{d(kMin), d(kMax), d(kMin), d(kMax)}));
+  EXPECT_EQ(counters("S->unsigned"),
+            (std::vector<double>{d(kUMax), 0.0, d(kUMax), 0.0}));
+  EXPECT_EQ(jsonl_values("S->opaque"),
+            std::vector<std::string>(4, "<struct>"));
+  EXPECT_TRUE(counters("S->opaque").empty());
 }
 
 TEST(MakeStreamSink, ConstructsKnownSinks) {
