@@ -127,13 +127,13 @@ void BM_SchedulerTick(benchmark::State& state,
   state.counters["vcpus"] = static_cast<double>(state.range(0));
 }
 BENCHMARK_CAPTURE(BM_SchedulerTick, rrs, std::string("rrs"))
-    ->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, scs, std::string("scs"))
-    ->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, rcs, std::string("rcs"))
-    ->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, credit, std::string("credit"))
-    ->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 /// Where scheduler-tick time actually goes: the same workload as
 /// BM_SchedulerTick with phase profiling enabled, publishing per-phase

@@ -135,6 +135,18 @@ IncidenceStructure extract_incidence(const ComposedModel& model) {
       return false;
     };
     for (const EffectVariant& variant : fp.effects) {
+      for (const PlacePtr& place : variant.writes) {
+        if (writes_place(place.get())) continue;
+        out.diagnostics.push_back(make_diag(
+            model, Severity::kError, check::kEffectFootprintMismatch,
+            submodel.name(), activity.name(), place->name(),
+            "gate '" + gate_name + "' variant '" + variant.label +
+                "' names a written place outside its write footprint",
+            "A variant's places (its deltas' and its `writes`) must be a "
+            "subset of the gate's declared writes: the static analyses "
+            "see only the footprint, so a place only a variant names is "
+            "a write they miss."));
+      }
       for (const TokenDelta& delta : variant.deltas) {
         if (!writes_place(delta.place.get())) {
           out.diagnostics.push_back(make_diag(

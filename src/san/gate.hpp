@@ -29,6 +29,9 @@ using Time = double;
 class TraceSink;
 class FootprintSanitizer;
 
+/// GateContext::variant before any gate reported one.
+inline constexpr std::uint32_t kNoVariant = 0xffff'ffffu;
+
 /// Execution context passed to gate functions on activity completion.
 struct GateContext {
   stats::Rng& rng;
@@ -49,6 +52,19 @@ struct GateContext {
   /// (san/compiled.hpp) notifies it of gate boundaries; gate code never
   /// uses it directly.
   FootprintSanitizer* sanitizer = nullptr;
+  /// Index into the reporting gate's GateAccess::effects of the variant
+  /// this firing executed (kNoVariant when none was reported). Gates
+  /// call report_variant(), never assign it directly.
+  std::uint32_t variant = kNoVariant;
+
+  /// Report which of its declared EffectVariants this gate executed:
+  /// incremental enabling then dirties only the dependents of that
+  /// variant's places (its deltas' places and EffectVariant::writes)
+  /// instead of the gate's whole write set. Every write of the firing must fall inside the
+  /// reported variant's places — same trust model as the declared
+  /// footprint, checked by the footprint sanitizer. Not reporting is
+  /// always safe: the firing dirties the full write set.
+  void report_variant(std::uint32_t index) { variant = index; }
 
   /// Report that `place` was actually written during this firing. Only
   /// meaningful from gates declared with access_dynamic(); a no-op when
@@ -74,9 +90,23 @@ struct TokenDelta {
 /// workload-output gate's "normal job" vs "sync job" variants); the
 /// incidence extraction turns each cross-gate variant combination into
 /// one column of the incidence matrix.
+///
+/// A variant also states the places it writes: those its deltas name,
+/// plus `writes` for places written without a token delta (a field no
+/// token view covers, an opaque cursor). A gate that reports the
+/// variant it executed (GateContext::report_variant) dirties only these.
 struct EffectVariant {
+  EffectVariant() = default;
+  EffectVariant(std::string label, std::vector<TokenDelta> deltas,
+                std::vector<PlacePtr> writes = {})
+      : label(std::move(label)),
+        deltas(std::move(deltas)),
+        writes(std::move(writes)) {}
+
   std::string label;
   std::vector<TokenDelta> deltas;
+  /// Places written beyond those the deltas name.
+  std::vector<PlacePtr> writes;
 };
 
 /// Declared marking footprint of a gate, consumed by san::analyze. Gate
@@ -130,13 +160,23 @@ struct GateAccess {
 
   /// The declared effects are *exact*: one firing applies precisely the
   /// single declared variant's token deltas and nothing else — no RNG
-  /// draws, no trace emission, no touch() reports, no writes beyond the
-  /// deltas. Opt-in contract consumed by the compiled engine
+  /// draws, no trace emission, no touch() or variant reports, no writes
+  /// beyond the deltas. Opt-in contract consumed by the compiled engine
   /// (san/compiled.hpp): an exact gate executes as direct arena deltas,
   /// skipping its closure entirely. Same trust model as `declared` — an
   /// inexact declaration changes compiled-engine trajectories. Declare
   /// with with_exact_effect().
   bool effects_exact = false;
+
+  /// True when a firing of this gate may report one of `effects` through
+  /// GateContext::report_variant(): a declared footprint with single-
+  /// firing variants that is not exact (exact gates run as arena deltas),
+  /// compositional (one firing composes several) or dynamic (it reports
+  /// through touch()).
+  bool reports_variants() const noexcept {
+    return declared && effects_declared && !effects.empty() &&
+           !effects_compositional && !effects_exact && !dynamic_writes;
+  }
 };
 
 /// Fluent helpers so call sites can extend a footprint built by

@@ -1,12 +1,10 @@
 #include "san/place.hpp"
 
 // Header-only templates; this TU anchors the vtable of PlaceBase
-// instantiations used across the library and holds the thread-local
-// access-listener slot consulted by every Place<T>::get/mut/set.
+// instantiations used across the library. The thread-local access-
+// listener slot lives in the header (inline), so every Place<T>::get/
+// mut/set reads it without an out-of-line call.
 namespace vcpusim::san {
-
-thread_local PlaceAccessListener* PlaceBase::listener_ = nullptr;
-thread_local std::uint64_t PlaceBase::reset_count_ = 0;
 
 namespace {
 [[maybe_unused]] const TokenPlace anchor{"_anchor", 0};

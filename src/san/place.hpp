@@ -70,7 +70,9 @@ class PlaceBase {
   /// Install (or clear, with nullptr) the thread-local access listener.
   /// Returns the previously installed listener so callers can restore
   /// it. With no listener installed the per-access cost is one
-  /// thread-local load and a predictable branch.
+  /// thread-local load and a predictable branch, inlined into every
+  /// get/mut/set (the slot is constant-initialized, so no TLS init
+  /// wrapper is called).
   static PlaceAccessListener* exchange_listener(
       PlaceAccessListener* listener) noexcept {
     PlaceAccessListener* prev = listener_;
@@ -163,8 +165,13 @@ class PlaceBase {
   static void note_reset() noexcept { ++reset_count_; }
 
  private:
-  static thread_local PlaceAccessListener* listener_;
-  static thread_local std::uint64_t reset_count_;
+  // Inline and constinit: every translation unit sees a constant-
+  // initialized slot and reads it directly, without the out-of-line
+  // access and TLS-init-wrapper test a thread_local defined in a .cpp
+  // costs on each place access.
+  static inline thread_local constinit PlaceAccessListener* listener_ =
+      nullptr;
+  static inline thread_local constinit std::uint64_t reset_count_ = 0;
 
   std::string name_;
   std::uint32_t compiled_id_ = kNoCompiledId;

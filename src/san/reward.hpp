@@ -43,6 +43,11 @@ class RewardVariable {
   /// Number of impulse events counted (useful for throughput metrics).
   std::size_t impulse_count() const noexcept { return impulse_events_; }
 
+  /// Whether the variable has a rate component / any impulse. The
+  /// simulator dispatches dwell intervals and completions by these.
+  bool has_rate() const noexcept { return static_cast<bool>(rate_fn_); }
+  bool has_impulses() const noexcept { return !impulses_.empty(); }
+
   /// Run `hook` on every reset(). Impulse closures may carry hidden
   /// state of their own (e.g. a last-seen counter for delta rewards);
   /// hooks restore that state so a reused reward variable observes

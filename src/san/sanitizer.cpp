@@ -4,6 +4,21 @@
 #include <sstream>
 
 namespace vcpusim::san {
+namespace {
+
+/// True when taking `variant` may write `place`: its deltas or its
+/// `writes` name it.
+bool variant_writes(const EffectVariant& variant, const PlaceBase* place) {
+  for (const TokenDelta& d : variant.deltas) {
+    if (d.place.get() == place) return true;
+  }
+  for (const PlacePtr& p : variant.writes) {
+    if (p.get() == place) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 const char* to_string(ViolationKind kind) noexcept {
   switch (kind) {
@@ -11,6 +26,8 @@ const char* to_string(ViolationKind kind) noexcept {
     case ViolationKind::kUndeclaredWrite: return "undeclared-write";
     case ViolationKind::kPredicateWrite: return "predicate-write";
     case ViolationKind::kMissedTouch: return "missed-touch";
+    case ViolationKind::kWriteOutsideVariant: return "write-outside-variant";
+    case ViolationKind::kVariantOutOfRange: return "variant-out-of-range";
     case ViolationKind::kInvariantViolated: return "invariant-violated";
     case ViolationKind::kBoundViolated: return "bound-violated";
     case ViolationKind::kStaleDeclaredWrite: return "stale-declared-write";
@@ -131,6 +148,10 @@ void FootprintSanitizer::enter_gate(const std::string& gate_name,
   close_gate();
   gate_footprint_ = &footprint;
   gate_name_ = gate_name;
+  if (ctx_ != nullptr) {
+    variant_before_ = ctx_->variant;
+    ctx_->variant = kNoVariant;
+  }
   auto& stats = gate_stats_[&footprint];
   if (stats.footprint == nullptr) {
     stats.activity = activity_ != nullptr ? activity_->name() : "";
@@ -146,6 +167,15 @@ void FootprintSanitizer::close_gate() {
     return;
   }
   const GateAccess& fp = *gate_footprint_;
+  if (ctx_ != nullptr) {
+    // The last report of a firing wins, as without the sanitizer.
+    const std::uint32_t reported = ctx_->variant;
+    if (reported == kNoVariant) {
+      ctx_->variant = variant_before_;
+    } else {
+      check_variant(fp, reported);
+    }
+  }
   if (fp.declared) {
     auto& stats = gate_stats_[&fp];
     for (const PlaceBase* place : gate_writes_) {
@@ -164,6 +194,28 @@ void FootprintSanitizer::close_gate() {
   }
   gate_footprint_ = nullptr;
   gate_writes_.clear();
+}
+
+void FootprintSanitizer::check_variant(const GateAccess& fp,
+                                       std::uint32_t reported) {
+  if (!fp.reports_variants() || reported >= fp.effects.size()) {
+    record(ViolationKind::kVariantOutOfRange, gate_name_, "",
+           "gate reported variant " + std::to_string(reported) +
+               " but declares " +
+               std::to_string(fp.reports_variants() ? fp.effects.size() : 0) +
+               " reportable variant(s); the report may select another "
+               "gate's variant row, and incremental enabling then misses "
+               "this gate's writes");
+    return;
+  }
+  const EffectVariant& variant = fp.effects[reported];
+  for (const PlaceBase* place : gate_writes_) {
+    if (variant_writes(variant, place)) continue;
+    record(ViolationKind::kWriteOutsideVariant, gate_name_, place->name(),
+           "gate wrote a place outside the places of the variant it "
+           "reported ('" + variant.label + "'); incremental enabling will "
+           "not re-evaluate the place's dependents");
+  }
 }
 
 void FootprintSanitizer::end_firing() {

@@ -10,6 +10,9 @@
 //   * writes hit the gate's declared writes,
 //   * enabling predicates never write,
 //   * dynamic-writes gates report every actual write via touch(),
+//   * a gate that reports its executed EffectVariant
+//     (GateContext::report_variant) names one it declares, and writes
+//     only that variant's places,
 //   * statically-proven invariants and token bounds still hold after
 //     each firing (re-checked only when the firing wrote a place in the
 //     invariant's support).
@@ -42,6 +45,8 @@ enum class ViolationKind {
   kUndeclaredWrite,    ///< gate wrote a place outside writes
   kPredicateWrite,     ///< enabling predicate mutated the marking
   kMissedTouch,        ///< dynamic gate wrote without touch()ing
+  kWriteOutsideVariant, ///< gate wrote a place its reported variant omits
+  kVariantOutOfRange,  ///< reported variant index the gate does not declare
   kInvariantViolated,  ///< proven conservation law broke after a firing
   kBoundViolated,      ///< proven token bound exceeded after a firing
   kStaleDeclaredWrite, ///< declared write never performed (advisory)
@@ -116,6 +121,8 @@ class FootprintSanitizer final : public PlaceAccessListener {
   };
 
   void close_gate();
+  /// Check a variant report of the current gate against its footprint.
+  void check_variant(const GateAccess& fp, std::uint32_t reported);
   void record(ViolationKind kind, const std::string& gate,
               const std::string& place, std::string message);
   void check_structures();
@@ -133,6 +140,10 @@ class FootprintSanitizer final : public PlaceAccessListener {
   GateContext* ctx_ = nullptr;
   const GateAccess* gate_footprint_ = nullptr;
   std::string gate_name_;
+  /// The firing's variant report before the current gate ran: the gate
+  /// runs with GateContext::variant cleared, so close_gate sees exactly
+  /// its own report, and restores this when it reported none.
+  std::uint32_t variant_before_ = kNoVariant;
   std::vector<const PlaceBase*> gate_writes_;    ///< unique, current gate
   std::vector<const PlaceBase*> firing_writes_;  ///< unique, current firing
 

@@ -104,12 +104,20 @@ void Simulator::build_enabling_index() {
   struct Footprint {
     std::vector<std::uint32_t> reads;   ///< input-gate predicate reads
     std::vector<std::uint32_t> writes;  ///< static (non-dynamic) writes
+    /// With a variant gate: writes[gate_begin, gate_end) are its own, and
+    /// variant k's places are variant_places up to variant_ends[k], from
+    /// variant_ends[k - 1] (0 for k = 0). No variant gate: both empty.
+    std::size_t gate_begin = 0;
+    std::size_t gate_end = 0;
+    std::vector<std::uint32_t> variant_places;
+    std::vector<std::uint32_t> variant_ends;
     bool reads_declared = true;
   };
   place_ids_.clear();
+  place_ids_.reserve(compiled_->place_count());
   touch_lookup_.assign(compiled_->place_count(), kNoPlaceId);
   const auto id_of = [&](const PlacePtr& place) {
-    const auto [it, inserted] = place_ids_.emplace(
+    const auto [it, inserted] = place_ids_.try_emplace(
         place.get(), static_cast<std::uint32_t>(place_ids_.size()));
     if (inserted) {
       const std::uint32_t cid = place->compiled_id();
@@ -125,23 +133,25 @@ void Simulator::build_enabling_index() {
   // (full re-scan after it fires). An undeclared input gate is both, so
   // an always-evaluated activity is never also dirtied by a firing.
   const auto index = [&](const std::vector<Activity*>& acts,
-                         std::vector<std::uint8_t>& writes_declared,
-                         std::vector<std::uint8_t>& dynamic_writes) {
+                         std::vector<FiredRows>& fired) {
     std::vector<Footprint> fps(acts.size());
-    writes_declared.assign(acts.size(), 1);
-    dynamic_writes.assign(acts.size(), 0);
+    fired.assign(acts.size(), FiredRows{});
+    std::vector<const GateAccess*> gates;
     for (std::size_t i = 0; i < acts.size(); ++i) {
       Footprint& fp = fps[i];
       bool declared = true;
       bool dynamic = false;
-      // A dynamic-writes gate keeps its static write set out of the
-      // fired row: the per-firing touch() reports stand in for it. The
-      // places still get ids so touch lookups resolve.
-      const auto add_writes = [&](const GateAccess& access) {
-        dynamic = dynamic || access.dynamic_writes;
-        for (const PlacePtr& p : access.writes) {
-          const std::uint32_t id = id_of(p);
-          if (!access.dynamic_writes) fp.writes.push_back(id);
+      // Every declared gate's footprint, and the one gate whose variant
+      // reports select a fired row: an executing gate (input gates
+      // without an input function run nothing) that reports_variants().
+      gates.clear();
+      const GateAccess* variant_gate = nullptr;
+      std::size_t reporters = 0;
+      const auto add_gate = [&](const GateAccess& access, bool executes) {
+        gates.push_back(&access);
+        if (executes && access.reports_variants()) {
+          variant_gate = &access;
+          ++reporters;
         }
       };
       for (const InputGate& gate : acts[i]->input_gates()) {
@@ -153,26 +163,65 @@ void Simulator::build_enabling_index() {
         for (const PlacePtr& p : gate.footprint.reads) {
           fp.reads.push_back(id_of(p));
         }
-        add_writes(gate.footprint);
+        add_gate(gate.footprint, static_cast<bool>(gate.input_function));
       }
       for (const Case& c : acts[i]->cases()) {
         for (const OutputGate& gate : c.output_gates) {
           if (gate.footprint.declared) {
-            add_writes(gate.footprint);
+            add_gate(gate.footprint, true);
           } else {
             declared = false;
           }
         }
       }
-      writes_declared[i] = declared ? 1 : 0;
-      dynamic_writes[i] = (dynamic && declared) ? 1 : 0;
+      // A dynamic-writes gate keeps its static write set out of the
+      // fired rows: the per-firing touch() reports stand in for it. The
+      // places still get ids so touch lookups resolve.
+      for (const GateAccess* access : gates) {
+        dynamic = dynamic || access->dynamic_writes;
+        if (access == variant_gate) fp.gate_begin = fp.writes.size();
+        for (const PlacePtr& p : access->writes) {
+          const std::uint32_t id = id_of(p);
+          if (!access->dynamic_writes) fp.writes.push_back(id);
+        }
+        if (access == variant_gate) fp.gate_end = fp.writes.size();
+      }
+      // Variant rows need one gate to own the reported index; with two
+      // candidates a report is ambiguous and every firing takes the
+      // union row.
+      if (declared && reporters == 1) {
+        std::size_t count = 0;
+        for (const EffectVariant& v : variant_gate->effects) {
+          count += v.deltas.size() + v.writes.size();
+        }
+        fp.variant_places.reserve(count);
+        fp.variant_ends.reserve(variant_gate->effects.size());
+        for (const EffectVariant& v : variant_gate->effects) {
+          for (const TokenDelta& d : v.deltas) {
+            fp.variant_places.push_back(id_of(d.place));
+          }
+          for (const PlacePtr& p : v.writes) {
+            fp.variant_places.push_back(id_of(p));
+          }
+          fp.variant_ends.push_back(
+              static_cast<std::uint32_t>(fp.variant_places.size()));
+        }
+      }
+      fired[i].writes_declared = declared ? 1 : 0;
+      fired[i].dynamic = (dynamic && declared) ? 1 : 0;
+    }
+    // Row layout: each activity's union row, then its variant rows.
+    std::uint32_t next = 0;
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      fired[i].first = next;
+      fired[i].variants =
+          static_cast<std::uint32_t>(fps[i].variant_ends.size());
+      next += 1 + fired[i].variants;
     }
     return fps;
   };
-  const std::vector<Footprint> timed =
-      index(activities_, timed_writes_declared_, timed_dynamic_);
-  const std::vector<Footprint> inst =
-      index(instantaneous_, inst_writes_declared_, inst_dynamic_);
+  const std::vector<Footprint> timed = index(activities_, timed_fired_);
+  const std::vector<Footprint> inst = index(instantaneous_, inst_fired_);
 
   const std::size_t places = place_ids_.size();
   const auto set_bit = [](std::uint64_t* row, std::uint32_t i) {
@@ -193,24 +242,44 @@ void Simulator::build_enabling_index() {
         set_bit(side.by_place.data() + std::size_t{place} * words, i);
       }
     }
-    // A firing dirties the dependents of its declared writes and the
-    // fired activity itself, which always gets a fresh look: a timed one
-    // may still be enabled and must re-activate even if it reads nothing.
+    // A firing dirties the dependents of its declared writes (or of its
+    // reported variant's) and the fired activity itself, which always
+    // gets a fresh look: a timed one may still be enabled and must
+    // re-activate even if it reads nothing.
     const auto fired_rows = [&](std::vector<std::uint64_t>& rows,
-                                const std::vector<Footprint>& fired) {
-      rows.assign(fired.size() * words, 0);
-      for (std::uint32_t i = 0; i < fired.size(); ++i) {
-        std::uint64_t* row = rows.data() + std::size_t{i} * words;
+                                const std::vector<Footprint>& fired,
+                                const std::vector<FiredRows>& layout) {
+      const std::size_t count =
+          layout.empty() ? 0 : layout.back().first + 1 + layout.back().variants;
+      rows.assign(count * words, 0);
+      const auto fill = [&](std::size_t row_index, std::uint32_t i,
+                            const std::uint32_t* begin,
+                            const std::uint32_t* end) {
+        std::uint64_t* row = rows.data() + row_index * words;
         if (&fired == &own) set_bit(row, i);
-        for (const std::uint32_t place : fired[i].writes) {
+        for (const std::uint32_t* place = begin; place != end; ++place) {
           const std::uint64_t* deps =
-              side.by_place.data() + std::size_t{place} * words;
+              side.by_place.data() + std::size_t{*place} * words;
           for (std::size_t w = 0; w < words; ++w) row[w] |= deps[w];
+        }
+      };
+      for (std::uint32_t i = 0; i < fired.size(); ++i) {
+        const Footprint& fp = fired[i];
+        const std::uint32_t* writes = fp.writes.data();
+        const std::uint32_t* places = fp.variant_places.data();
+        fill(layout[i].first, i, writes, writes + fp.writes.size());
+        for (std::uint32_t k = 0; k < layout[i].variants; ++k) {
+          // The other gates' writes, then the variant's places.
+          const std::size_t row = layout[i].first + 1 + k;
+          fill(row, i, writes, writes + fp.gate_begin);
+          fill(row, i, writes + fp.gate_end, writes + fp.writes.size());
+          fill(row, i, places + (k == 0 ? 0 : fp.variant_ends[k - 1]),
+               places + fp.variant_ends[k]);
         }
       }
     };
-    fired_rows(side.by_timed, timed);
-    fired_rows(side.by_inst, inst);
+    fired_rows(side.by_timed, timed, timed_fired_);
+    fired_rows(side.by_inst, inst, inst_fired_);
   };
   build(timed_dirty_, timed);
   build(inst_dirty_, inst);
@@ -249,11 +318,21 @@ void Simulator::build_trace_write_lists() {
 
 void Simulator::add_reward(RewardVariable& reward) {
   rewards_.push_back(&reward);
+  split_rewards();
+}
+
+void Simulator::split_rewards() {
+  rate_rewards_.clear();
+  impulse_rewards_.clear();
+  for (RewardVariable* r : rewards_) {
+    if (r->has_rate()) rate_rewards_.push_back(r);
+    if (r->has_impulses()) impulse_rewards_.push_back(r);
+  }
 }
 
 void Simulator::advance_time(Time to) {
   if (to <= now_) return;
-  for (RewardVariable* r : rewards_) r->on_advance(now_, to);
+  for (RewardVariable* r : rate_rewards_) r->on_advance(now_, to);
   now_ = to;
 }
 
@@ -300,17 +379,22 @@ void Simulator::transition_timed(std::uint32_t timed_index) {
   }
 }
 
-void Simulator::mark_fired(bool timed, std::uint32_t index) {
+void Simulator::mark_fired(bool timed, std::uint32_t index,
+                           std::uint32_t variant) {
   if (!use_incremental_ || dirty_all_) return;
-  if ((timed ? timed_writes_declared_ : inst_writes_declared_)[index] == 0) {
+  const FiredRows& fired = (timed ? timed_fired_ : inst_fired_)[index];
+  if (fired.writes_declared == 0) {
     dirty_all_ = true;  // unknown write set: rescan everything
     return;
   }
-  timed_dirty_.add(timed ? timed_dirty_.by_timed : timed_dirty_.by_inst,
-                   index);
-  inst_dirty_.add(timed ? inst_dirty_.by_timed : inst_dirty_.by_inst, index);
+  // kNoVariant (and any index the variant gate does not declare) falls
+  // back to the union row.
+  const std::uint32_t row =
+      fired.first + (variant < fired.variants ? 1 + variant : 0);
+  timed_dirty_.add(timed ? timed_dirty_.by_timed : timed_dirty_.by_inst, row);
+  inst_dirty_.add(timed ? inst_dirty_.by_timed : inst_dirty_.by_inst, row);
   // Dynamic gates: dirty exactly the places this firing reported.
-  if ((timed ? timed_dynamic_ : inst_dynamic_)[index] != 0) {
+  if (fired.dynamic != 0) {
     for (const PlaceBase* p : touched_) {
       const std::uint32_t id = touched_place_id(p);
       if (id == kNoPlaceId) continue;
@@ -320,8 +404,8 @@ void Simulator::mark_fired(bool timed, std::uint32_t index) {
   }
 }
 
-void Simulator::complete(Activity& activity, bool timed,
-                         std::uint32_t index) {
+std::uint32_t Simulator::complete(Activity& activity, bool timed,
+                                  std::uint32_t index) {
   stats::ScopedPhaseTimer timer(&profile_, stats::Phase::kFire);
   const std::uint64_t seq = events_++;
   GateContext ctx{rng_, now_};
@@ -343,8 +427,8 @@ void Simulator::complete(Activity& activity, bool timed,
   const std::size_t case_index = compiled_->fire(
       *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx);
   if (sanitizer_ != nullptr) sanitizer_->end_firing();
-  for (RewardVariable* r : rewards_) r->on_completion(activity, now_);
-  if (trace_ == nullptr) return;
+  for (RewardVariable* r : impulse_rewards_) r->on_completion(activity, now_);
+  if (trace_ == nullptr) return ctx.variant;
   if (trace_->wants(TraceCategory::kFire)) {
     trace_->on_event(TraceEvent{TraceCategory::kFire, now_, seq,
                                 activity.name(),
@@ -358,6 +442,7 @@ void Simulator::complete(Activity& activity, bool timed,
                                   place->name(), 0, 0, {}, place});
     }
   }
+  return ctx.variant;
 }
 
 void Simulator::settle() {
@@ -413,8 +498,8 @@ void Simulator::settle() {
           "Simulator: instantaneous livelock (activity " + next->name() +
           " still enabled after " + std::to_string(chain) + " zero-time firings)");
     }
-    complete(*next, /*timed=*/false, next_index);
-    mark_fired(false, next_index);
+    mark_fired(false, next_index,
+               complete(*next, /*timed=*/false, next_index));
   }
 }
 
@@ -430,6 +515,7 @@ void Simulator::reset() {
     hot.scheduled = 0;
   }
   for (RewardVariable* r : rewards_) r->reset();
+  split_rewards();  // picks up impulses added since add_reward()
   profile_.reset();
   profile_.set_enabled(config_.profile);
   if (trace_ != nullptr && trace_->wants(TraceCategory::kMarking) &&
@@ -486,8 +572,9 @@ RunStats Simulator::advance_until(Time t) {
     }
     advance_time(ev.time);
     cancel_timed(ev.timed_index);  // consume this activation
-    complete(*activities_[ev.timed_index], /*timed=*/true, ev.timed_index);
-    mark_fired(true, ev.timed_index);
+    mark_fired(true, ev.timed_index,
+               complete(*activities_[ev.timed_index], /*timed=*/true,
+                        ev.timed_index));
     settle();
   }
   advance_time(horizon);

@@ -18,9 +18,13 @@
 //    of O(all activities). Activities with undeclared read footprints are
 //    re-evaluated every time, and a fired activity with an undeclared
 //    write footprint forces a full re-scan, so partially annotated models
-//    stay correct. Gates declared with access_dynamic() narrow this
-//    further: each firing dirties only the places the gate reported via
-//    GateContext::touch(), so a wide-footprint gate (e.g. the scheduler
+//    stay correct. Two per-firing reports narrow this further. A gate
+//    that reports which of its declared EffectVariants it executed
+//    (GateContext::report_variant) dirties only that variant's places:
+//    the firing ORs a row precomputed per (activity, variant), so a VCPU
+//    Clock's plain progress tick dirties only itself. Gates declared
+//    with access_dynamic() dirty only the places they reported via
+//    GateContext::touch(), so a wide-footprint gate (the scheduler
 //    bridge) that leaves most slots untouched on a given firing does not
 //    dirty them. See docs/PERFORMANCE.md.
 //
@@ -107,12 +111,19 @@ class Simulator {
   /// registered: reset()/run() throw until a set_model() succeeds.
   void set_model(ComposedModel& model);
 
-  /// Register a reward variable (reset at the start of run()).
+  /// Register a reward variable (reset at the start of run()). Dwell
+  /// intervals go only to variables with a rate component, completions
+  /// only to variables with impulses; an impulse added to a registered
+  /// variable counts from the next reset().
   void add_reward(RewardVariable& reward);
 
   /// Drop every registered reward variable (metric bindings are rebuilt
   /// from scratch when a pooled system is rebound to a new run).
-  void clear_rewards() noexcept { rewards_.clear(); }
+  void clear_rewards() noexcept {
+    rewards_.clear();
+    rate_rewards_.clear();
+    impulse_rewards_.clear();
+  }
 
   /// Attach (or with nullptr detach) the structured trace sink. With no
   /// sink attached every emission site costs one null-pointer test —
@@ -326,7 +337,7 @@ class Simulator {
   /// set: one bit per activity. A firing ORs its precompiled row into
   /// `dirty`; settle() visits the set bits of (dirty | always) in
   /// ascending order and zeroes each word as it consumes it. Rows are
-  /// `words` wide and indexed by place id or fired-activity index.
+  /// `words` wide and indexed by place id or fired row (FiredRows).
   struct DirtySet {
     std::size_t words = 0;
     std::vector<std::uint64_t> dirty;
@@ -359,8 +370,23 @@ class Simulator {
     }
   };
 
+  /// Where one activity's fired rows sit in DirtySet::by_timed /
+  /// by_inst, and how its firing is dirtied. Row `first` is the union
+  /// row (every declared write); a reported variant k < `variants` of
+  /// its variant gate uses row first + 1 + k instead.
+  struct FiredRows {
+    std::uint32_t first = 0;
+    std::uint32_t variants = 0;
+    /// 0: some gate is undeclared, so a firing forces a full rescan.
+    std::uint8_t writes_declared = 1;
+    /// 1: a dynamic-writes gate (GateAccess::dynamic_writes) reports its
+    /// writes through GateContext::touch(); they are dirtied on top of
+    /// the row, which holds only the other gates' writes.
+    std::uint8_t dynamic = 0;
+  };
+
   /// Build the dirty sets' rows from the declared gate footprints; also
-  /// fills place_ids_ and touch_lookup_.
+  /// fills place_ids_, touch_lookup_ and the FiredRows tables.
   void build_enabling_index();
   /// Evaluate one activity's predicate program inside the sanitizer's
   /// predicate scope. Sanitized runs compile with force_trampoline, so
@@ -406,8 +432,12 @@ class Simulator {
   /// across incremental on/off). Built on the first reset() with a
   /// marking-interested sink attached.
   void build_trace_write_lists();
+  /// Rebuild rate_rewards_ / impulse_rewards_ from rewards_.
+  void split_rewards();
   void advance_time(Time to);
-  void complete(Activity& activity, bool timed, std::uint32_t index);
+  /// Fire one activity; returns the variant its gates reported
+  /// (kNoVariant when none did).
+  std::uint32_t complete(Activity& activity, bool timed, std::uint32_t index);
   /// (Re)activate / abort timed activities after a marking change and
   /// fire any enabled instantaneous activities (in priority order) until
   /// quiescent.
@@ -415,8 +445,9 @@ class Simulator {
   void schedule(std::uint32_t timed_index);
   /// Re-evaluate one timed activity's enabling (activate / abort).
   void transition_timed(std::uint32_t timed_index);
-  /// Record the marking changes of a completed activity in the dirty set.
-  void mark_fired(bool timed, std::uint32_t index);
+  /// Record the marking changes of a completed activity, which reported
+  /// `variant`, in the dirty set.
+  void mark_fired(bool timed, std::uint32_t index, std::uint32_t variant);
   /// Enabling-index id of a place a gate reported through touch(), or
   /// kNoPlaceId when no gate reads it. The dense compiled id resolves
   /// model places with an array load; the hash probe covers places a
@@ -433,6 +464,10 @@ class Simulator {
   std::vector<Activity*> activities_;
   std::vector<Activity*> instantaneous_;
   std::vector<RewardVariable*> rewards_;
+  /// rewards_ split by kind (split_rewards): the per-event loops walk
+  /// only the variables that can accrue there.
+  std::vector<RewardVariable*> rate_rewards_;
+  std::vector<RewardVariable*> impulse_rewards_;
   TraceSink* trace_ = nullptr;
   stats::PhaseProfile profile_;
   stats::PhaseProfile compile_profile_;
@@ -474,14 +509,8 @@ class Simulator {
   // --- footprint-driven enabling index (built by set_model) ----------
   bool use_incremental_ = false;
   std::unordered_map<const PlaceBase*, std::uint32_t> place_ids_;
-  std::vector<std::uint8_t> timed_writes_declared_;
-  std::vector<std::uint8_t> inst_writes_declared_;
-  /// Activities with a dynamic-writes gate (GateAccess::dynamic_writes):
-  /// after such an activity fires, the places it reported through
-  /// GateContext::touch() are dirtied on top of its fired row, which
-  /// holds only the writes of the activity's non-dynamic gates.
-  std::vector<std::uint8_t> timed_dynamic_;
-  std::vector<std::uint8_t> inst_dynamic_;
+  std::vector<FiredRows> timed_fired_;  ///< parallel to activities_
+  std::vector<FiredRows> inst_fired_;   ///< parallel to instantaneous_
   std::vector<const PlaceBase*> touched_;  // per-firing touch collector
 
   // --- per-round dirty state -----------------------------------------

@@ -14,6 +14,34 @@ namespace {
 /// load durations (integer loads hit 0 exactly).
 constexpr double kLoadEpsilon = 1e-9;
 
+// Variant indices the VM gates report (GateContext::report_variant):
+// positions in each gate's declared EffectVariant list.
+
+/// Processing_load. The spinlock variants exist only in a spinlock build.
+enum TickVariant : std::uint32_t {
+  kTickProgress,
+  kTickComplete,
+  kTickCompleteUnblock,
+  kTickSpin,
+  kTickAcquire,
+  kTickCompleteRelease,
+  kTickCompleteReleaseUnblock,
+};
+
+/// Apply_Schedule_In.
+enum ScheduleInVariant : std::uint32_t {
+  kInResumeBusy,
+  kInResumeReady,
+  kInNoop,
+};
+
+/// Apply_Schedule_Out.
+enum ScheduleOutVariant : std::uint32_t {
+  kOutParkReady,
+  kOutParkBusy,
+  kOutNoop,
+};
+
 }  // namespace
 
 void build_workload_generator(san::SanModel& submodel, const VmConfig& cfg,
@@ -193,8 +221,10 @@ void build_job_scheduler(san::SanModel& submodel, const VmConfig& cfg,
   }
   auto slots = places.slots;  // copy of shared_ptr vector
   // One firing variant per dispatch target: slot k goes READY -> BUSY and
-  // the workload is consumed. The round-robin pointer's next value is
-  // data-dependent, so Next_VCPU is declared opaque.
+  // the workload is consumed; the gate reports variant k, so only slot
+  // k's dependents are re-evaluated. The round-robin pointer's next
+  // value is data-dependent, so Next_VCPU is declared opaque (and named
+  // as a written place of every variant).
   std::vector<san::EffectVariant> dispatch_variants;
   for (std::size_t k = 0; k < slots.size(); ++k) {
     dispatch_variants.push_back(
@@ -203,17 +233,20 @@ void build_job_scheduler(san::SanModel& submodel, const VmConfig& cfg,
           {slots[k], "busy", +1},
           {num_ready, "", -1},
           {workload, "present", -1},
-          {workload, "absent", +1}}});
+          {workload, "absent", +1}},
+         {next_vcpu}});
   }
   scheduling.add_output_gate(san::OutputGate{
-      "JS_Dispatch", [workload, num_ready, slots, next_vcpu](san::GateContext&) {
+      "JS_Dispatch",
+      [workload, num_ready, slots, next_vcpu](san::GateContext& ctx) {
         const Workload w = *workload->get();
         const auto n = static_cast<std::int64_t>(slots.size());
         const std::int64_t start = next_vcpu->get();
         for (std::int64_t i = 0; i < n; ++i) {
           const auto k = static_cast<std::size_t>((start + i) % n);
-          auto& slot = slots[k]->mut();
-          if (slot.status == VcpuStatus::kReady) {
+          // Probe read-only: only the dispatched slot is written.
+          if (slots[k]->get().status == VcpuStatus::kReady) {
+            auto& slot = slots[k]->mut();
             slot.remaining_load = w.load;
             slot.sync_point = w.sync_point;
             slot.critical_remaining = w.critical;
@@ -223,6 +256,7 @@ void build_job_scheduler(san::SanModel& submodel, const VmConfig& cfg,
             num_ready->mut() -= 1;
             workload->set(std::nullopt);
             next_vcpu->set(static_cast<std::int64_t>(k + 1) % n);
+            ctx.report_variant(static_cast<std::uint32_t>(k));
             return;
           }
         }
@@ -301,26 +335,31 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
     clock_commutes.push_back(spin_ticks);
   }
   if (scale != nullptr) clock_reads.push_back(scale);
-  // Firing variants of one processing tick. "progress" burns the tick
-  // with no marking-visible change; "complete" retires the job (READY,
-  // counters move); "-unblock" additionally releases the barrier. The
-  // spinlock build adds the lock-protocol variants; an acquire that
-  // completes in the same tick nets to plain "complete" (the lock deltas
-  // cancel), so no extra variant is needed for it.
-  std::vector<san::EffectVariant> tick_variants = {{"progress", {}}};
+  // Firing variants of one processing tick, in TickVariant order.
+  // "progress" burns the tick with no token change (it writes only the
+  // slot's load fields); "complete" retires the job (READY, counters
+  // move); "-unblock" additionally releases the barrier. The spinlock
+  // build adds the lock-protocol variants; an acquire that completes in
+  // the same tick nets to plain "complete" (the lock deltas cancel), so
+  // it reports "complete", whose places then include the Lock it wrote.
+  std::vector<san::EffectVariant> tick_variants = {{"progress", {}, {slot}}};
   const std::vector<san::TokenDelta> complete_deltas = {
       {slot, "busy", -1},   {slot, "ready", +1}, {num_ready, "", +1},
       {completed, "", +1},  {outstanding, "", -1}};
   {
-    san::EffectVariant complete{"complete", complete_deltas};
-    san::EffectVariant unblock{"complete-unblock", complete_deltas};
+    std::vector<san::PlacePtr> lock_written;
+    if (lock != nullptr) lock_written.push_back(lock);
+    san::EffectVariant complete{"complete", complete_deltas, lock_written};
+    san::EffectVariant unblock{"complete-unblock", complete_deltas,
+                               lock_written};
     unblock.deltas.push_back({blocked, "set", -1});
     unblock.deltas.push_back({blocked, "clear", +1});
     tick_variants.push_back(std::move(complete));
     tick_variants.push_back(std::move(unblock));
   }
   if (lock != nullptr) {
-    tick_variants.push_back({"spin", {{spin_ticks, "", +1}}});
+    // A spinning VCPU also sets the slot's (unviewed) spinning flag.
+    tick_variants.push_back({"spin", {{spin_ticks, "", +1}}, {slot}});
     tick_variants.push_back({"acquire",
                              {{lock, "held", +1},
                               {lock, "free", -1},
@@ -340,8 +379,9 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
   clock.add_output_gate(san::OutputGate{
       "Processing_load",
       [slot, blocked, num_ready, outstanding, completed, lock, spin_ticks,
-       scale, index](san::GateContext&) {
+       scale, index](san::GateContext& ctx) {
         auto& s = slot->mut();
+        bool acquired = false;
         // Spinlock extension: the trailing critical_remaining units of
         // the job execute under the VM's lock. At the critical-section
         // boundary the VCPU acquires the lock if free, else it *spins* —
@@ -355,19 +395,26 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
             lock->set(index + 1);
             s.holds_lock = true;
             s.spinning = false;
+            acquired = true;
           } else {
             s.spinning = true;
             spin_ticks->mut() += 1;
+            ctx.report_variant(kTickSpin);
             return;  // no progress this tick
           }
         }
         s.spinning = false;
         // DVFS: one tick at frequency f retires f/f_max units of load.
         s.remaining_load -= (scale != nullptr) ? scale->get() : 1.0;
+        std::uint32_t variant = acquired ? kTickAcquire : kTickProgress;
         if (s.remaining_load <= kLoadEpsilon) {
+          // Releasing a lock acquired earlier is a "-release" variant;
+          // one acquired this very tick nets out (see tick_variants).
+          bool released = false;
           if (s.holds_lock) {
             lock->set(0);
             s.holds_lock = false;
+            released = !acquired;
           }
           s.critical_remaining = 0.0;
           s.remaining_load = 0.0;
@@ -378,10 +425,19 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
           outstanding->mut() -= 1;
           // Barrier release: every job issued before (and including) the
           // synchronization point has completed.
+          bool unblocked = false;
           if (outstanding->get() == 0 && blocked->get() != 0) {
             blocked->set(0);
+            unblocked = true;
+          }
+          if (released) {
+            variant = unblocked ? kTickCompleteReleaseUnblock
+                                : kTickCompleteRelease;
+          } else {
+            variant = unblocked ? kTickCompleteUnblock : kTickComplete;
           }
         }
+        ctx.report_variant(variant);
       },
       san::with_effects(
           san::access(std::move(clock_reads), std::move(clock_writes),
@@ -398,16 +454,21 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
       {san::token_positive(schedule_in)}});
   in_handler.add_output_gate(san::OutputGate{
       "Apply_Schedule_In",
-      [schedule_in, slot, num_ready](san::GateContext&) {
+      [schedule_in, slot, num_ready](san::GateContext& ctx) {
         schedule_in->set(0);
+        // Probe read-only: an already-active VCPU's slot is not written.
+        if (slot->get().status != VcpuStatus::kInactive) {
+          ctx.report_variant(kInNoop);
+          return;
+        }
         auto& s = slot->mut();
-        if (s.status == VcpuStatus::kInactive) {
-          if (s.remaining_load > kLoadEpsilon) {
-            s.status = VcpuStatus::kBusy;
-          } else {
-            s.status = VcpuStatus::kReady;
-            num_ready->mut() += 1;
-          }
+        if (s.remaining_load > kLoadEpsilon) {
+          s.status = VcpuStatus::kBusy;
+          ctx.report_variant(kInResumeBusy);
+        } else {
+          s.status = VcpuStatus::kReady;
+          num_ready->mut() += 1;
+          ctx.report_variant(kInResumeReady);
         }
       },
       san::with_effects(
@@ -437,9 +498,12 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
       {san::token_positive(schedule_out)}});
   out_handler.add_output_gate(san::OutputGate{
       "Apply_Schedule_Out",
-      [schedule_out, slot, num_ready](san::GateContext&) {
+      [schedule_out, slot, num_ready](san::GateContext& ctx) {
         schedule_out->set(0);
         auto& s = slot->mut();
+        ctx.report_variant(s.status == VcpuStatus::kReady  ? kOutParkReady
+                           : s.status == VcpuStatus::kBusy ? kOutParkBusy
+                                                           : kOutNoop);
         if (s.status == VcpuStatus::kReady) num_ready->mut() -= 1;
         s.status = VcpuStatus::kInactive;
         s.spinning = false;  // a descheduled VCPU burns no cycles
@@ -458,8 +522,10 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
              {schedule_out, "idle", +1},
              {slot, "busy", -1},
              {slot, "inactive", +1}}},
+           // Parking an already-INACTIVE VCPU still rewrites its slot.
            {"noop",
-            {{schedule_out, "pending", -1}, {schedule_out, "idle", +1}}}})});
+            {{schedule_out, "pending", -1}, {schedule_out, "idle", +1}},
+            {slot}}})});
 }
 
 VmPlaces build_virtual_machine(san::ComposedModel& model, const VmConfig& cfg,

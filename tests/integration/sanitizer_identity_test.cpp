@@ -36,10 +36,10 @@ struct TraceRun {
   std::string report_text;
 };
 
-TraceRun run_trace(const std::string& algorithm, bool spinlock,
-                   bool verify_footprints) {
-  auto system = vm::build_system(fig8_config(spinlock),
-                                 sched::make_factory(algorithm)());
+TraceRun run_trace(const vm::SystemConfig& system_config,
+                   const std::string& algorithm, bool verify_footprints) {
+  auto system =
+      vm::build_system(system_config, sched::make_factory(algorithm)());
   san::SimulatorConfig config;
   config.end_time = kEndTime;
   config.seed = kSeed;
@@ -67,12 +67,37 @@ TEST(SanitizerIdentity, EveryAlgorithmIsTrajectoryIdenticalAndClean) {
   for (const auto& algorithm : sched::builtin_algorithms()) {
     for (const bool spinlock : {false, true}) {
       SCOPED_TRACE(algorithm + (spinlock ? "|spinlock" : "|plain"));
-      const TraceRun plain = run_trace(algorithm, spinlock, false);
-      const TraceRun checked = run_trace(algorithm, spinlock, true);
+      const TraceRun plain = run_trace(fig8_config(spinlock), algorithm, false);
+      const TraceRun checked =
+          run_trace(fig8_config(spinlock), algorithm, true);
       EXPECT_EQ(checked.events, plain.events)
           << "sanitizer perturbed the event count";
       EXPECT_EQ(checked.digest, plain.digest)
           << "sanitizer perturbed the event trajectory";
+      EXPECT_EQ(checked.footprint_errors, 0u) << checked.report_text;
+    }
+  }
+}
+
+// The VM gates report the effect variant each firing took; the
+// sanitizer checks every write against the reported variant's places.
+// Every path of those gates must map to a covering variant, including
+// the spinlock, DVFS and random-barrier paths the configuration above
+// leaves out.
+TEST(SanitizerIdentity, VariantReportsCleanWithDvfsAndBothSyncModes) {
+  for (const auto& algorithm : sched::builtin_algorithms()) {
+    for (const vm::SyncMode sync :
+         {vm::SyncMode::kEveryKth, vm::SyncMode::kRandom}) {
+      SCOPED_TRACE(algorithm + (sync == vm::SyncMode::kRandom
+                                    ? "|dvfs|spinlock|random-sync"
+                                    : "|dvfs|spinlock|every-kth"));
+      vm::SystemConfig config = fig8_config(/*spinlock=*/true);
+      config.dvfs.enabled = true;
+      for (auto& vmc : config.vms) vmc.sync_mode = sync;
+      const TraceRun plain = run_trace(config, algorithm, false);
+      const TraceRun checked = run_trace(config, algorithm, true);
+      EXPECT_EQ(checked.events, plain.events);
+      EXPECT_EQ(checked.digest, plain.digest);
       EXPECT_EQ(checked.footprint_errors, 0u) << checked.report_text;
     }
   }

@@ -1,6 +1,7 @@
 // Footprint-sanitizer tests: each seeded footprint lie (under-declared
-// read, undeclared write, predicate write, missed touch(), stale
-// declared write, broken conservation law) is caught, a truthful model
+// read, undeclared write, predicate write, missed touch(), a write
+// outside the reported effect variant, an out-of-range variant report,
+// stale declared write, broken conservation law) is caught, a truthful model
 // reports clean, and a sanitized run walks the identical trajectory.
 #include "san/sanitizer.hpp"
 
@@ -238,6 +239,114 @@ TEST(FootprintSanitizer, MissedTouchDetected) {
   const auto& report = run.report();
   EXPECT_TRUE(has_kind(report, ViolationKind::kMissedTouch))
       << report.render_text();
+}
+
+/// A Fwd transfer whose output gate declares two variants, "move" (A to
+/// B) and "drain" (A only), and reports `report(a)` after moving a token
+/// from A to B.
+Activity& reporting_transfer(Ring& ring,
+                             std::uint32_t (*report)(std::int64_t)) {
+  auto a = ring.a;
+  auto b = ring.b;
+  auto& act = ring.s->add_timed_activity("Fwd", stats::make_deterministic(1.0));
+  act.add_input_gate(InputGate{"Fwd_in", [a]() { return a->get() > 0; },
+                               nullptr, access({a})});
+  act.add_output_gate(OutputGate{
+      "Fwd_out",
+      [a, b, report](GateContext& ctx) {
+        a->mut() -= 1;
+        b->mut() += 1;
+        ctx.report_variant(report(a->get()));
+      },
+      with_effects(access({}, {a, b}),
+                   {{"move", {{a, "", -1}, {b, "", +1}}},
+                    {"drain", {{a, "", -1}}}})});
+  return act;
+}
+
+TEST(FootprintSanitizer, TruthfulVariantReportsAreClean) {
+  Ring ring;
+  ring.transfer("Back", ring.b, ring.a);
+  reporting_transfer(ring, [](std::int64_t) { return std::uint32_t{0}; });
+
+  SanitizedRun run(ring.model);
+  const auto& report = run.report();
+  EXPECT_TRUE(report.violations.empty()) << report.render_text();
+}
+
+TEST(FootprintSanitizer, WriteOutsideReportedVariantDetected) {
+  Ring ring;
+  ring.transfer("Back", ring.b, ring.a);
+  // Reports "drain" (A only) although the gate also wrote B: the variant
+  // row would skip B's dependents.
+  reporting_transfer(ring, [](std::int64_t) { return std::uint32_t{1}; });
+
+  SanitizedRun run(ring.model);
+  const auto& report = run.report();
+  EXPECT_TRUE(has_kind(report, ViolationKind::kWriteOutsideVariant))
+      << report.render_text();
+  EXPECT_FALSE(report.clean());
+  for (const auto& v : report.violations) {
+    if (v.kind == ViolationKind::kWriteOutsideVariant) {
+      EXPECT_EQ(v.place, "S->B");
+      EXPECT_EQ(v.gate, "Fwd_out");
+    }
+  }
+}
+
+TEST(FootprintSanitizer, VariantIndexOutOfRangeDetected) {
+  Ring ring;
+  ring.transfer("Back", ring.b, ring.a);
+  reporting_transfer(ring, [](std::int64_t) { return std::uint32_t{2}; });
+
+  SanitizedRun run(ring.model);
+  const auto& report = run.report();
+  EXPECT_TRUE(has_kind(report, ViolationKind::kVariantOutOfRange))
+      << report.render_text();
+  EXPECT_FALSE(report.clean());
+}
+
+TEST(FootprintSanitizer, VariantReportFromGateWithoutVariantsDetected) {
+  Ring ring;
+  ring.transfer("Back", ring.b, ring.a);
+  auto a = ring.a;
+  auto b = ring.b;
+  auto& act = ring.s->add_timed_activity("Fwd", stats::make_deterministic(1.0));
+  act.add_input_gate(InputGate{"Fwd_in", [a]() { return a->get() > 0; },
+                               nullptr, access({a})});
+  // Declares writes but no effect variants, so index 0 names nothing.
+  act.add_output_gate(OutputGate{"Fwd_out",
+                                 [a, b](GateContext& ctx) {
+                                   a->mut() -= 1;
+                                   b->mut() += 1;
+                                   ctx.report_variant(0);
+                                 },
+                                 access({}, {a, b})});
+
+  SanitizedRun run(ring.model);
+  EXPECT_TRUE(has_kind(run.report(), ViolationKind::kVariantOutOfRange))
+      << run.report().render_text();
+}
+
+TEST(FootprintSanitizer, VariantReportsKeepTheTrajectory) {
+  // The sanitizer clears the report before each gate and restores it
+  // after a gate that reported nothing: the run it checks must dirty
+  // exactly what an unchecked run dirties.
+  const auto run = [](bool verify) {
+    Ring ring;
+    ring.transfer("Back", ring.b, ring.a);
+    reporting_transfer(ring, [](std::int64_t) { return std::uint32_t{0}; });
+    SimulatorConfig config;
+    config.end_time = 40.0;
+    config.verify_footprints = verify;
+    Simulator sim(config);
+    sim.set_model(ring.model);
+    return sim.run();
+  };
+  const RunStats plain = run(false);
+  const RunStats checked = run(true);
+  EXPECT_EQ(checked.events, plain.events);
+  EXPECT_EQ(checked.enabling_evals, plain.enabling_evals);
 }
 
 TEST(FootprintSanitizer, StaleDeclaredWriteIsAdvisoryOnly) {

@@ -142,6 +142,40 @@ TEST(Incidence, EffectDeltaOutsideWriteFootprintIsAnError) {
   EXPECT_EQ(count_check(inc, check::kEffectFootprintMismatch), 1u);
 }
 
+TEST(Incidence, VariantWrittenPlaceOutsideWriteFootprintIsAnError) {
+  RingFixture ring;
+  auto& act =
+      ring.s->add_timed_activity("Bad", stats::make_deterministic(1.0));
+  auto a = ring.a;
+  auto b = ring.b;
+  // The variant names B as written (no token delta) while the gate's
+  // write footprint holds only A: the static analyses would miss the
+  // write a variant report admits.
+  act.add_output_gate(OutputGate{
+      "BadOut", [a](GateContext&) { a->mut() += 1; },
+      with_effects(access({}, {a}), {{"fire", {{a, "", +1}}, {b}}})});
+
+  const auto inc = extract_incidence(ring.model);
+  ASSERT_TRUE(inc.complete);
+  EXPECT_EQ(count_check(inc, check::kEffectFootprintMismatch), 1u);
+}
+
+TEST(Incidence, VariantWrittenPlacesInsideWriteFootprintAreClean) {
+  RingFixture ring;
+  auto& act =
+      ring.s->add_timed_activity("Good", stats::make_deterministic(1.0));
+  auto a = ring.a;
+  auto b = ring.b;
+  act.add_output_gate(OutputGate{
+      "GoodOut", [a](GateContext&) { a->mut() += 1; },
+      with_effects(access({}, {a, b}),
+                   {{"fire", {{a, "", +1}}, {b}}, {"quiet", {}, {b}}})});
+
+  const auto inc = extract_incidence(ring.model);
+  ASSERT_TRUE(inc.complete);
+  EXPECT_EQ(count_check(inc, check::kEffectFootprintMismatch), 0u);
+}
+
 TEST(Incidence, UnknownTokenComponentIsAnError) {
   RingFixture ring;
   auto& act =

@@ -11,6 +11,7 @@
 
 #include "san/analyze/analyzer.hpp"
 #include "san/model.hpp"
+#include "san/sanitizer.hpp"
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
 #include "testing/helpers.hpp"
@@ -32,7 +33,12 @@ struct RandomNet {
   ComposedModel model{"Random"};
   std::vector<IntPlace> places;
 
-  explicit RandomNet(PropertyRng& rng) {
+  /// `reporting`: every declared output gate splits its output between
+  /// two places and reports which EffectVariant it took
+  /// (GateContext::report_variant). Off, the generator draws exactly the
+  /// nets it always drew.
+  explicit RandomNet(PropertyRng& rng, bool reporting = false)
+      : reporting_(reporting) {
     auto& sub = model.add_submodel("N");
     const int num_places = rng.uniform_int(2, 8);
     places.reserve(static_cast<std::size_t>(num_places));
@@ -95,8 +101,26 @@ struct RandomNet {
                      : rng.uniform_int(0, 2));
     out.function = [dst, give](GateContext&) { dst->mut() += give; };
     if (declared) out.footprint = access({}, {dst});
+    if (reporting_ && declared) {
+      // Gives to the emptier of dst and alt, and reports which.
+      IntPlace alt = pick(rng);
+      out.function = [dst, alt, give](GateContext& ctx) {
+        if (dst->get() <= alt->get()) {
+          dst->mut() += give;
+          ctx.report_variant(0);
+        } else {
+          alt->mut() += give;
+          ctx.report_variant(1);
+        }
+      };
+      out.footprint = with_effects(access({dst, alt}, {dst, alt}),
+                                   {{"to-dst", {{dst, "", give}}},
+                                    {"to-alt", {{alt, "", give}}}});
+    }
     act.add_output_gate(std::move(out));
   }
+
+  bool reporting_ = false;
 };
 
 TEST(RandomModelStress, AnalyzeRejectsOrSimulatesWithoutViolations) {
@@ -160,6 +184,53 @@ TEST(RandomModelStress, TrajectoriesMatchAcrossEnablingModes) {
       Simulator sim(config);
       sim.set_model(net.model);
       evals.push_back(sim.run().enabling_evals);
+      std::vector<std::int64_t> marking;
+      marking.reserve(net.places.size());
+      for (const auto& place : net.places) marking.push_back(place->get());
+      finals.push_back(std::move(marking));
+    }
+    if (finals.size() == 3) {
+      ++compared;
+      EXPECT_EQ(finals[0], finals[1]) << "seed " << seed;
+      EXPECT_EQ(finals[2], finals[1]) << "seed " << seed;
+      EXPECT_EQ(evals[2], evals[0]) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(compared, 20);
+}
+
+TEST(RandomModelStress, VariantReportsMatchAcrossEnablingModesAndAreClean) {
+  // Nets whose declared output gates report their executed variant: the
+  // variant rows must walk the full-scan trajectory, the sanitizer must
+  // find every report covering its writes, and the sanitized run must
+  // dirty exactly what the lowered one dirties.
+  struct Mode {
+    bool incremental;
+    bool verify_footprints;
+  };
+  constexpr Mode kModes[] = {{true, false}, {false, false}, {true, true}};
+  int compared = 0;
+  for (std::uint64_t seed = 300; seed <= 340; ++seed) {
+    std::vector<std::vector<std::int64_t>> finals;
+    std::vector<std::uint64_t> evals;
+    for (const Mode mode : kModes) {
+      PropertyRng rng(seed);
+      RandomNet net(rng, /*reporting=*/true);
+      if (analyze::Analyzer().analyze(net.model).errors() > 0) break;
+      SimulatorConfig config;
+      config.end_time = 40.0;
+      config.seed = seed;
+      config.incremental_enabling = mode.incremental;
+      config.verify_footprints = mode.verify_footprints;
+      Simulator sim(config);
+      sim.set_model(net.model);
+      evals.push_back(sim.run().enabling_evals);
+      if (mode.verify_footprints) {
+        const FootprintReport* report = sim.footprint_report();
+        ASSERT_NE(report, nullptr);
+        EXPECT_TRUE(report->clean())
+            << "seed " << seed << "\n" << report->render_text();
+      }
       std::vector<std::int64_t> marking;
       marking.reserve(net.places.size());
       for (const auto& place : net.places) marking.push_back(place->get());

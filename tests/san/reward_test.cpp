@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
 
@@ -109,6 +111,81 @@ TEST(RewardVariable, CombinedRateAndImpulseInSimulation) {
   sim.run();
   EXPECT_DOUBLE_EQ(combined.accumulated(), 45.0 + 10.0);
   EXPECT_EQ(combined.impulse_count(), 10u);
+}
+
+TEST(RewardVariable, KindsAccumulateInOneSimulatorAsWhenAlone) {
+  // Rate-only, impulse-only and mixed rewards share one simulator, which
+  // hands dwell intervals only to rate rewards and completions only to
+  // impulse rewards: each must accumulate exactly what it does alone.
+  struct Rewards {
+    RewardVariable rate;
+    RewardVariable impulse;
+    RewardVariable mixed;
+  };
+  const auto run = [](int which) {
+    ComposedModel cm("M");
+    auto& sub = cm.add_submodel("S");
+    auto tokens = sub.add_place<std::int64_t>("tokens", 0);
+    auto& clock =
+        sub.add_timed_activity("clock", stats::make_exponential(1.5));
+    clock.add_output_gate(
+        {"inc", [tokens](GateContext&) { tokens->mut() += 1; },
+         access({}, {tokens})});
+    auto& drain = sub.add_timed_activity("drain", stats::make_exponential(1.0));
+    drain.add_input_gate({"g", [tokens]() { return tokens->get() > 0; },
+                          nullptr, access({tokens})});
+    drain.add_output_gate(
+        {"dec", [tokens](GateContext&) { tokens->mut() -= 1; },
+         access({}, {tokens})});
+    const auto level = [tokens]() {
+      return static_cast<double>(tokens->get());
+    };
+    Rewards r{RewardVariable("rate", level, 2.0),
+              RewardVariable::impulse_only("impulse", 2.0),
+              RewardVariable("mixed", level, 1.0)};
+    r.impulse.add_impulse(&drain, level);
+    r.mixed.add_impulse(&clock, []() { return 0.5; });
+    SimulatorConfig c;
+    c.end_time = 50.0;
+    c.seed = 17;
+    Simulator sim(c);
+    sim.set_model(cm);
+    if (which < 0 || which == 0) sim.add_reward(r.rate);
+    if (which < 0 || which == 1) sim.add_reward(r.impulse);
+    if (which < 0 || which == 2) sim.add_reward(r.mixed);
+    sim.run();
+    return std::vector<double>{
+        r.rate.accumulated(), r.impulse.accumulated(), r.mixed.accumulated(),
+        static_cast<double>(r.impulse.impulse_count()),
+        static_cast<double>(r.mixed.impulse_count())};
+  };
+  const std::vector<double> together = run(-1);
+  const std::vector<double> rate = run(0);
+  const std::vector<double> impulse = run(1);
+  const std::vector<double> mixed = run(2);
+  EXPECT_GT(together[0], 0.0);
+  EXPECT_GT(together[3], 0.0);
+  EXPECT_EQ(together[0], rate[0]);
+  EXPECT_EQ(together[1], impulse[1]);
+  EXPECT_EQ(together[3], impulse[3]);
+  EXPECT_EQ(together[2], mixed[2]);
+  EXPECT_EQ(together[4], mixed[4]);
+}
+
+TEST(RewardVariable, ImpulseAddedAfterRegistrationCountsFromNextReset) {
+  ComposedModel cm("M");
+  auto& sub = cm.add_submodel("S");
+  auto& clock = sub.add_timed_activity("clock", stats::make_deterministic(1.0));
+  clock.add_output_gate({"noop", [](GateContext&) {}});
+  auto r = RewardVariable::impulse_only("r");
+  SimulatorConfig c;
+  c.end_time = 10.0;
+  Simulator sim(c);
+  sim.set_model(cm);
+  sim.add_reward(r);  // registered before any reset(), no impulse yet
+  r.add_impulse(&clock, []() { return 1.0; });
+  sim.run();
+  EXPECT_EQ(r.impulse_count(), 10u);
 }
 
 TEST(RewardVariable, AccruesTailUpToEndTime) {

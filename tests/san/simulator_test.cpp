@@ -787,6 +787,142 @@ TEST(SimulatorIncremental, DynamicWritesDirtyOnlyTouchedPlaces) {
   EXPECT_EQ(first_watch_fire(true), 2.5);
 }
 
+/// First fire time of a watcher armed by `other >= 1`, when a clock
+/// increments `other` on every firing and reports `report(firing)`
+/// (kNoVariant: no report) out of its variants "count" (writes `count`
+/// only) and "other" (writes `other`). Reports are trusted, not checked:
+/// a "count" report hides the write to `other` from the watcher.
+Time first_watch_fire_with_reports(std::uint32_t (*report)(int)) {
+  ComposedModel cm("M");
+  auto& sub = cm.add_submodel("S");
+  auto count = sub.add_place<std::int64_t>("count", 0);
+  auto other = sub.add_place<std::int64_t>("other", 0);
+  auto fired = std::make_shared<int>(0);
+  auto& clock = sub.add_timed_activity("clock", stats::make_deterministic(1.0));
+  clock.add_output_gate(
+      {"inc",
+       [other, fired, report](GateContext& ctx) {
+         other->mut() += 1;
+         const std::uint32_t v = report(++*fired);
+         if (v != kNoVariant) ctx.report_variant(v);
+       },
+       with_effects(access({}, {count, other}),
+                    {{"count", {{count, "", +1}}}, {"other", {{other, "", +1}}}})});
+  auto& watch = sub.add_timed_activity("watch", stats::make_deterministic(0.5));
+  watch.add_input_gate({"armed", [other]() { return other->get() >= 1; },
+                        nullptr, access({other})});
+  watch.add_output_gate({"noop", [](GateContext&) {}, access({}, {})});
+
+  Simulator sim(config_for(10.0));
+  sim.set_model(cm);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
+  sim.run();
+  for (const auto& e : testing::fires(rec)) {
+    if (e.activity == "S->watch") return e.time;
+  }
+  return -1.0;
+}
+
+TEST(SimulatorIncremental, ReportedVariantDirtiesOnlyItsPlaces) {
+  // No report: the union row re-evaluates the watcher after the first
+  // firing. Reporting "count" on odd firings and "other" on even ones
+  // delays the first re-evaluation to the second firing.
+  EXPECT_EQ(first_watch_fire_with_reports([](int) { return kNoVariant; }),
+            1.5);
+  EXPECT_EQ(first_watch_fire_with_reports([](int n) {
+              return n % 2 == 1 ? std::uint32_t{0} : std::uint32_t{1};
+            }),
+            2.5);
+}
+
+TEST(SimulatorIncremental, OutOfRangeVariantReportTakesUnionRow) {
+  EXPECT_EQ(first_watch_fire_with_reports([](int) { return std::uint32_t{7}; }),
+            1.5);
+}
+
+TEST(SimulatorIncremental, TwoReportingGatesTakeUnionRow) {
+  // With two gates able to report, an index names no single variant
+  // list: every firing dirties the union of the writes.
+  ComposedModel cm("M");
+  auto& sub = cm.add_submodel("S");
+  auto count = sub.add_place<std::int64_t>("count", 0);
+  auto other = sub.add_place<std::int64_t>("other", 0);
+  auto& clock = sub.add_timed_activity("clock", stats::make_deterministic(1.0));
+  clock.add_output_gate(
+      {"inc_count",
+       [count](GateContext& ctx) {
+         count->mut() += 1;
+         ctx.report_variant(0);
+       },
+       with_effects(access({}, {count}), {{"count", {{count, "", +1}}}, {"none", {}}})});
+  clock.add_output_gate(
+      {"inc_other", [other](GateContext&) { other->mut() += 1; },
+       with_effects(access({}, {other}), {{"other", {{other, "", +1}}}, {"none", {}}})});
+  auto& watch = sub.add_timed_activity("watch", stats::make_deterministic(0.5));
+  watch.add_input_gate({"armed", [other]() { return other->get() >= 1; },
+                        nullptr, access({other})});
+  watch.add_output_gate({"noop", [](GateContext&) {}, access({}, {})});
+  Simulator sim(config_for(10.0));
+  sim.set_model(cm);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
+  sim.run();
+  Time first = -1.0;
+  for (const auto& e : testing::fires(rec)) {
+    if (e.activity == "S->watch") {
+      first = e.time;
+      break;
+    }
+  }
+  EXPECT_EQ(first, 1.5);
+}
+
+TEST(SimulatorIncremental, TruthfulVariantReportsMatchFullScanWithFewerEvals) {
+  // A counter clock that raises a flag every fourth tick and reports
+  // which it did; a watcher consumes the flag. Reports change only how
+  // much is re-evaluated, never the trajectory.
+  const auto run = [](bool incremental, bool report) {
+    ComposedModel cm("M");
+    auto& sub = cm.add_submodel("S");
+    auto ticks = sub.add_place<std::int64_t>("ticks", 0);
+    auto flag = sub.add_place<std::int64_t>("flag", 0);
+    auto& clock =
+        sub.add_timed_activity("clock", stats::make_exponential(1.0));
+    clock.add_output_gate(
+        {"tick",
+         [ticks, flag, report](GateContext& ctx) {
+           ticks->mut() += 1;
+           const bool raise = ticks->get() % 4 == 0;
+           if (raise) flag->mut() += 1;
+           if (report) ctx.report_variant(raise ? 1 : 0);
+         },
+         with_effects(access({ticks}, {ticks, flag}),
+                      {{"tick", {{ticks, "", +1}}},
+                       {"raise", {{ticks, "", +1}, {flag, "", +1}}}})});
+    auto& watch = sub.add_timed_activity("watch", stats::make_exponential(2.0));
+    watch.add_input_gate({"has_flag", [flag]() { return flag->get() > 0; },
+                          nullptr, access({flag})});
+    watch.add_output_gate({"take", [flag](GateContext&) { flag->mut() -= 1; },
+                           access({}, {flag})});
+    SimulatorConfig config = config_for(200.0, 5);
+    config.incremental_enabling = incremental;
+    Simulator sim(config);
+    sim.set_model(cm);
+    auto rec = testing::fire_sink();
+    sim.set_trace(&rec);
+    const RunStats stats = sim.run();
+    return std::make_pair(testing::fire_digest(rec), stats);
+  };
+  const auto full = run(false, true);
+  const auto silent = run(true, false);
+  const auto reported = run(true, true);
+  EXPECT_EQ(reported.first, full.first);
+  EXPECT_EQ(silent.first, full.first);
+  EXPECT_EQ(reported.second.events, full.second.events);
+  EXPECT_LT(reported.second.enabling_evals, silent.second.enabling_evals);
+}
+
 TEST(Simulator, RunResetsMarkingAndRewards) {
   ComposedModel cm("M");
   auto& sub = cm.add_submodel("S");

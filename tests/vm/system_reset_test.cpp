@@ -45,8 +45,11 @@ struct Slot {
   std::vector<std::unique_ptr<san::RewardVariable>> rewards;
 
   Slot(const std::string& algorithm, bool incremental)
-      : system(build_system(reset_config(),
-                            sched::make_factory(algorithm)())) {
+      : Slot(reset_config(), algorithm, incremental) {}
+
+  Slot(const SystemConfig& config, const std::string& algorithm,
+       bool incremental)
+      : system(build_system(config, sched::make_factory(algorithm)())) {
     bind(incremental);
   }
 
@@ -144,6 +147,37 @@ TEST_P(SystemReset, RebindEqualsFreshBuildForEveryAlgorithm) {
     rebound.system->reset();
     rebound.bind(incremental);
     expect_identical(expected, run_replication(rebound, kSeed));
+  }
+}
+
+// The reset and rebind checks above hold within one enabling mode; this
+// one holds the modes to each other. The VM gates report the effect
+// variant each firing took, so incremental enabling dirties far less
+// than the full scan re-checks: every algorithm, spinlock and DVFS on,
+// under both barrier modes, must still walk the identical trajectory.
+TEST(SystemResetModes, IncrementalMatchesFullScanForEverySyncMode) {
+  for (const SyncMode sync : {SyncMode::kEveryKth, SyncMode::kRandom}) {
+    for (const auto& algorithm : sched::builtin_algorithms()) {
+      SCOPED_TRACE(algorithm + (sync == SyncMode::kRandom ? "|random-sync"
+                                                          : "|every-kth"));
+      Replication runs[2];
+      for (const bool incremental : {false, true}) {
+        SystemConfig config = reset_config();
+        for (auto& vmc : config.vms) vmc.sync_mode = sync;
+        Slot slot(config, algorithm, incremental);
+        runs[incremental ? 1 : 0] = run_replication(slot, kSeed);
+      }
+      const Replication& full = runs[0];
+      const Replication& incremental = runs[1];
+      EXPECT_GT(full.stats.events, 0u);
+      EXPECT_EQ(incremental.fire_digest, full.fire_digest);
+      EXPECT_EQ(incremental.stats.events, full.stats.events);
+      EXPECT_EQ(incremental.stats.aborted_events, full.stats.aborted_events);
+      EXPECT_EQ(incremental.bridge.schedules_in, full.bridge.schedules_in);
+      EXPECT_EQ(incremental.bridge.freq_changes, full.bridge.freq_changes);
+      EXPECT_EQ(incremental.rewards, full.rewards);
+      EXPECT_LT(incremental.stats.enabling_evals, full.stats.enabling_evals);
+    }
   }
 }
 
