@@ -2,12 +2,15 @@
 // events/second across system sizes, the primitive building blocks
 // (RNG, distribution sampling, event queue churn via an M/M/1 model),
 // replication-level parallel speedup, incremental-enabling settle
-// throughput and JSONL trace serialization. CI publishes the
+// throughput, the scheduling function replayed alone and JSONL trace
+// serialization. CI publishes the
 // parallel/settle numbers as BENCH_parallel.json (see
 // docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <ostream>
+#include <span>
 #include <streambuf>
 
 #include "exp/runner.hpp"
@@ -180,6 +183,87 @@ void BM_SchedulerTickProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerTickProfiled)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+/// Forwards every call to `inner` and keeps a copy of each snapshot
+/// schedule() receives, taken before the algorithm decides.
+class RecordingScheduler final : public vm::Scheduler {
+ public:
+  explicit RecordingScheduler(vm::SchedulerPtr inner)
+      : inner_(std::move(inner)) {}
+  void on_attach(const vm::SystemTopology& topology) override {
+    this->topology = topology;
+    inner_->on_attach(topology);
+  }
+  void on_reset(const vm::SystemTopology& topology) override {
+    inner_->on_reset(topology);
+  }
+  bool schedule(std::span<vm::VCPU_host_external> vcpus,
+                std::span<vm::PCPU_external> pcpus, long timestamp) override {
+    vx.insert(vx.end(), vcpus.begin(), vcpus.end());
+    px.insert(px.end(), pcpus.begin(), pcpus.end());
+    timestamps.push_back(timestamp);
+    return inner_->schedule(vcpus, pcpus, timestamp);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  vm::SystemTopology topology;
+  std::vector<vm::VCPU_host_external> vx;  ///< tick-major snapshots
+  std::vector<vm::PCPU_external> px;
+  std::vector<long> timestamps;
+
+ private:
+  vm::SchedulerPtr inner_;
+};
+
+/// The scheduling function alone. One replication of a 2+3-VCPU system
+/// on 4 PCPUs (a paper_grid point) is recorded through a
+/// RecordingScheduler; each iteration then replays the recorded
+/// snapshots through a fresh instance of the algorithm, from on_reset.
+/// A replayed tick copies its snapshot into the working buffers and calls
+/// schedule(), so decide is timed without the two clock reads per phase
+/// that BM_SchedulerTickProfiled and perfbench --trace 1 add to every
+/// tick. `s_per_tick` is the mean time of one replayed tick.
+void BM_DecideReplay(benchmark::State& state, const std::string& algorithm) {
+  auto owner =
+      std::make_unique<RecordingScheduler>(sched::make_factory(algorithm)());
+  const RecordingScheduler& recorded = *owner;
+  const auto system = vm::build_system(
+      vm::make_symmetric_config(4, {2, 3}, 5), std::move(owner));
+  san::SimulatorConfig config;
+  config.end_time = 3000.0;
+  config.seed = 3;
+  san::run_once(*system->model, config);
+  const std::size_t ticks = recorded.timestamps.size();
+  const std::size_t vcpus = recorded.vx.size() / ticks;
+  const std::size_t pcpus = recorded.px.size() / ticks;
+  const vm::SchedulerPtr fresh = sched::make_factory(algorithm)();
+  fresh->on_attach(recorded.topology);
+  std::vector<vm::VCPU_host_external> vx(vcpus);
+  std::vector<vm::PCPU_external> px(pcpus);
+  for (auto _ : state) {
+    fresh->on_reset(recorded.topology);
+    for (std::size_t t = 0; t < ticks; ++t) {
+      std::copy_n(recorded.vx.begin() + static_cast<std::ptrdiff_t>(t * vcpus),
+                  vcpus, vx.begin());
+      std::copy_n(recorded.px.begin() + static_cast<std::ptrdiff_t>(t * pcpus),
+                  pcpus, px.begin());
+      benchmark::DoNotOptimize(
+          fresh->schedule(vx, px, recorded.timestamps[t]));
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_tick"] = benchmark::Counter(
+      static_cast<double>(ticks) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_DecideReplay, rrs, std::string("rrs"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, scs, std::string("scs"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, rcs, std::string("rcs"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, credit, std::string("credit"))
+    ->Unit(benchmark::kMicrosecond);
 
 /// Parallel replication speedup: a fig8-style run_point with a fixed
 /// replication count (min == max, unreachable CI target, so every jobs

@@ -101,6 +101,14 @@ void check_run_knobs(const exp::RunSpec& spec, const KnobSources& from) {
   if (!(spec.end_time > 0)) {
     reject(from.end_time + " must be positive, got " + show(spec.end_time));
   }
+  // One scheduler Clock event per tick: a longer horizon would stop at
+  // the simulator's event cap, short of end_time.
+  const std::uint64_t event_cap = san::SimulatorConfig{}.max_events;
+  if (spec.end_time > static_cast<double>(event_cap)) {
+    reject(from.end_time + " (" + show(spec.end_time) +
+           ") must not exceed the event cap of " + std::to_string(event_cap) +
+           " ticks");
+  }
   if (spec.warmup < 0) {
     reject(from.warmup + " must not be negative, got " + show(spec.warmup));
   }

@@ -94,7 +94,8 @@ struct KnobSources {
   std::string max_replications;
 };
 
-/// The checks no single value can make alone: end_time > 0,
+/// The checks no single value can make alone: 0 < end_time <= the
+/// simulator's event cap (the scheduler Clock fires once per tick),
 /// 0 <= warmup < end_time, half_width > 0, and at least two replications
 /// for both bounds (a confidence interval needs two samples). A minimum
 /// above the maximum is left for the runner to reject. Throws

@@ -1,7 +1,9 @@
 #include "exp/runner.hpp"
 
+#include <locale>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 
 #include "exp/pool.hpp"
@@ -170,6 +172,17 @@ stats::ReplicationResult run_point(const RunSpec& spec,
   if (!(spec.warmup >= 0) || spec.warmup >= spec.end_time) {
     throw std::invalid_argument("run_point: warmup must be in [0, end_time)");
   }
+  // The scheduler Clock fires once per tick, so a horizon of more ticks
+  // than the event cap cannot be reached: refuse it before replicating.
+  const std::uint64_t event_cap = san::SimulatorConfig{}.max_events;
+  if (spec.end_time > static_cast<double>(event_cap)) {
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << "run_point: end_time " << spec.end_time
+       << " exceeds the simulator's event cap of " << event_cap
+       << " events (the scheduler Clock alone fires once per tick)";
+    throw std::invalid_argument(os.str());
+  }
   std::unique_ptr<SystemPool> local_pool;
   SystemPool* pool = spec.pool;
   if (pool == nullptr) {
@@ -280,6 +293,17 @@ stats::ReplicationResult run_point(const RunSpec& spec,
               task.stream.antithetic);
     const san::RunStats run_stats = sim.advance_until(spec.end_time);
     sim.set_trace(nullptr);
+    if (run_stats.hit_event_cap) {
+      // The marking froze at the cap; accruing it up to end_time would
+      // print a wrong number.
+      std::ostringstream os;
+      os.imbue(std::locale::classic());
+      os << "run_point: replication " << rep << " (seed "
+         << san::replication_seed(spec.base_seed, task.stream.stream)
+         << ") stopped at the event cap of " << event_cap << " events at t="
+         << run_stats.end_time << ", before end_time " << spec.end_time;
+      throw std::runtime_error(os.str());
+    }
     if (spec.verify_footprints) {
       const san::FootprintReport* fp = sim.footprint_report();
       if (fp != nullptr && fp->errors() > 0) {

@@ -283,6 +283,22 @@ void Simulator::build_enabling_index() {
   };
   build(timed_dirty_, timed);
   build(inst_dirty_, inst);
+
+  // A touch of a place no predicate reads dirties nothing: resolve it to
+  // kNoPlaceId so mark_fired skips the two all-zero row ORs. Gates keep
+  // reporting the touch, which the sanitizer's missed-touch check reads.
+  const auto unread = [](const DirtySet& side, std::uint32_t id) {
+    const std::uint64_t* row =
+        side.by_place.data() + std::size_t{id} * side.words;
+    return std::all_of(row, row + side.words,
+                       [](std::uint64_t w) { return w == 0; });
+  };
+  for (std::uint32_t& id : touch_lookup_) {
+    if (id != kNoPlaceId && unread(timed_dirty_, id) &&
+        unread(inst_dirty_, id)) {
+      id = kNoPlaceId;
+    }
+  }
 }
 
 void Simulator::build_trace_write_lists() {
@@ -552,7 +568,11 @@ void Simulator::reset(std::uint64_t seed, bool antithetic) {
   reset();
 }
 
-RunStats Simulator::advance_until(Time t) {
+// Flattened: the per-event path (complete, mark_fired, settle and what
+// they call, short of the gate closures) is inlined into this loop. GCC
+// otherwise calls all three out of line; inlining them cut paper_grid
+// wall time by about 5%.
+[[gnu::flatten]] RunStats Simulator::advance_until(Time t) {
   if (!started_) {
     throw std::logic_error("Simulator: advance_until() before reset()");
   }

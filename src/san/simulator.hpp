@@ -449,9 +449,10 @@ class Simulator {
   /// `variant`, in the dirty set.
   void mark_fired(bool timed, std::uint32_t index, std::uint32_t variant);
   /// Enabling-index id of a place a gate reported through touch(), or
-  /// kNoPlaceId when no gate reads it. The dense compiled id resolves
-  /// model places with an array load; the hash probe covers places a
-  /// footprint names outside the compiled model.
+  /// kNoPlaceId when touching it can dirty nothing (a model place no
+  /// enabling predicate reads, or a place in no footprint). The dense
+  /// compiled id resolves model places with an array load; the hash probe
+  /// covers places a footprint names outside the compiled model.
   std::uint32_t touched_place_id(const PlaceBase* p) const {
     const std::uint32_t cid = p->compiled_id();
     if (cid < touch_lookup_.size()) return touch_lookup_[cid];
@@ -479,7 +480,8 @@ class Simulator {
   std::vector<const CompiledModel::CompiledActivity*> inst_compiled_;
   std::vector<TimedHot> timed_hot_;  ///< parallel to activities_
   /// Dense compiled place id -> enabling-index place id (kNoPlaceId for
-  /// places no gate reads); replaces the hash probe on touch() reports.
+  /// places no enabling predicate reads, so touching one costs no row
+  /// OR); replaces the hash probe on touch() reports.
   static constexpr std::uint32_t kNoPlaceId = 0xffff'ffffu;
   std::vector<std::uint32_t> touch_lookup_;
   std::int64_t inst_enabled_count_ = 0;

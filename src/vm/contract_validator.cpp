@@ -60,18 +60,25 @@ std::optional<ScheduleViolation> ContractValidator::validate(
   assert(pcpu_vcpu.size() == scratch_pcpu_.size());
   scratch_vcpu_.assign(vcpu_pcpu.begin(), vcpu_pcpu.end());
   scratch_pcpu_.assign(pcpu_vcpu.begin(), pcpu_vcpu.end());
-  const int num_pcpus = static_cast<int>(scratch_pcpu_.size());
+  return replay(vcpus, scratch_vcpu_, scratch_pcpu_);
+}
+
+std::optional<ScheduleViolation> ContractValidator::replay(
+    std::span<const VCPU_host_external> vcpus, std::span<int> vcpu_pcpu,
+    std::span<int> pcpu_vcpu) {
+  assert(vcpus.size() == vcpu_pcpu.size());
+  const int num_pcpus = static_cast<int>(pcpu_vcpu.size());
 
   // Phase 1: relinquishments, ascending VCPU order.
   for (std::size_t i = 0; i < vcpus.size(); ++i) {
     if (vcpus[i].schedule_out == 0) continue;
-    const int held = scratch_vcpu_[i];
+    const int held = vcpu_pcpu[i];
     if (held < 0) {
       return ScheduleViolation{ScheduleViolation::Kind::kOutNotAssigned,
                                static_cast<int>(i), -1, -1};
     }
-    scratch_pcpu_[static_cast<std::size_t>(held)] = -1;
-    scratch_vcpu_[i] = -1;
+    pcpu_vcpu[static_cast<std::size_t>(held)] = -1;
+    vcpu_pcpu[i] = -1;
   }
 
   // Phase 2: assignments, ascending VCPU order.
@@ -82,17 +89,17 @@ std::optional<ScheduleViolation> ContractValidator::validate(
       return ScheduleViolation{ScheduleViolation::Kind::kInOutOfRange,
                                static_cast<int>(i), target, -1};
     }
-    if (scratch_vcpu_[i] >= 0) {
+    if (vcpu_pcpu[i] >= 0) {
       return ScheduleViolation{ScheduleViolation::Kind::kInAlreadyAssigned,
-                               static_cast<int>(i), target, scratch_vcpu_[i]};
+                               static_cast<int>(i), target, vcpu_pcpu[i]};
     }
-    const int owner = scratch_pcpu_[static_cast<std::size_t>(target)];
+    const int owner = pcpu_vcpu[static_cast<std::size_t>(target)];
     if (owner >= 0) {
       return ScheduleViolation{ScheduleViolation::Kind::kInPcpuTaken,
                                static_cast<int>(i), target, owner};
     }
-    scratch_pcpu_[static_cast<std::size_t>(target)] = static_cast<int>(i);
-    scratch_vcpu_[i] = target;
+    pcpu_vcpu[static_cast<std::size_t>(target)] = static_cast<int>(i);
+    vcpu_pcpu[i] = target;
   }
   return std::nullopt;
 }

@@ -10,10 +10,11 @@
 //   * an assignment names an in-range PCPU,
 //   * the assigned VCPU holds no PCPU at assignment time,
 //   * the named PCPU is idle at assignment time.
-// ContractValidator replays the decisions against scratch copies of the
-// assignment maps and reports the first violation, leaving the
-// authoritative marking untouched; the caller then applies the
-// (now known-valid) decisions without re-checking.
+// ContractValidator replays the decisions against assignment maps (the
+// bridge's own pre-apply record, or scratch copies of the caller's) and
+// reports the first violation, leaving the authoritative marking
+// untouched; the caller then applies the (now known-valid) decisions
+// without re-checking.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +47,9 @@ struct ScheduleViolation {
 };
 
 /// Validates decision sets against the apply-order contract above.
-/// attach() sizes the scratch state once; validate() is then
-/// allocation-free on the success path (hot: once per Clock tick).
+/// attach() sizes the scratch state once; validate() and replay() are
+/// then allocation-free on the success path (replay() is hot: once per
+/// Clock tick).
 class ContractValidator {
  public:
   /// Size (and reset) the scratch assignment maps. `num_dvfs_levels` is
@@ -60,9 +62,19 @@ class ContractValidator {
   /// assignment (vcpu_pcpu[i] = PCPU held by VCPU i or -1; pcpu_vcpu[p] =
   /// VCPU on PCPU p or -1) in the framework's apply order. Returns the
   /// first violation, or nullopt when the decision set is contract-clean.
+  /// Replays on scratch copies, so the caller's maps are left as given.
   std::optional<ScheduleViolation> validate(
       std::span<const VCPU_host_external> vcpus,
       std::span<const int> vcpu_pcpu, std::span<const int> pcpu_vcpu);
+
+  /// The replay validate() runs, on the caller's own maps, which it
+  /// consumes: on return they hold the assignment after the decisions
+  /// replayed (up to the first violation, if one is returned). The
+  /// per-tick bridge replays on the assignment it recorded this tick,
+  /// so it copies nothing.
+  static std::optional<ScheduleViolation> replay(
+      std::span<const VCPU_host_external> vcpus, std::span<int> vcpu_pcpu,
+      std::span<int> pcpu_vcpu);
 
   /// Check the PCPU-side frequency decisions: every set_freq_level must
   /// be -1 (keep) or a declared level index. Returns the first violation
@@ -72,8 +84,8 @@ class ContractValidator {
       std::span<const PCPU_external> pcpus) const;
 
  private:
-  std::vector<int> scratch_vcpu_;  ///< vcpu -> held pcpu during replay
-  std::vector<int> scratch_pcpu_;  ///< pcpu -> owning vcpu during replay
+  std::vector<int> scratch_vcpu_;  ///< validate()'s vcpu -> held pcpu
+  std::vector<int> scratch_pcpu_;  ///< validate()'s pcpu -> owning vcpu
   std::size_t num_dvfs_levels_ = 0;
 };
 

@@ -179,6 +179,21 @@ TEST(Cli, CrossFieldRunKnobsFailNamingTheFlags) {
   }
 }
 
+TEST(Cli, EndTimeBeyondTheEventCapFailsAtOnce) {
+  // One scheduler Clock event per tick: a horizon past the event cap
+  // used to run for as long as it took to reach the cap.
+  for (const char* end : {"1e300", "500000001"}) {
+    SCOPED_TRACE(end);
+    const auto r = run({"--end-time", end});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.err.rfind("vcpusim: --end-time (", 0), 0u) << r.err;
+    EXPECT_NE(r.err.find("must not exceed the event cap of 500000000 ticks"),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
 TEST(Cli, ScenarioValuesOverriddenByFlagsAreCheckedTogether) {
   const std::string path = ::testing::TempDir() + "cli_knobs.scn";
   {

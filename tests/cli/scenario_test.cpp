@@ -194,6 +194,19 @@ TEST(Scenario, CrossFieldRunKnobsFailNamingTheKeys) {
   }
 }
 
+TEST(Scenario, EndTimeBeyondTheEventCapIsRejected) {
+  try {
+    parse("end_time = 1e300\n[vm]\nvcpus = 1\n");
+    ADD_FAILURE() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "line 1: 'end_time' (1e+300) must not exceed the event cap of "
+              "500000000 ticks");
+  }
+  // The cap itself is a valid horizon.
+  EXPECT_NO_THROW(parse("end_time = 500000000\n[vm]\nvcpus = 1\n"));
+}
+
 TEST(Scenario, ReplicationBounds) {
   // A maximum given alone caps the default minimum; explicit bounds are
   // kept as written, and a conflicting pair is left for the runner to

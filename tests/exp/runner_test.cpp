@@ -82,6 +82,22 @@ TEST(Runner, ValidationErrors) {
                std::invalid_argument);
 }
 
+TEST(Runner, EndTimeBeyondTheEventCapFailsBeforeReplicating) {
+  // The scheduler Clock fires once per tick, so such a run could only
+  // stop at the event cap with a frozen marking.
+  RunSpec spec = quick_spec();
+  spec.end_time = 1e300;
+  try {
+    run_point(spec, {{MetricKind::kThroughput, -1, ""}});
+    ADD_FAILURE() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_point: end_time 1e+300 exceeds the simulator's event cap "
+              "of 500000000 events (the scheduler Clock alone fires once "
+              "per tick)");
+  }
+}
+
 TEST(Runner, PooledRunBuildsOneSchedulerPerExecutorSlot) {
   // The zero-rebuild engine reuses the built system — and its scheduler,
   // via Scheduler::on_reset — across replications: a 1-job run

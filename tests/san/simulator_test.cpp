@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "san/sanitizer.hpp"
 #include "stats/distribution.hpp"
 #include "testing/helpers.hpp"
 
@@ -921,6 +922,78 @@ TEST(SimulatorIncremental, TruthfulVariantReportsMatchFullScanWithFewerEvals) {
   EXPECT_EQ(silent.first, full.first);
   EXPECT_EQ(reported.second.events, full.second.events);
   EXPECT_LT(reported.second.enabling_evals, silent.second.enabling_evals);
+}
+
+/// A clock whose dynamic-writes gate bumps `count`, which a watcher's
+/// predicate reads, and `log`, which no predicate reads. The gate always
+/// touches `count`, and touches `log` only when `touch_log` is set.
+struct UnreadTouchRun {
+  std::uint64_t digest = 0;
+  RunStats stats;
+  FootprintReport report;  ///< empty unless `verify`
+};
+UnreadTouchRun run_unread_touch(bool incremental, bool touch_log,
+                                bool verify = false) {
+  ComposedModel cm("M");
+  auto& sub = cm.add_submodel("S");
+  auto count = sub.add_place<std::int64_t>("count", 0);
+  auto log = sub.add_place<std::int64_t>("log", 0);
+  auto& clock = sub.add_timed_activity("clock", stats::make_exponential(1.0));
+  clock.add_output_gate(
+      {"inc",
+       [count, log, touch_log](GateContext& ctx) {
+         count->mut() += 1;
+         log->mut() += 1;
+         ctx.touch(count.get());
+         if (touch_log) ctx.touch(log.get());
+       },
+       access_dynamic({}, {count, log})});
+  auto& watch = sub.add_timed_activity("watch", stats::make_exponential(2.0));
+  watch.add_input_gate({"has_count", [count]() { return count->get() > 0; },
+                        nullptr, access({count})});
+  watch.add_output_gate({"take", [count](GateContext&) { count->mut() -= 1; },
+                         access({}, {count})});
+  SimulatorConfig config = config_for(200.0, 3);
+  config.incremental_enabling = incremental;
+  config.verify_footprints = verify;
+  Simulator sim(config);
+  sim.set_model(cm);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
+  UnreadTouchRun out;
+  out.stats = sim.run();
+  out.digest = testing::fire_digest(rec);
+  if (verify) out.report = *sim.footprint_report();
+  return out;
+}
+
+TEST(SimulatorIncremental, TouchOfUnreadPlaceChangesNothing) {
+  // No predicate reads `log`, so touching it can dirty nothing: the run
+  // is the full-scan trajectory with or without the touch, at the same
+  // enabling cost. The read place `count` must still dirty the watcher.
+  const auto full = run_unread_touch(false, true);
+  const auto touched = run_unread_touch(true, true);
+  const auto untouched = run_unread_touch(true, false);
+  ASSERT_GT(full.stats.events, 100u);
+  EXPECT_EQ(touched.digest, full.digest);
+  EXPECT_EQ(untouched.digest, full.digest);
+  EXPECT_EQ(touched.stats.events, full.stats.events);
+  EXPECT_EQ(touched.stats.enabling_evals, untouched.stats.enabling_evals);
+  EXPECT_LT(touched.stats.enabling_evals, full.stats.enabling_evals);
+}
+
+TEST(SimulatorIncremental, UnreadPlaceWrittenWithoutTouchIsStillMissed) {
+  // The index resolves touches of `log` to nothing, but the sanitizer
+  // still holds the gate to reporting every write it makes.
+  const auto truthful = run_unread_touch(true, true, true);
+  EXPECT_TRUE(truthful.report.clean()) << truthful.report.render_text();
+  const auto lying = run_unread_touch(true, false, true);
+  bool missed_log = false;
+  for (const auto& v : lying.report.violations) {
+    missed_log = missed_log || (v.kind == ViolationKind::kMissedTouch &&
+                                v.place.find("log") != std::string::npos);
+  }
+  EXPECT_TRUE(missed_log) << lying.report.render_text();
 }
 
 TEST(Simulator, RunResetsMarkingAndRewards) {
