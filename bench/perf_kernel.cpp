@@ -215,36 +215,46 @@ class RecordingScheduler final : public vm::Scheduler {
   vm::SchedulerPtr inner_;
 };
 
-/// The scheduling function alone. One replication of a 2+3-VCPU system
-/// on 4 PCPUs (a paper_grid point) is recorded through a
-/// RecordingScheduler; each iteration then replays the recorded
-/// snapshots through a fresh instance of the algorithm, from on_reset.
-/// A replayed tick copies its snapshot into the working buffers and calls
-/// schedule(), so decide is timed without the two clock reads per phase
-/// that BM_SchedulerTickProfiled and perfbench --trace 1 add to every
-/// tick. `s_per_tick` is the mean time of one replayed tick.
-void BM_DecideReplay(benchmark::State& state, const std::string& algorithm) {
+/// The scheduling function alone. One replication of a system is
+/// recorded through a RecordingScheduler; each iteration then replays the
+/// recorded snapshots through a fresh instance of the algorithm, from
+/// on_reset. A replayed tick copies its snapshot into the working buffers
+/// and calls schedule(), so decide is timed without the two clock reads
+/// per phase that BM_SchedulerTickProfiled and perfbench --trace 1 add to
+/// every tick. `s_per_tick` is the mean time of one replayed tick.
+///
+/// `vcpus` 0 records a 2+3-VCPU system on 4 PCPUs (a paper_grid point)
+/// for 3000 ticks. Otherwise it is the VCPU count of BM_SchedulerTick's
+/// shape (2-VCPU VMs, PCPUs = VMs), recorded for 1000 ticks to bound the
+/// recording's memory; these rows show how decide grows with the system.
+void BM_DecideReplay(benchmark::State& state, const std::string& algorithm,
+                     int vcpus) {
   auto owner =
       std::make_unique<RecordingScheduler>(sched::make_factory(algorithm)());
   const RecordingScheduler& recorded = *owner;
+  const int vms = vcpus / 2;
   const auto system = vm::build_system(
-      vm::make_symmetric_config(4, {2, 3}, 5), std::move(owner));
+      vcpus == 0 ? vm::make_symmetric_config(4, {2, 3}, 5)
+                 : vm::make_symmetric_config(
+                       vms, std::vector<int>(static_cast<std::size_t>(vms), 2),
+                       5),
+      std::move(owner));
   san::SimulatorConfig config;
-  config.end_time = 3000.0;
+  config.end_time = vcpus == 0 ? 3000.0 : 1000.0;
   config.seed = 3;
   san::run_once(*system->model, config);
   const std::size_t ticks = recorded.timestamps.size();
-  const std::size_t vcpus = recorded.vx.size() / ticks;
+  const std::size_t n = recorded.vx.size() / ticks;
   const std::size_t pcpus = recorded.px.size() / ticks;
   const vm::SchedulerPtr fresh = sched::make_factory(algorithm)();
   fresh->on_attach(recorded.topology);
-  std::vector<vm::VCPU_host_external> vx(vcpus);
+  std::vector<vm::VCPU_host_external> vx(n);
   std::vector<vm::PCPU_external> px(pcpus);
   for (auto _ : state) {
     fresh->on_reset(recorded.topology);
     for (std::size_t t = 0; t < ticks; ++t) {
-      std::copy_n(recorded.vx.begin() + static_cast<std::ptrdiff_t>(t * vcpus),
-                  vcpus, vx.begin());
+      std::copy_n(recorded.vx.begin() + static_cast<std::ptrdiff_t>(t * n), n,
+                  vx.begin());
       std::copy_n(recorded.px.begin() + static_cast<std::ptrdiff_t>(t * pcpus),
                   pcpus, px.begin());
       benchmark::DoNotOptimize(
@@ -256,13 +266,21 @@ void BM_DecideReplay(benchmark::State& state, const std::string& algorithm) {
       static_cast<double>(ticks) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK_CAPTURE(BM_DecideReplay, rrs, std::string("rrs"))
+BENCHMARK_CAPTURE(BM_DecideReplay, rrs, std::string("rrs"), 0)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_DecideReplay, scs, std::string("scs"))
+BENCHMARK_CAPTURE(BM_DecideReplay, scs, std::string("scs"), 0)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_DecideReplay, rcs, std::string("rcs"))
+BENCHMARK_CAPTURE(BM_DecideReplay, rcs, std::string("rcs"), 0)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_DecideReplay, credit, std::string("credit"))
+BENCHMARK_CAPTURE(BM_DecideReplay, credit, std::string("credit"), 0)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, rcs/64, std::string("rcs"), 64)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, rcs/256, std::string("rcs"), 256)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, credit/64, std::string("credit"), 64)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DecideReplay, credit/256, std::string("credit"), 256)
     ->Unit(benchmark::kMicrosecond);
 
 /// Parallel replication speedup: a fig8-style run_point with a fixed

@@ -3,10 +3,10 @@
 // built on:
 //
 //   RunQueue    fixed-capacity FIFO ring (rotation, first-fit scans)
-//   RunSet      schedule-in-ordered membership with extract_if
+//   RunSet      schedule-in-ordered membership with extract_if and
+//               O(1) contains
 //   GangSet     VM sibling groups copied from the SystemTopology
 //   IdlePcpus   idle-PCPU cursor incl. PCPUs freed during the tick
-//   SkewTracker relaxed-co skew accounting with constraint hysteresis
 //
 // All primitives size their state in Scheduler::on_attach and are
 // allocation-free per tick. The topology and validator types are defined
@@ -18,7 +18,6 @@
 #include "sched/core/idle_pcpus.hpp"
 #include "sched/core/run_queue.hpp"
 #include "sched/core/run_set.hpp"
-#include "sched/core/skew_tracker.hpp"
 #include "vm/contract_validator.hpp"
 #include "vm/topology.hpp"
 

@@ -74,8 +74,10 @@ class RunQueue {
   }
 
  private:
+  /// Map a position in [0, 2 * capacity) into the ring: every caller
+  /// adds to head_ (< capacity) an offset of at most size_ (<= capacity).
   std::size_t wrap(std::size_t k) const noexcept {
-    return data_.empty() ? 0 : k % data_.size();
+    return k >= data_.size() ? k - data_.size() : k;
   }
 
   std::vector<int> data_;

@@ -7,9 +7,12 @@
 //
 // Generalizes the old sched::detail::RunSet with a fixed capacity and an
 // allocation-free extract_if (the scratch vector is pre-sized at
-// attach() and swapped, never grown).
+// attach() and swapped, never grown). Members are ids in [0, capacity);
+// a flag per id, sized at attach(), makes contains() O(1) and lets
+// remove() skip the scan for a non-member.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <span>
@@ -26,27 +29,25 @@ class RunSet {
     order_.reserve(capacity);
     keep_.clear();
     keep_.reserve(capacity);
+    member_.assign(capacity, 0);
   }
 
   void add(int id) {
     assert(order_.size() < order_.capacity());
+    assert(!contains(id));
     order_.push_back(id);
+    member_[static_cast<std::size_t>(id)] = 1;
   }
 
   bool contains(int id) const {
-    for (const int v : order_) {
-      if (v == id) return true;
-    }
-    return false;
+    assert(static_cast<std::size_t>(id) < member_.size());
+    return member_[static_cast<std::size_t>(id)] != 0;
   }
 
   void remove(int id) {
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      if (order_[i] == id) {
-        order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
+    if (!contains(id)) return;
+    member_[static_cast<std::size_t>(id)] = 0;
+    order_.erase(std::find(order_.begin(), order_.end(), id));
   }
 
   /// Remove every member for which `released` holds, invoking
@@ -56,6 +57,7 @@ class RunSet {
     keep_.clear();
     for (const int v : order_) {
       if (released(v)) {
+        member_[static_cast<std::size_t>(v)] = 0;
         out(v);
       } else {
         keep_.push_back(v);
@@ -70,6 +72,7 @@ class RunSet {
  private:
   std::vector<int> order_;
   std::vector<int> keep_;
+  std::vector<char> member_;  ///< member_[id] != 0 iff id is in order_
 };
 
 }  // namespace vcpusim::sched::core

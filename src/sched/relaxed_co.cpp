@@ -1,5 +1,6 @@
 #include "sched/relaxed_co.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -15,13 +16,24 @@ using vm::VCPU_host_external;
 
 // Relaxed co-scheduling, following the ESX 3/4 design the paper cites:
 //
-//  * Each VCPU carries a cumulative *skew* accumulator (core::SkewTracker)
-//    with per-VM constraint hysteresis over skew_threshold / resume.
+//  * Each VCPU carries a cumulative *skew*: it grows by one per tick
+//    while some other sibling made guest progress and it, though
+//    runnable, did not, and shrinks by one while it progresses alone
+//    (catching up). Idle VCPUs carry no skew: an idle guest is not
+//    lagging. Skews are whole ticks, so they are ints; the thresholds
+//    are doubles, compared with a VM's largest skew.
+//  * A VM becomes *constrained* when its maximum skew exceeds
+//    skew_threshold, and is released when it falls back to the resume
+//    level (hysteresis).
 //  * While constrained, VCPUs that are ahead (smaller skew) are co-stopped
 //    and barred from individual restart as long as a more-skewed sibling
 //    sits descheduled; the laggards run alone to catch up.
 //  * Independent of the constraint, the scheduler co-starts a whole gang
 //    (best effort) whenever a VM's turn comes and enough PCPUs are idle.
+//
+// Per tick the accounting is one walk over each VM's members; the
+// passes after it cost O(VCPU x gang size) because RunSet membership is
+// O(1).
 class RelaxedCo final : public vm::Scheduler {
  public:
   explicit RelaxedCo(const RcsOptions& options)
@@ -39,14 +51,14 @@ class RelaxedCo final : public vm::Scheduler {
   void on_attach(const SystemTopology& topology) override {
     const auto n = static_cast<std::size_t>(topology.num_vcpus());
     gangs_.attach(topology);
-    skews_.attach(gangs_, threshold_, resume_);
     queue_.attach(n);
     running_.attach(n);
     idle_.attach(static_cast<std::size_t>(topology.num_pcpus));
+    skew_.assign(n, 0);
     made_progress_.assign(n, 0);
-    not_idle_.assign(n, 0);
+    non_idle_.assign(n, 0);
     granted_.assign(n, 0);
-    no_grants_.assign(n, 0);
+    constrained_.assign(gangs_.num_vms(), 0);
     scratch_.clear();
     scratch_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) queue_.push_back(static_cast<int>(i));
@@ -54,26 +66,8 @@ class RelaxedCo final : public vm::Scheduler {
 
   bool schedule(std::span<VCPU_host_external> vcpus,
                 std::span<PCPU_external> pcpus, long /*timestamp*/) override {
-    const std::size_t n = vcpus.size();
-
-    // Guest progress through the last tick: the VCPU held a PCPU (it is
-    // in running_) and was processing work. A VCPU the framework just
-    // descheduled reads INACTIVE in the snapshot; leftover remaining_load
-    // shows it was busy through the tick.
-    for (std::size_t i = 0; i < n; ++i) {
-      made_progress_[i] = 0;
-      not_idle_[i] = non_idle(vcpus[i]) ? 1 : 0;
-    }
-    for (const int v : running_.order()) {
-      const auto i = static_cast<std::size_t>(v);
-      const bool was_busy =
-          vcpus[i].status == static_cast<int>(vm::VcpuStatus::kBusy) ||
-          (vcpus[i].assigned_pcpu < 0 && vcpus[i].remaining_load > 0);
-      if (was_busy) made_progress_[i] = 1;
-    }
-
-    // Skew accounting and constraint hysteresis (core::SkewTracker).
-    skews_.account(made_progress_, not_idle_);
+    const std::size_t vms = gangs_.num_vms();
+    for (std::size_t vm = 0; vm < vms; ++vm) account(vm, vcpus);
 
     // Requeue framework-expired VCPUs in schedule-in order.
     running_.extract_if(
@@ -87,13 +81,13 @@ class RelaxedCo final : public vm::Scheduler {
     idle_.reset(pcpus);
 
     // Co-stop: stop running VCPUs of constrained VMs that are ahead of a
-    // starved sibling, freeing their PCPUs for the laggards.
-    for (std::size_t vm = 0; vm < gangs_.num_vms(); ++vm) {
-      if (!skews_.constrained(vm)) continue;
+    // starved sibling, freeing their PCPUs for the laggards. Nothing is
+    // granted yet, so granted_ (cleared by account) reads all-zero.
+    for (std::size_t vm = 0; vm < vms; ++vm) {
+      if (!constrained_[vm]) continue;
       for (const int v : gangs_.members(vm)) {
-        const auto i = static_cast<std::size_t>(v);
-        if (running_.contains(v) &&
-            lagging_sibling_waiting(v, vcpus, no_grants_)) {
+        if (running_.contains(v) && lagging_sibling_waiting(v, vm)) {
+          const auto i = static_cast<std::size_t>(v);
           vcpus[i].schedule_out = 1;
           running_.remove(v);
           idle_.push(vcpus[i].assigned_pcpu);
@@ -109,21 +103,18 @@ class RelaxedCo final : public vm::Scheduler {
     // timeslice; this is what costs blocked multi-VCPU VMs scheduling
     // share relative to never-idle single-VCPU VMs (paper Figure 8).
     if (!queue_.empty()) {
-      scratch_.clear();
-      for (const int v : running_.order()) {
-        const auto i = static_cast<std::size_t>(v);
-        if (vcpus[i].status == static_cast<int>(vm::VcpuStatus::kReady) &&
-            vcpus[i].remaining_load <= 0) {
-          scratch_.push_back(v);
-        }
-      }
-      for (const int v : scratch_) {
-        const auto i = static_cast<std::size_t>(v);
-        vcpus[i].schedule_out = 1;
-        running_.remove(v);
-        idle_.push(vcpus[i].assigned_pcpu);
-        queue_.push_back(v);
-      }
+      running_.extract_if(
+          [&vcpus](int v) {
+            const auto& x = vcpus[static_cast<std::size_t>(v)];
+            return x.status == static_cast<int>(vm::VcpuStatus::kReady) &&
+                   x.remaining_load <= 0;
+          },
+          [this, &vcpus](int v) {
+            auto& x = vcpus[static_cast<std::size_t>(v)];
+            x.schedule_out = 1;
+            idle_.push(x.assigned_pcpu);
+            queue_.push_back(v);
+          });
     }
 
     // Assignment pass over the run queue (rotation — waiters rejoin in
@@ -134,7 +125,6 @@ class RelaxedCo final : public vm::Scheduler {
     //  * otherwise single VCPUs start alone, except that a VCPU of a
     //    constrained VM may not start ahead of a more-skewed sibling
     //    left waiting.
-    for (std::size_t i = 0; i < n; ++i) granted_[i] = 0;
     for (std::size_t k = queue_.size(); k > 0; --k) {
       const int v = queue_.pop_front();
       const auto i = static_cast<std::size_t>(v);
@@ -158,8 +148,7 @@ class RelaxedCo final : public vm::Scheduler {
         }
         continue;
       }
-      if (skews_.constrained(vm) &&
-          lagging_sibling_waiting(v, vcpus, granted_)) {
+      if (constrained_[vm] && lagging_sibling_waiting(v, vm)) {
         queue_.push_back(v);
         continue;
       }
@@ -173,25 +162,52 @@ class RelaxedCo final : public vm::Scheduler {
   std::string name() const override { return "RCS"; }
 
  private:
-  /// A VCPU the guest can still make progress on: processing or holding
-  /// an unfinished workload. READY-with-no-load VCPUs are idle.
-  static bool non_idle(const VCPU_host_external& x) {
-    return x.status == static_cast<int>(vm::VcpuStatus::kBusy) ||
-           x.remaining_load > 0;
+  /// Account the tick just executed for one VM: each member's guest
+  /// progress, its skew, and the VM's constraint hysteresis. Clears the
+  /// members' grants for this tick's passes. The flags are combined with
+  /// `&`, `|` and a multiply rather than branches: they depend on the
+  /// guest's state and would mispredict.
+  void account(std::size_t vm, std::span<const VCPU_host_external> vcpus) {
+    const auto members = gangs_.members(vm);
+    // Guest progress: the VCPU held a PCPU (it is still in running_) and
+    // was processing work. A VCPU the framework just descheduled reads
+    // INACTIVE in the snapshot; leftover remaining_load shows it was
+    // busy through the tick.
+    int progressed = 0;
+    for (const int v : members) {
+      const auto i = static_cast<std::size_t>(v);
+      const auto& x = vcpus[i];
+      const bool busy = x.status == static_cast<int>(vm::VcpuStatus::kBusy);
+      const bool loaded = x.remaining_load > 0;
+      const int made = static_cast<int>(
+          running_.contains(v) & (busy | ((x.assigned_pcpu < 0) & loaded)));
+      made_progress_[i] = made;
+      non_idle_[i] = static_cast<int>(busy | loaded);
+      progressed += made;
+      granted_[i] = 0;
+    }
+    int hi = 0;
+    for (const int v : members) {
+      const auto i = static_cast<std::size_t>(v);
+      const int made = made_progress_[i];
+      const int step = static_cast<int>(progressed > made) - made;
+      const int skew = std::max(0, skew_[i] + step) * non_idle_[i];
+      skew_[i] = skew;
+      hi = std::max(hi, skew);
+    }
+    const bool over = hi > threshold_;
+    const bool held = constrained_[vm] != 0 && !(hi <= resume_);
+    constrained_[vm] = static_cast<int>(over | held);
   }
 
   /// True if a non-idle sibling strictly more skewed than `v` is neither
   /// running nor granted a PCPU this tick.
-  bool lagging_sibling_waiting(int v, std::span<VCPU_host_external> vcpus,
-                               const std::vector<char>& granted) const {
-    const auto vm = static_cast<std::size_t>(
-        vcpus[static_cast<std::size_t>(v)].vm_id);
+  bool lagging_sibling_waiting(int v, std::size_t vm) const {
+    const int own = skew_[static_cast<std::size_t>(v)];
     for (const int s : gangs_.members(vm)) {
-      if (s == v) continue;
       const auto j = static_cast<std::size_t>(s);
-      if (!non_idle(vcpus[j])) continue;
-      if (skews_.skew(s) <= skews_.skew(v)) continue;
-      if (!running_.contains(s) && !granted[j]) return true;
+      if (skew_[j] <= own || running_.contains(s) || granted_[j]) continue;
+      if (non_idle_[j]) return true;
     }
     return false;
   }
@@ -199,15 +215,20 @@ class RelaxedCo final : public vm::Scheduler {
   double threshold_;
   double resume_;
   core::GangSet gangs_;
-  core::SkewTracker skews_;
   core::RunQueue queue_;
   core::RunSet running_;
   core::IdlePcpus idle_;
-  std::vector<char> made_progress_;
-  std::vector<char> not_idle_;
-  std::vector<char> granted_;
-  std::vector<char> no_grants_;  ///< all-zero: co-stop pass sees no grants
-  std::vector<int> scratch_;     ///< idle-yield and co-start gang scratch
+  std::vector<int> skew_;           ///< per VCPU, in ticks of lag
+  // Flags are ints, not chars: a char store may alias anything, so the
+  // loops would reload the vectors' data pointers after each one.
+  std::vector<int> made_progress_;  ///< per VCPU, this tick's account
+  /// Per VCPU, this tick: the guest can still make progress on it
+  /// (processing, or holding an unfinished workload). READY VCPUs with
+  /// no load are idle.
+  std::vector<int> non_idle_;
+  std::vector<int> granted_;        ///< per VCPU, granted this tick
+  std::vector<int> constrained_;    ///< per VM
+  std::vector<int> scratch_;        ///< co-start gang scratch
 };
 
 }  // namespace

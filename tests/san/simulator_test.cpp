@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "san/sanitizer.hpp"
+#include "sched/registry.hpp"
 #include "stats/distribution.hpp"
 #include "testing/helpers.hpp"
 
@@ -697,6 +698,115 @@ TEST(SimulatorIncremental, MatchesFullScanTrajectoryForEveryFootprintMix) {
             << i;
       }
     }
+  }
+}
+
+// The drain counts its visits in the bit loop. These pin what it counts:
+// the exact event and enabling-evaluation totals of one paper-shape
+// replication in both modes (recorded before the count moved into the
+// loop), and a model whose dirty sets span several words on both sides.
+TEST(SimulatorIncremental, PaperShapeReplicationCountsArePinned) {
+  const auto run = [](bool incremental) {
+    auto system = vm::build_system(vm::make_symmetric_config(4, {2, 3}, 5),
+                                   sched::make_factory("rcs")());
+    SimulatorConfig config = config_for(3000.0, 3);
+    config.incremental_enabling = incremental;
+    return run_once(*system->model, config);
+  };
+  const auto incremental = run(true);
+  const auto full = run(false);
+  EXPECT_EQ(incremental.events, 24326u);
+  EXPECT_EQ(full.events, 24326u);
+  EXPECT_EQ(incremental.enabling_evals, 53614u);
+  EXPECT_EQ(full.enabling_evals, 486540u);
+}
+
+/// A ring of 140 stations, each with a timed hop to the next, plus 70
+/// instantaneous spills from every other station into one overflow place
+/// that a 141st timed activity drains back into the ring. Every footprint
+/// is declared, so the incremental run dirties by index; the timed dirty
+/// set spans three 64-bit words and the instantaneous one two.
+TandemOutcome run_wide_ring(bool incremental, std::uint64_t seed) {
+  constexpr int kStations = 140;
+  constexpr int kSpills = 70;
+  // Appending keeps GCC 12's -Wrestrict false positive on
+  // `"literal" + std::string&&` out of the optimized build.
+  const auto named = [](const char* prefix, int i) {
+    std::string name(prefix);
+    name += std::to_string(i);
+    return name;
+  };
+  ComposedModel cm("M");
+  auto& sub = cm.add_submodel("S");
+  std::vector<std::shared_ptr<Place<std::int64_t>>> q;
+  for (int i = 0; i < kStations; ++i) {
+    q.push_back(sub.add_place<std::int64_t>(named("q", i), 1));
+  }
+  auto overflow = sub.add_place<std::int64_t>("overflow", 0);
+  auto returned = sub.add_place<std::int64_t>("returned", 0);
+  for (int i = 0; i < kStations; ++i) {
+    const auto here = q[static_cast<std::size_t>(i)];
+    const auto next = q[static_cast<std::size_t>((i + 1) % kStations)];
+    auto& hop = sub.add_timed_activity(
+        named("hop", i), stats::make_exponential(0.5 + (i % 7) * 0.25));
+    hop.add_input_gate({"g", [here]() { return here->get() > 0; }, nullptr,
+                        access({here})});
+    hop.add_output_gate({"o",
+                         [here, next](GateContext&) {
+                           here->mut() -= 1;
+                           next->mut() += 1;
+                         },
+                         access({}, {here, next})});
+  }
+  for (int j = 0; j < kSpills; ++j) {
+    const auto here = q[static_cast<std::size_t>(2 * j)];
+    auto& spill = sub.add_instantaneous_activity(named("spill", j));
+    spill.add_input_gate({"g", [here]() { return here->get() > 2; }, nullptr,
+                          access({here})});
+    spill.add_output_gate({"o",
+                           [here, overflow](GateContext&) {
+                             here->mut() -= 1;
+                             overflow->mut() += 1;
+                           },
+                           access({}, {here, overflow})});
+  }
+  const auto head = q.front();
+  auto& back = sub.add_timed_activity("return", stats::make_exponential(2.0));
+  back.add_input_gate({"g", [overflow]() { return overflow->get() > 0; },
+                       nullptr, access({overflow})});
+  back.add_output_gate({"o",
+                        [overflow, head, returned](GateContext&) {
+                          overflow->mut() -= 1;
+                          head->mut() += 1;
+                          returned->mut() += 1;
+                        },
+                        access({}, {overflow, head, returned})});
+
+  SimulatorConfig config = config_for(60.0, seed);
+  config.incremental_enabling = incremental;
+  Simulator sim(config);
+  sim.set_model(cm);
+  auto rec = testing::fire_sink();
+  sim.set_trace(&rec);
+  const auto stats = sim.run();
+  return {testing::fires(rec), returned->get(), stats.events,
+          stats.enabling_evals};
+}
+
+TEST(SimulatorIncremental, MultiWordDirtySetsMatchFullScan) {
+  for (const std::uint64_t seed : {1u, 77u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const auto full = run_wide_ring(false, seed);
+    const auto incremental = run_wide_ring(true, seed);
+    ASSERT_GT(incremental.events, 1000u);
+    EXPECT_GT(incremental.done, 0) << "no spill ever fired";
+    EXPECT_EQ(full.events, incremental.events);
+    EXPECT_EQ(full.done, incremental.done);
+    EXPECT_TRUE(full.entries == incremental.entries);
+    // Each firing re-evaluates a handful of its ~210 activities.
+    EXPECT_LT(incremental.enabling_evals * 10, full.enabling_evals)
+        << "incremental=" << incremental.enabling_evals
+        << " full=" << full.enabling_evals;
   }
 }
 

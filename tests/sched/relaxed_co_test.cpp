@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <vector>
 
+#include "sched/contract.hpp"
 #include "testing/helpers.hpp"
 #include "vm/metrics.hpp"
 
@@ -133,6 +137,124 @@ TEST(RelaxedCo, ResumeDefaultsToHalfThreshold) {
   auto system =
       build_system(make_symmetric_config(2, {2, 2}, 5), make_relaxed_co(options));
   EXPECT_NO_THROW(testing::run_system(*system, 100.0));
+}
+
+/// Forwards to an inner scheduler and folds every tick's decisions (each
+/// VCPU's schedule_in and schedule_out, in id order) into an FNV-1a
+/// digest. It also sorts each schedule_out by the RCS path that can have
+/// made it: a running VCPU with guest work left can only be co-stopped
+/// (the idle yield takes READY VCPUs without load), and an idle VCPU
+/// whose non-idle siblings all kept their PCPUs this tick can only have
+/// yielded (a co-stop needs a non-idle sibling left waiting).
+class DecisionDigest final : public vm::Scheduler {
+ public:
+  struct Counts {
+    std::uint64_t digest = 14695981039346656037ull;
+    long ticks = 0;
+    long co_stops = 0;
+    long idle_yields = 0;
+  };
+
+  explicit DecisionDigest(vm::SchedulerPtr inner) : inner_(std::move(inner)) {}
+
+  void on_attach(const vm::SystemTopology& topology) override {
+    inner_->on_attach(topology);
+  }
+
+  bool schedule(std::span<vm::VCPU_host_external> vcpus,
+                std::span<vm::PCPU_external> pcpus, long timestamp) override {
+    before_.assign(vcpus.begin(), vcpus.end());
+    const bool ok = inner_->schedule(vcpus, pcpus, timestamp);
+    ++counts_->ticks;
+    for (const auto& v : vcpus) {
+      mix(v.schedule_in);
+      mix(v.schedule_out);
+    }
+    for (std::size_t i = 0; i < vcpus.size(); ++i) {
+      if (vcpus[i].schedule_out == 0) continue;
+      if (non_idle(before_[i])) {
+        ++counts_->co_stops;
+        continue;
+      }
+      bool siblings_kept = true;
+      for (std::size_t j = 0; j < vcpus.size(); ++j) {
+        if (j == i || before_[j].vm_id != before_[i].vm_id) continue;
+        if (non_idle(before_[j]) &&
+            (before_[j].assigned_pcpu < 0 || vcpus[j].schedule_out != 0)) {
+          siblings_kept = false;
+        }
+      }
+      if (siblings_kept) ++counts_->idle_yields;
+    }
+    return ok;
+  }
+
+  std::string name() const override { return inner_->name(); }
+
+  /// Shared so the counts survive the system taking ownership.
+  std::shared_ptr<Counts> counts() const { return counts_; }
+
+ private:
+  static bool non_idle(const vm::VCPU_host_external& v) {
+    return v.status == static_cast<int>(vm::VcpuStatus::kBusy) ||
+           v.remaining_load > 0;
+  }
+
+  void mix(int value) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t k = 0; k < sizeof value; ++k) {
+      counts_->digest ^= bytes[k];
+      counts_->digest *= 1099511628211ull;
+    }
+  }
+
+  vm::SchedulerPtr inner_;
+  std::vector<vm::VCPU_host_external> before_;
+  std::shared_ptr<Counts> counts_ = std::make_shared<Counts>();
+};
+
+DecisionDigest::Counts digest_decisions(const vm::SystemConfig& config,
+                                        san::Time end_time,
+                                        std::uint64_t seed) {
+  auto digest = std::make_unique<DecisionDigest>(make_relaxed_co());
+  const auto counts = digest->counts();
+  auto system = build_system(config, std::move(digest));
+  testing::run_system(*system, end_time, seed);
+  return *counts;
+}
+
+// The goldens reach RCS only on small systems. These pin every tick's
+// decisions on two wider shapes, with digests recorded before the
+// scheduler was rewritten as one walk per VM. At sync 1:2 a leader
+// reaches a barrier and idles long before its lead passes the skew
+// threshold, so busy VCPUs are never co-stopped there (a co-stop of an
+// idle VCPU looks like its yield from outside); the 64-VCPU shape syncs
+// at 1:50, where leaders do run ahead and are co-stopped.
+TEST(RelaxedCo, DecisionsPinnedOnSixFourVcpuVmsOnSixteenPcpus) {
+  const auto counts = digest_decisions(
+      make_symmetric_config(16, {4, 4, 4, 4, 4, 4}, 2), 3000.0, 5);
+  EXPECT_EQ(counts.ticks, 3000);
+  EXPECT_EQ(counts.digest, 8537328007820676897ull);
+  EXPECT_GT(counts.idle_yields, 0);
+}
+
+TEST(RelaxedCo, DecisionsPinnedOnSixtyFourVcpus) {
+  const auto counts = digest_decisions(
+      make_symmetric_config(40, {8, 8, 4, 4, 4, 4, 4, 4, 2, 2, 2, 2, 2, 2, 2,
+                                 2, 1, 1, 1, 1, 1, 1, 1, 1}, 50),
+      2000.0, 9);
+  EXPECT_EQ(counts.ticks, 2000);
+  EXPECT_EQ(counts.digest, 7248595596968216837ull);
+  EXPECT_GT(counts.co_stops, 0);
+  EXPECT_GT(counts.idle_yields, 0);
+}
+
+TEST(RelaxedCo, PassesSchedulerContract) {
+  const auto diagnostics =
+      check_scheduler_contract("rcs", [] { return make_relaxed_co(); });
+  std::string rendered;
+  for (const auto& d : diagnostics) rendered += d.to_text() + "\n";
+  EXPECT_TRUE(diagnostics.empty()) << rendered;
 }
 
 }  // namespace
