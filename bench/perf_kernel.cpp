@@ -138,52 +138,6 @@ BENCHMARK_CAPTURE(BM_SchedulerTick, rcs, std::string("rcs"))
 BENCHMARK_CAPTURE(BM_SchedulerTick, credit, std::string("credit"))
     ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-/// Where scheduler-tick time actually goes: the same workload as
-/// BM_SchedulerTick with phase profiling enabled, publishing per-phase
-/// nanosecond shares (settle/fire from the kernel, compile from the
-/// data-oriented lowering, decide/apply from the scheduler bridge) as
-/// counters. Compare events_per_s against the BM_SchedulerTick rows to
-/// see the profiling overhead itself; the tracing/profiling-disabled
-/// rows above are the regression gate.
-void BM_SchedulerTickProfiled(benchmark::State& state) {
-  const int vms = static_cast<int>(state.range(0)) / 2;
-  double total_events = 0;
-  stats::PhaseProfile total;
-  auto system = vm::build_system(
-      vm::make_symmetric_config(
-          vms, std::vector<int>(static_cast<std::size_t>(vms), 2), 5),
-      sched::make_factory("rrs")());
-  san::SimulatorConfig config;
-  config.end_time = 1000.0;
-  config.seed = 3;
-  config.profile = true;
-  system->scheduler_places.profile->set_enabled(true);
-  san::Simulator sim(config);
-  sim.set_model(*system->model);
-  total.merge(sim.compile_profile());  // one-time lowering cost
-  for (auto _ : state) {
-    system->reset();
-    sim.reset(config.seed);
-    const auto stats_out = sim.advance_until(config.end_time);
-    total_events += static_cast<double>(stats_out.events);
-    total.merge(sim.profile());
-    total.merge(*system->scheduler_places.profile);
-    system->scheduler_places.profile->reset();
-    system->scheduler_places.profile->set_enabled(true);
-  }
-  state.counters["events_per_s"] =
-      benchmark::Counter(total_events, benchmark::Counter::kIsRate);
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(stats::Phase::kCount_); ++i) {
-    const auto phase = static_cast<stats::Phase>(i);
-    if (total.calls(phase) == 0) continue;
-    state.counters[std::string(stats::phase_name(phase)) + "_ns_per_event"] =
-        static_cast<double>(total.nanoseconds(phase)) / total_events;
-  }
-}
-BENCHMARK(BM_SchedulerTickProfiled)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 /// Forwards every call to `inner` and keeps a copy of each snapshot
 /// schedule() receives, taken before the algorithm decides.
 class RecordingScheduler final : public vm::Scheduler {
@@ -220,7 +174,7 @@ class RecordingScheduler final : public vm::Scheduler {
 /// recorded snapshots through a fresh instance of the algorithm, from
 /// on_reset. A replayed tick copies its snapshot into the working buffers
 /// and calls schedule(), so decide is timed without the two clock reads
-/// per phase that BM_SchedulerTickProfiled and perfbench --trace 1 add to
+/// that a timing wrapper (RunSpec::profile, perfbench --trace 1) adds to
 /// every tick. `s_per_tick` is the mean time of one replayed tick.
 ///
 /// `vcpus` 0 records a 2+3-VCPU system on 4 PCPUs (a paper_grid point)

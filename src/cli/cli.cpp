@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli/scenario.hpp"
@@ -76,9 +77,12 @@ constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
                          (default 1; 0 = all hardware threads). Results
                          are identical for every value of N
   --metrics-out FILE     write the run-metrics registry (sim.*, sched.*,
-                         executor.*, metric.*) as JSON to FILE
-  --profile              collect wall-clock phase timings (settle/fire,
-                         snapshot/decide/apply) into the metrics registry
+                         executor.*, metric.*; profile.* with --profile)
+                         as JSON to FILE
+  --profile              time the run in exclusive wall-clock buckets
+                         (build, lint, compile, reset, simulate, decide)
+                         and print them to stderr with their share of
+                         the whole run; stdout is unchanged
   --verify-footprints    run every replication under the footprint
                          sanitizer: shadow-check each gate's place
                          accesses against its declared footprint and
@@ -91,6 +95,12 @@ constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
                          system and print one row per algorithm
   --list-algorithms      print registered algorithms and exit
   --help                 this text
+
+A verb rejects the options above that it would ignore: trace takes no
+--compare, --csv or --list-algorithms, compare no --compare or
+--list-algorithms, and lint only the options that describe the system
+(--scenario, --pcpus, --vm, --algorithm, --sync, --timeslice, --dvfs).
+--compare takes no --algorithm, and --list-algorithms no other option.
 
 The compare verb runs every algorithm of the list against identical
 replication seed streams (common random numbers) on the configured
@@ -156,6 +166,7 @@ struct Options {
   bool help = false;
   std::string metrics_out;  ///< --metrics-out FILE ("" = off)
   bool profile = false;
+  std::vector<std::string> flags;  ///< every option given, in order
 };
 
 int parse_args(int argc, const char* const* argv, Options& options,
@@ -171,6 +182,7 @@ int parse_args(int argc, const char* const* argv, Options& options,
                       "the default --max-replications"};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    options.flags.push_back(arg);
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         err << "vcpusim: " << flag << " requires a value\n";
@@ -330,17 +342,45 @@ void finalize_scenario(Options& options) {
   scenario.spec.system.validate();
 }
 
-/// Write the registry JSON to `path`; returns 0 or an exit status.
-int write_metrics_file(const stats::MetricsRegistry& registry,
-                       const std::string& path, std::ostream& err) {
-  std::ofstream file(path);
+/// Exit status 1, naming the option, if `mode` (a verb or a run mode)
+/// was given an option of `ignored`, one it would otherwise drop
+/// silently; 0 otherwise.
+int reject_ignored(const Options& options, const char* mode,
+                   std::initializer_list<std::string_view> ignored,
+                   std::ostream& err) {
+  for (const auto& flag : options.flags) {
+    if (std::find(ignored.begin(), ignored.end(), flag) != ignored.end()) {
+      err << "vcpusim " << mode << ": " << flag
+          << " has no effect here (--help for usage)\n";
+      return 1;
+    }
+  }
+  return 0;
+}
+
+/// Point the run at `registry` when --metrics-out or --profile needs it.
+void attach_metrics(Options& options, stats::MetricsRegistry& registry) {
+  auto& spec = options.scenario.spec;
+  spec.profile = options.profile;
+  if (!options.metrics_out.empty() || options.profile) spec.metrics = &registry;
+}
+
+/// Once the runs succeed: print the --profile table to `err` and write
+/// the registry JSON to --metrics-out. Returns 0 or an exit status.
+int flush_metrics(const Options& options,
+                  const stats::MetricsRegistry& registry, std::ostream& err) {
+  if (options.profile) err << exp::profile_table(registry).render();
+  if (options.metrics_out.empty()) return 0;
+  std::ofstream file(options.metrics_out);
   if (!file) {
-    err << "vcpusim: cannot open metrics file '" << path << "'\n";
+    err << "vcpusim: cannot open metrics file '" << options.metrics_out
+        << "'\n";
     return 2;
   }
   registry.write_json(file);
   if (!file) {
-    err << "vcpusim: failed writing metrics file '" << path << "'\n";
+    err << "vcpusim: failed writing metrics file '" << options.metrics_out
+        << "'\n";
     return 2;
   }
   return 0;
@@ -403,6 +443,11 @@ int run_trace(int argc, const char* const* argv, std::ostream& out,
     out << kUsage;
     return 0;
   }
+  if (const int rc = reject_ignored(
+          options, "trace", {"--compare", "--csv", "--list-algorithms"}, err);
+      rc != 0) {
+    return rc;
+  }
 
   try {
     finalize_scenario(options);
@@ -424,20 +469,13 @@ int run_trace(int argc, const char* const* argv, std::ostream& out,
     scenario.spec.trace = sink.get();
 
     stats::MetricsRegistry registry;
-    scenario.spec.profile = options.profile;
-    if (!options.metrics_out.empty() || options.profile) {
-      scenario.spec.metrics = &registry;
-    }
+    attach_metrics(options, registry);
 
     const auto result = exp::run_point(scenario.spec, scenario.metrics);
     sink->finish();
 
-    if (!options.metrics_out.empty()) {
-      if (const int rc = write_metrics_file(registry, options.metrics_out,
-                                            err);
-          rc != 0) {
-        return rc;
-      }
+    if (const int rc = flush_metrics(options, registry, err); rc != 0) {
+      return rc;
     }
 
     // Summary to the non-trace stream: trace bytes must stay clean.
@@ -580,6 +618,11 @@ int run_compare(int argc, const char* const* argv, std::ostream& out,
     out << kUsage;
     return 0;
   }
+  if (const int rc = reject_ignored(options, "compare",
+                                    {"--compare", "--list-algorithms"}, err);
+      rc != 0) {
+    return rc;
+  }
 
   try {
     finalize_scenario(options);
@@ -607,6 +650,8 @@ int run_compare(int argc, const char* const* argv, std::ostream& out,
       return 1;
     }
 
+    stats::MetricsRegistry registry;
+    attach_metrics(options, registry);
     const auto result =
         exp::compare_points(scenario.spec, algorithms, scenario.metrics);
 
@@ -655,7 +700,7 @@ int run_compare(int argc, const char* const* argv, std::ostream& out,
         out << "\n    }";
       }
       out << "\n  ]\n}\n";
-      return 0;
+      return flush_metrics(options, registry, err);
     }
 
     const exp::Table estimates = result.estimates_table();
@@ -669,7 +714,7 @@ int run_compare(int argc, const char* const* argv, std::ostream& out,
         << (result.replications == 1 ? "" : "s") << " per algorithm ("
         << result.controller << " controller, baseline " << result.baseline
         << "); paired CIs use common random numbers\n";
-    return 0;
+    return flush_metrics(options, registry, err);
   } catch (const std::invalid_argument& e) {
     err << "vcpusim: " << e.what() << "\n";
     return 1;
@@ -746,6 +791,17 @@ int run_lint(int argc, const char* const* argv, std::ostream& out,
     out << kUsage;
     return 0;
   }
+  // Lint builds the system and runs nothing: every run knob is ignored.
+  if (const int rc = reject_ignored(
+          options, "lint",
+          {"--list-algorithms", "--csv", "--compare", "--metric",
+           "--end-time", "--warmup", "--seed", "--half-width",
+           "--min-replications", "--max-replications", "--controller",
+           "--jobs", "--verify-footprints", "--metrics-out", "--profile"},
+          err);
+      rc != 0) {
+    return rc;
+  }
 
   try {
     finalize_scenario(options);
@@ -815,25 +871,29 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     return 0;
   }
   if (options.list_algorithms) {
+    if (options.flags.size() > 1) {
+      err << "vcpusim: --list-algorithms takes no other option\n";
+      return 1;
+    }
     for (const auto& name : sched::builtin_algorithms()) out << name << "\n";
     return 0;
+  }
+  if (options.compare) {
+    // Every registered algorithm runs: a chosen one would be dropped.
+    if (const int rc = reject_ignored(options, "--compare", {"--algorithm"},
+                                      err);
+        rc != 0) {
+      return rc;
+    }
   }
 
   try {
     finalize_scenario(options);
     auto& scenario = options.scenario;
 
+    // One registry accumulates every run_point of this invocation.
     stats::MetricsRegistry registry;
-    scenario.spec.profile = options.profile;
-    if (!options.metrics_out.empty() || options.profile) {
-      scenario.spec.metrics = &registry;
-    }
-    // Writes the registry (accumulated across every run_point of this
-    // invocation) once the run paths below finish without error.
-    const auto flush_metrics = [&]() -> int {
-      if (options.metrics_out.empty()) return 0;
-      return write_metrics_file(registry, options.metrics_out, err);
-    };
+    attach_metrics(options, registry);
 
     if (options.compare) {
       // One row per algorithm, one column per metric.
@@ -855,7 +915,7 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         table.add_row(std::move(row));
       }
       out << (options.csv ? table.to_csv() : table.render());
-      return flush_metrics();
+      return flush_metrics(options, registry, err);
     }
 
     scenario.spec.scheduler = sched::make_factory(scenario.algorithm);
@@ -870,7 +930,7 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
                      result.converged ? "yes" : "no"});
     }
     out << (options.csv ? table.to_csv() : table.render());
-    return flush_metrics();
+    return flush_metrics(options, registry, err);
   } catch (const std::invalid_argument& e) {
     err << "vcpusim: " << e.what() << "\n";
     return 1;

@@ -108,8 +108,8 @@ CompareResult compare_points(const RunSpec& spec,
     RunSpec run_spec = spec;
     run_spec.scheduler = sched::make_factory(algorithms[a]);
     run_spec.pool = pool;
-    // Comparison legs run with observability detached, like sweep cells.
-    run_spec.metrics = nullptr;
+    // Every leg adds its run-level metrics (and profile) to
+    // spec.metrics; a trace of interleaved legs would mean nothing.
     run_spec.trace = nullptr;
     run_spec.policy.record_observations = true;
     if (a > 0) {

@@ -63,9 +63,11 @@ struct CompareResult {
 /// under spec.policy / spec.controller and fixes the replication count;
 /// the other algorithms are forced to exactly that count so every paired
 /// difference is over the full common sample. spec.scheduler is ignored;
-/// spec.metrics / spec.trace are not attached (the cells of a comparison
-/// run detached). Throws std::invalid_argument on fewer
-/// than two algorithms or empty metrics.
+/// spec.trace is not attached. spec.metrics, if set, accumulates every
+/// algorithm's run-level metrics (and, with spec.profile, its "profile.*"
+/// buckets), as consecutive run_point calls into one registry do.
+/// Throws std::invalid_argument on fewer than two algorithms or empty
+/// metrics.
 CompareResult compare_points(const RunSpec& spec,
                              const std::vector<std::string>& algorithms,
                              const std::vector<MetricRequest>& metrics);

@@ -1,5 +1,7 @@
 #include "exp/runner.hpp"
 
+#include <array>
+#include <chrono>
 #include <locale>
 #include <map>
 #include <mutex>
@@ -10,7 +12,6 @@
 #include "san/analyze/analyzer.hpp"
 #include "san/experiment.hpp"
 #include "san/simulator.hpp"
-#include "stats/phase_profile.hpp"
 #include "trace/sinks.hpp"
 #include "vm/metrics.hpp"
 #include "vm/system_builder.hpp"
@@ -132,14 +133,71 @@ BoundMetric bind_metric(const vm::VirtualSystem& system,
   return bound;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// RunSpec::profile's exclusive wall-clock buckets, in report order.
+enum Bucket : std::size_t {
+  kBuild,     ///< vm::build_system
+  kLint,      ///< the analyzer's check of the lint build
+  kCompile,   ///< Simulator construction, set_model, metric binding
+  kReset,     ///< checkout, rebind, VirtualSystem and Simulator reset
+  kSimulate,  ///< advance_until minus decide
+  kDecide,    ///< Scheduler::schedule
+  kBucketCount,
+};
+constexpr std::array<const char*, kBucketCount> kBucketNames = {
+    "build", "lint", "compile", "reset", "simulate", "decide"};
+
+struct Span {
+  std::uint64_t calls = 0;
+  std::uint64_t ns = 0;
+  void add(std::uint64_t elapsed) noexcept {
+    calls += 1;
+    ns += elapsed;
+  }
+};
+using Buckets = std::array<Span, kBucketCount>;
+
+std::uint64_t ns_between(Clock::time_point start, Clock::time_point end) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count());
+}
+
+/// The decide bucket: forwards every call to the wrapped scheduler and
+/// times schedule(), so the bridge itself reads no clock.
+class DecideTimer final : public vm::Scheduler {
+ public:
+  explicit DecideTimer(vm::SchedulerPtr inner) : inner_(std::move(inner)) {}
+  void on_attach(const vm::SystemTopology& topology) override {
+    inner_->on_attach(topology);
+  }
+  void on_reset(const vm::SystemTopology& topology) override {
+    inner_->on_reset(topology);
+  }
+  bool schedule(std::span<vm::VCPU_host_external> vcpus,
+                std::span<vm::PCPU_external> pcpus, long timestamp) override {
+    const Clock::time_point start = Clock::now();
+    const bool ok = inner_->schedule(vcpus, pcpus, timestamp);
+    span.add(ns_between(start, Clock::now()));
+    return ok;
+  }
+  std::string name() const override { return inner_->name(); }
+
+  Span span;  ///< schedule() calls since the runner last cleared it
+
+ private:
+  vm::SchedulerPtr inner_;
+};
+
 /// Observability record of one replication, captured inside the
 /// (possibly concurrent) replication function and folded after the
 /// parallel region.
 struct RepRecord {
   san::RunStats stats;
   vm::BridgeStats bridge;
-  stats::PhaseProfile profile;  ///< reset + simulator + bridge phases merged
-  san::KernelStats kernel;      ///< compiled-kernel census
+  Buckets buckets;          ///< this replication's spans (profiled runs)
+  san::KernelStats kernel;  ///< compiled-kernel census
   /// The event stream of a replication that could not stream to the
   /// user sink directly, forwarded when it folds. Null otherwise.
   std::unique_ptr<trace::RingBufferSink> trace;
@@ -157,6 +215,7 @@ void emit_replication_marker(san::TraceSink& sink, std::size_t rep) {
 /// SystemPool::Slot::bindings (the pool cannot see this TU's types).
 struct SlotBindings {
   std::vector<BoundMetric> bound;
+  DecideTimer* decide = nullptr;  ///< the slot's scheduler, when profiled
 };
 
 }  // namespace
@@ -183,6 +242,14 @@ stats::ReplicationResult run_point(const RunSpec& spec,
        << " events (the scheduler Clock alone fires once per tick)";
     throw std::invalid_argument(os.str());
   }
+  // RunSpec::profile: steady-clock reads at this function's own call
+  // boundaries, none when the run is not profiled.
+  const bool profiling = spec.profile && spec.metrics != nullptr;
+  const auto now = [profiling] {
+    return profiling ? Clock::now() : Clock::time_point{};
+  };
+  const Clock::time_point call_start = now();
+  Buckets run_buckets{};  // the run-level spans: lint and its build
   std::unique_ptr<SystemPool> local_pool;
   SystemPool* pool = spec.pool;
   if (pool == nullptr) {
@@ -199,8 +266,12 @@ stats::ReplicationResult run_point(const RunSpec& spec,
 
   if (spec.lint) {
     // Fail fast on structural defects before spending replication time.
+    Clock::time_point t = now();
     auto system = vm::build_system(spec.system, spec.scheduler());
+    run_buckets[kBuild].add(ns_between(t, now()));
+    t = now();
     san::analyze::Analyzer().check_or_throw(*system->model);
+    run_buckets[kLint].add(ns_between(t, now()));
     // The lint build is a perfectly good pooled system: seed the pool so
     // replication 0 checks it out instead of building again.
     pool->add_built(std::move(system));
@@ -212,66 +283,70 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     names.push_back(m.label.empty() ? default_label(m) : m.label);
   }
 
-  const bool observe =
-      spec.metrics != nullptr || spec.trace != nullptr || spec.profile;
+  const bool observe = spec.metrics != nullptr || spec.trace != nullptr;
   std::mutex records_mutex;
   std::map<std::size_t, RepRecord> records;
 
   // One replication: check a slot out, build/rebind it only on the first
-  // touch and reset it otherwise (the kReset phase times all of that
-  // setup), replay the replication from the re-seeded simulator with the
-  // trace target attached, finalize the metrics and capture the
-  // observability record.
+  // touch and reset it otherwise, replay the replication from the
+  // re-seeded simulator with the trace target attached, finalize the
+  // metrics and capture the observability record.
   const stats::StreamedReplicationFn one_replication =
       [&](const stats::ReplicationTask& task) -> std::vector<double> {
     const std::size_t rep = task.rep;
-    stats::PhaseProfile reset_profile;
-    reset_profile.set_enabled(spec.profile);
-    SystemPool::Checkout checkout;
-    {
-      stats::ScopedPhaseTimer timer(&reset_profile, stats::Phase::kReset);
-      checkout = pool->acquire();
-      SystemPool::Slot& slot = checkout.slot();
-      bool built = false;
-      if (slot.system == nullptr) {
-        slot.system = vm::build_system(spec.system, spec.scheduler());
-        built = true;
-      }
-      if (slot.stamp != stamp) {
-        // First touch by this run: bind the slot to this run's
-        // scheduler, simulator configuration and metric set. The
-        // expensive part (build_system) is what stays amortized; the
-        // simulator re-derives its index from the already-built model.
-        if (!built) slot.system->rebind_scheduler(spec.scheduler());
-        san::SimulatorConfig config;
-        config.end_time = spec.end_time;
-        config.seed = san::replication_seed(spec.base_seed, task.stream.stream);
-        config.profile = spec.profile;
-        config.verify_footprints = spec.verify_footprints;
-        slot.simulator = std::make_unique<san::Simulator>(config);
-        slot.simulator->set_model(*slot.system->model);
-        auto bindings = std::make_shared<SlotBindings>();
-        bindings->bound.reserve(metrics.size());
-        for (const auto& m : metrics) {
-          bindings->bound.push_back(bind_metric(*slot.system, m, spec.warmup));
-        }
-        for (auto& b : bindings->bound) {
-          for (auto& r : b.rewards) slot.simulator->add_reward(*r);
-        }
-        slot.bindings = std::move(bindings);
-        slot.stamp = stamp;
-        if (slot.system->scheduler_places.profile != nullptr) {
-          slot.system->scheduler_places.profile->set_enabled(spec.profile);
-        }
-      }
-      // Bridge counters + scheduler state back to just-built (a system
-      // built this very checkout is already there).
-      if (!built) slot.system->reset();
+    Buckets buckets{};
+    const Clock::time_point setup_start = now();
+    SystemPool::Checkout checkout = pool->acquire();
+    SystemPool::Slot& slot = checkout.slot();
+    // A profiled run wraps the slot's scheduler in a DecideTimer.
+    DecideTimer* decide_timer = nullptr;
+    const auto make_scheduler = [&]() -> vm::SchedulerPtr {
+      vm::SchedulerPtr scheduler = spec.scheduler();
+      if (!profiling) return scheduler;
+      auto timer = std::make_unique<DecideTimer>(std::move(scheduler));
+      decide_timer = timer.get();
+      return timer;
+    };
+    bool built = false;
+    if (slot.system == nullptr) {
+      const Clock::time_point t = now();
+      slot.system = vm::build_system(spec.system, make_scheduler());
+      buckets[kBuild].add(ns_between(t, now()));
+      built = true;
     }
-    vm::VirtualSystem& system = *checkout.slot().system;
-    san::Simulator& sim = *checkout.slot().simulator;
-    auto& bound =
-        static_cast<SlotBindings*>(checkout.slot().bindings.get())->bound;
+    if (slot.stamp != stamp) {
+      // First touch by this run: bind the slot to this run's
+      // scheduler, simulator configuration and metric set. The
+      // expensive part (build_system) is what stays amortized; the
+      // simulator re-derives its index from the already-built model.
+      if (!built) slot.system->rebind_scheduler(make_scheduler());
+      const Clock::time_point t = now();
+      san::SimulatorConfig config;
+      config.end_time = spec.end_time;
+      config.seed = san::replication_seed(spec.base_seed, task.stream.stream);
+      config.verify_footprints = spec.verify_footprints;
+      slot.simulator = std::make_unique<san::Simulator>(config);
+      slot.simulator->set_model(*slot.system->model);
+      auto bindings = std::make_shared<SlotBindings>();
+      bindings->bound.reserve(metrics.size());
+      for (const auto& m : metrics) {
+        bindings->bound.push_back(bind_metric(*slot.system, m, spec.warmup));
+      }
+      for (auto& b : bindings->bound) {
+        for (auto& r : b.rewards) slot.simulator->add_reward(*r);
+      }
+      bindings->decide = decide_timer;
+      slot.bindings = std::move(bindings);
+      slot.stamp = stamp;
+      buckets[kCompile].add(ns_between(t, now()));
+    }
+    // Bridge counters + scheduler state back to just-built (a system
+    // built this very checkout is already there).
+    if (!built) slot.system->reset();
+    vm::VirtualSystem& system = *slot.system;
+    san::Simulator& sim = *slot.simulator;
+    auto& bindings = *static_cast<SlotBindings*>(slot.bindings.get());
+    auto& bound = bindings.bound;
 
     std::unique_ptr<trace::RingBufferSink> buffer;
     if (spec.trace != nullptr) {
@@ -291,7 +366,16 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     }
     sim.reset(san::replication_seed(spec.base_seed, task.stream.stream),
               task.stream.antithetic);
+    const Clock::time_point run_start = now();
+    buckets[kReset].add(ns_between(setup_start, run_start) -
+                        buckets[kBuild].ns - buckets[kCompile].ns);
+    if (profiling) bindings.decide->span = {};
     const san::RunStats run_stats = sim.advance_until(spec.end_time);
+    if (profiling) {
+      const Span decide = bindings.decide->span;
+      buckets[kDecide] = decide;
+      buckets[kSimulate].add(ns_between(run_start, now()) - decide.ns);
+    }
     sim.set_trace(nullptr);
     if (run_stats.hit_event_cap) {
       // The marking froze at the cap; accruing it up to end_time would
@@ -322,15 +406,8 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       if (system.scheduler_places.bridge_stats != nullptr) {
         record.bridge = *system.scheduler_places.bridge_stats;
       }
-      record.profile = std::move(reset_profile);
-      record.profile.merge(sim.profile());
-      // Drained, not copied: compilation happens once per set_model, so
-      // only the replication that compiled carries the kCompile phase.
-      record.profile.merge(sim.take_compile_profile());
+      record.buckets = buckets;
       record.kernel = sim.kernel_stats();
-      if (spec.profile && system.scheduler_places.profile != nullptr) {
-        record.profile.merge(*system.scheduler_places.profile);
-      }
       record.trace = std::move(buffer);
       const std::lock_guard<std::mutex> lock(records_mutex);
       records.insert_or_assign(rep, std::move(record));
@@ -368,7 +445,7 @@ stats::ReplicationResult run_point(const RunSpec& spec,
   // the registry.
   if (spec.metrics != nullptr) {
     stats::MetricsRegistry& reg = *spec.metrics;
-    stats::PhaseProfile profile_total;
+    Buckets bucket_total = run_buckets;
     bool kernel_exported = false;
     for (std::size_t rep = 0; rep < result.replications; ++rep) {
       const auto it = records.find(rep);
@@ -383,7 +460,10 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       reg.counter("sched.schedules_out").add(record.bridge.schedules_out);
       reg.counter("sched.preemptions").add(record.bridge.preemptions);
       reg.counter("sched.freq_changes").add(record.bridge.freq_changes);
-      profile_total.merge(record.profile);
+      for (std::size_t b = 0; b < kBucketCount; ++b) {
+        bucket_total[b].calls += record.buckets[b].calls;
+        bucket_total[b].ns += record.buckets[b].ns;
+      }
       // Static per-model census — identical for every replication of the
       // run, so exported once.
       if (!kernel_exported) {
@@ -413,9 +493,42 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     for (const auto& m : result.metrics) {
       reg.summary("metric." + m.name) = m.samples;
     }
-    if (spec.profile) profile_total.export_to(reg);
+    if (profiling) {
+      for (std::size_t b = 0; b < kBucketCount; ++b) {
+        const std::string base = std::string("profile.") + kBucketNames[b];
+        reg.counter(base + ".calls").add(bucket_total[b].calls);
+        reg.counter(base + ".ns").add(bucket_total[b].ns);
+      }
+      reg.counter("profile.run_point.calls").add(1);
+      reg.counter("profile.run_point.ns").add(ns_between(call_start, now()));
+    }
   }
   return result;
+}
+
+Table profile_table(const stats::MetricsRegistry& registry) {
+  const auto ns = [&registry](const std::string& name) {
+    return static_cast<double>(registry.counter_value(name + ".ns"));
+  };
+  const double whole = ns("profile.run_point");
+  Table table({"bucket", "calls", "ms", "share"});
+  const auto row = [&](const std::string& bucket, const std::string& calls,
+                       double elapsed) {
+    table.add_row({bucket, calls, format_fixed(elapsed / 1e6, 3),
+                   format_percent(whole > 0 ? elapsed / whole : 0.0)});
+  };
+  double sum = 0;
+  for (const char* bucket : kBucketNames) {
+    const std::string name = std::string("profile.") + bucket;
+    sum += ns(name);
+    row(bucket, std::to_string(registry.counter_value(name + ".calls")),
+        ns(name));
+  }
+  row("sum", "", sum);
+  row("run_point",
+      std::to_string(registry.counter_value("profile.run_point.calls")),
+      whole);
+  return table;
 }
 
 }  // namespace vcpusim::exp

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/table.hpp"
 #include "san/experiment.hpp"
 #include "san/simulator.hpp"
 #include "san/trace.hpp"
@@ -118,14 +119,20 @@ struct RunSpec {
   /// "sim.*" (RunStats), "sched.*" (BridgeStats), "executor.*",
   /// "run.replications", "run.controller.*" (controller flag + batches),
   /// per-metric "metric.<name>" summaries, and with
-  /// `profile` also "profile.<phase>.{calls,ns}". Deterministic entries
+  /// `profile` also "profile.*". Deterministic entries
   /// ("sim.*", "sched.*", "metric.*", "run.*") fold only the
   /// non-speculative replications, in index order.
   stats::MetricsRegistry* metrics = nullptr;
 
-  /// Enable wall-clock phase profiling (simulator settle/fire, bridge
-  /// snapshot/decide/apply) in every replication; totals are exported
-  /// into `metrics`. Timings are nondeterministic by nature.
+  /// Time the run in exclusive wall-clock buckets and add them to
+  /// `metrics` (no effect without it) as "profile.<bucket>.{calls,ns}"
+  /// for build, lint, compile, reset, simulate and decide, plus
+  /// "profile.run_point.{calls,ns}" for the whole call. The spans sit at
+  /// the runner's own call boundaries; decide is timed by a forwarding
+  /// vm::Scheduler, and simulate is advance_until minus decide. The
+  /// per-replication buckets fold the non-speculative replications only.
+  /// Results are bit-identical with and without profiling; the timings
+  /// themselves are nondeterministic. See docs/OBSERVABILITY.md.
   bool profile = false;
 };
 
@@ -137,5 +144,11 @@ stats::ReplicationResult run_point(const RunSpec& spec,
 
 /// Default label of a metric request ("vcpu_availability[2]", ...).
 std::string default_label(const MetricRequest& request);
+
+/// The "profile.*" buckets of `registry` as a table: bucket, calls,
+/// milliseconds and share of profile.run_point.ns, then the buckets' sum
+/// and run_point itself. `registry` must hold a profiled run's export
+/// (throws std::out_of_range otherwise).
+Table profile_table(const stats::MetricsRegistry& registry);
 
 }  // namespace vcpusim::exp

@@ -49,12 +49,8 @@ void Simulator::set_model(ComposedModel& model) {
   trace_writes_built_ = false;
   sanitizer_.reset();  // the invariant analysis is per-model
   compiled_.reset();   // unbind any previous arena before recompiling
-  {
-    compile_profile_.set_enabled(config_.profile);
-    stats::ScopedPhaseTimer timer(&compile_profile_, stats::Phase::kCompile);
-    compiled_ = std::make_unique<CompiledModel>(
-        model, CompileOptions{.force_trampoline = config_.verify_footprints});
-  }
+  compiled_ = std::make_unique<CompiledModel>(
+      model, CompileOptions{.force_trampoline = config_.verify_footprints});
   dirty_all_ = true;
   activities_.clear();
   instantaneous_.clear();
@@ -422,7 +418,6 @@ void Simulator::mark_fired(bool timed, std::uint32_t index,
 
 std::uint32_t Simulator::complete(Activity& activity, bool timed,
                                   std::uint32_t index) {
-  stats::ScopedPhaseTimer timer(&profile_, stats::Phase::kFire);
   const std::uint64_t seq = events_++;
   GateContext ctx{rng_, now_};
   // The sanitizer needs touch() reports even in full-scan mode (the
@@ -462,7 +457,6 @@ std::uint32_t Simulator::complete(Activity& activity, bool timed,
 }
 
 void Simulator::settle() {
-  stats::ScopedPhaseTimer timer(&profile_, stats::Phase::kSettle);
   std::uint32_t chain = 0;
   for (;;) {
     if (!use_incremental_ || dirty_all_) {
@@ -532,8 +526,6 @@ void Simulator::reset() {
   }
   for (RewardVariable* r : rewards_) r->reset();
   split_rewards();  // picks up impulses added since add_reward()
-  profile_.reset();
-  profile_.set_enabled(config_.profile);
   if (trace_ != nullptr && trace_->wants(TraceCategory::kMarking) &&
       !trace_writes_built_) {
     build_trace_write_lists();

@@ -45,7 +45,6 @@
 #include "san/reward.hpp"
 #include "san/sanitizer.hpp"
 #include "san/trace.hpp"
-#include "stats/phase_profile.hpp"
 #include "stats/rng.hpp"
 
 namespace vcpusim::san {
@@ -63,11 +62,6 @@ struct SimulatorConfig {
   /// selects the full-scan reference that the kernel's equivalence tests
   /// and BM_SettleEnabling compare against; no run option forwards it.
   bool incremental_enabling = true;
-  /// Wall-clock profiling of the settle / fire phases into profile()
-  /// (stats::PhaseProfile). Off by default: a disabled profile never
-  /// reads the clock. Timings are nondeterministic by nature and are
-  /// surfaced via the metrics registry, never the trace stream.
-  bool profile = false;
   /// Footprint sanitizer (san/sanitizer.hpp): verify every gate's place
   /// accesses against its declared footprint and re-check statically
   /// proven invariants/bounds after each firing. Observation-only — the
@@ -163,28 +157,10 @@ class Simulator {
   Time now() const noexcept { return now_; }
   stats::Rng& rng() noexcept { return rng_; }
 
-  /// Accumulated phase timings (empty unless config.profile).
-  const stats::PhaseProfile& profile() const noexcept { return profile_; }
-
   /// Compile-time census of the lowered model (all-zero before a
   /// successful set_model()).
   KernelStats kernel_stats() const noexcept {
     return compiled_ != nullptr ? compiled_->stats() : KernelStats{};
-  }
-
-  /// Model-compilation timing (profile.compile). Kept apart from
-  /// profile() because reset() clears that one per replication while
-  /// compilation happens once per set_model().
-  const stats::PhaseProfile& compile_profile() const noexcept {
-    return compile_profile_;
-  }
-
-  /// Drain compile_profile() — the runner merges it into the run total
-  /// exactly once even though the simulator resets many times.
-  stats::PhaseProfile take_compile_profile() {
-    stats::PhaseProfile out = compile_profile_;
-    compile_profile_.reset();
-    return out;
   }
 
   /// Sanitizer results (config.verify_footprints): finalizes the
@@ -472,8 +448,6 @@ class Simulator {
   std::vector<RewardVariable*> rate_rewards_;
   std::vector<RewardVariable*> impulse_rewards_;
   TraceSink* trace_ = nullptr;
-  stats::PhaseProfile profile_;
-  stats::PhaseProfile compile_profile_;
 
   // --- compiled kernel (built by set_model) --------------------------
   std::unique_ptr<CompiledModel> compiled_;

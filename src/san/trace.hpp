@@ -13,8 +13,9 @@
 // values and across incremental-enabling on/off (enabling events are
 // emitted only on actual activate/abort transitions, marking events from
 // the fired activity's *declared* write set, both mode-independent).
-// Wall-clock profiling goes through stats::PhaseProfile instead, never
-// through a sink. See docs/OBSERVABILITY.md.
+// Wall-clock profiling lives outside the kernel, in exp::run_point's
+// spans at the layer boundaries (exp::RunSpec::profile), never in a
+// sink. See docs/OBSERVABILITY.md.
 //
 // Overhead contract: with no sink attached the simulator's only cost is
 // one null-pointer test per emission site — no allocation, no

@@ -48,9 +48,9 @@ struct VirtualSystem {
   }
 
   /// Reset the non-marking side of the system for another replication:
-  /// bridge counters, profile timings, and the scheduler's internal
-  /// state (Scheduler::on_reset). Pair with Simulator::reset(seed),
-  /// which restores the marking side via ComposedModel::reset_marking().
+  /// bridge counters and the scheduler's internal state
+  /// (Scheduler::on_reset). Pair with Simulator::reset(seed), which
+  /// restores the marking side via ComposedModel::reset_marking().
   void reset() { scheduler_places.reset(); }
 
   /// Replace the scheduler instance (must target the same topology; it

@@ -59,11 +59,9 @@ struct SchedulerContext {
            dvfs_levels.back().frequency;
   }
 
-  // Observability (docs/OBSERVABILITY.md): always-on counters plus
-  // opt-in phase timings; shared so SchedulerPlaces can hand them out.
+  // Observability (docs/OBSERVABILITY.md): always-on counters, shared
+  // so SchedulerPlaces can hand them out.
   std::shared_ptr<BridgeStats> bridge_stats = std::make_shared<BridgeStats>();
-  std::shared_ptr<vcpusim::stats::PhaseProfile> profile =
-      std::make_shared<vcpusim::stats::PhaseProfile>();
 
   /// Emit one kScheduler trace event ("in" / "out" / "expire") when the
   /// simulator runs with a trace sink attached; a null test otherwise.
@@ -253,7 +251,6 @@ struct SchedulerContext {
   /// Restore the bridge to its just-built state for another replication.
   void reset() {
     *bridge_stats = BridgeStats{};
-    profile->reset();  // keeps the enabled flag
     scheduler->on_reset(topology);
   }
 
@@ -270,18 +267,9 @@ struct SchedulerContext {
   [[gnu::flatten]] void tick(san::GateContext& ctx) {
     const long timestamp = std::lround(ctx.now);
     bridge_stats->ticks += 1;
-    {
-      stats::ScopedPhaseTimer timer(profile.get(), stats::Phase::kSnapshot);
-      pass(ctx);
-    }
-    {
-      stats::ScopedPhaseTimer timer(profile.get(), stats::Phase::kDecide);
-      decide(timestamp);
-    }
-    {
-      stats::ScopedPhaseTimer timer(profile.get(), stats::Phase::kApply);
-      apply(ctx, timestamp);
-    }
+    pass(ctx);
+    decide(timestamp);
+    apply(ctx, timestamp);
   }
 };
 
@@ -468,7 +456,6 @@ SchedulerPlaces build_vcpu_scheduler(san::ComposedModel& model,
           std::move(micro_ops))});
   context->places.clock = &clock;
   context->places.bridge_stats = context->bridge_stats;
-  context->places.profile = context->profile;
 
   // The reset/rebind closures go on the returned copy only: storing a
   // [context] capture inside context->places would make the context own

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "san/model.hpp"
-#include "stats/phase_profile.hpp"
 #include "vm/config.hpp"
 #include "vm/sched_interface.hpp"
 #include "vm/types.hpp"
@@ -61,15 +60,10 @@ struct SchedulerPlaces {
   san::Activity* clock = nullptr;
   /// Live bridge counters, owned by the gate context (read anytime).
   std::shared_ptr<const BridgeStats> bridge_stats;
-  /// Phase timings of the snapshot / decide / apply layers. Disabled by
-  /// default; call profile->set_enabled(true) before running to collect
-  /// (exp::RunSpec::profile does).
-  std::shared_ptr<stats::PhaseProfile> profile;
   /// Reset the bridge for another replication on the same built system:
-  /// zeroes the bridge counters, clears the profile timings (keeping its
-  /// enabled flag), and drives Scheduler::on_reset with the stored
-  /// topology. The marking-side state (hosts, PCPUs array, join places)
-  /// is restored by ComposedModel::reset_marking(), not here.
+  /// zeroes the bridge counters and drives Scheduler::on_reset with the
+  /// stored topology. The marking-side state (hosts, PCPUs array, join
+  /// places) is restored by ComposedModel::reset_marking(), not here.
   std::function<void()> reset;
   /// Point the bridge at a different scheduler instance (same topology;
   /// receives on_attach). Used by the system pool when a checkout's

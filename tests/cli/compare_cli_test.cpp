@@ -56,6 +56,25 @@ TEST(CompareCli, PrintsEstimateAndDeltaTables) {
   EXPECT_NE(r.out.find("baseline rrs"), std::string::npos);
 }
 
+TEST(CompareCli, MetricsOutAndProfileCoverEveryAlgorithm) {
+  const std::string path = ::testing::TempDir() + "/vcpusim_compare.json";
+  const auto plain = run(compare_args({"--algorithms", "rrs,scs"}));
+  const auto r = run(compare_args({"--algorithms", "rrs,scs", "--metrics-out",
+                                   path.c_str(), "--profile"}));
+  std::ifstream in(path);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  std::remove(path.c_str());
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  // The comparison itself is untouched; the timings go to stderr.
+  EXPECT_EQ(r.out, plain.out);
+  EXPECT_NE(r.err.find("| run_point"), std::string::npos) << r.err;
+  const auto doc = vcpusim::testing::parse_json(contents.str());
+  // Both legs of four replications each.
+  EXPECT_EQ(doc.at("counters").at("run.replications").number, 8.0);
+  EXPECT_EQ(doc.at("counters").at("profile.run_point.calls").number, 2.0);
+}
+
 TEST(CompareCli, BaselineFlagRotatesTheList) {
   const auto r = run(
       compare_args({"--algorithms", "rrs,scs", "--baseline", "scs"}));

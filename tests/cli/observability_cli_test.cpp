@@ -1,5 +1,6 @@
 // CLI surface of the observability layer: the `trace` verb (sinks,
-// categories, --out), the `--metrics-out` registry export, and the
+// categories, --out), the `--metrics-out` registry export, the
+// `--profile` bucket table, the options each verb rejects, and the
 // `run` verb alias. Output schemas are validated with a real JSON
 // parser, not substring probes.
 #include "cli/cli.hpp"
@@ -173,8 +174,8 @@ TEST(CliMetrics, MetricsOutWritesSchemaValidRegistryJson) {
   const auto& avail = doc.at("summaries").at("metric.mean_vcpu_availability");
   EXPECT_EQ(avail.at("count").number, 2.0);
   EXPECT_GT(avail.at("mean").number, 0.0);
-  // No profiling was requested, so no profile.* phases leak in.
-  EXPECT_FALSE(doc.at("counters").has("profile.fire.calls"));
+  // No profiling was requested, so no profile.* bucket leaks in.
+  EXPECT_EQ(contents.find("\"profile."), std::string::npos);
 }
 
 TEST(CliMetrics, ProfileFlagAddsPhaseTimers) {
@@ -186,8 +187,83 @@ TEST(CliMetrics, ProfileFlagAddsPhaseTimers) {
   ASSERT_EQ(r.exit_code, 0) << r.err;
 
   const auto doc = parse_json(contents);
-  EXPECT_GT(doc.at("counters").at("profile.fire.calls").number, 0.0);
-  EXPECT_TRUE(doc.at("counters").has("profile.fire.ns"));
+  const auto& counters = doc.at("counters");
+  for (const char* bucket : {"build", "lint", "compile", "reset", "simulate",
+                             "decide", "run_point"}) {
+    EXPECT_TRUE(counters.has(std::string("profile.") + bucket + ".calls"))
+        << bucket;
+    EXPECT_TRUE(counters.has(std::string("profile.") + bucket + ".ns"))
+        << bucket;
+  }
+  EXPECT_EQ(counters.at("profile.decide.calls").number,
+            counters.at("sched.ticks").number);
+  EXPECT_EQ(counters.at("profile.reset.calls").number,
+            counters.at("run.replications").number);
+}
+
+TEST(CliMetrics, ProfilePrintsBucketTableToStderrOnly) {
+  // Without --metrics-out the timings still reach the user, on stderr;
+  // stdout stays byte-identical to an unprofiled run.
+  const auto plain = run(small_run());
+  const auto profiled = run(with(small_run(), {"--profile"}));
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+  ASSERT_EQ(profiled.exit_code, 0) << profiled.err;
+  EXPECT_EQ(plain.out, profiled.out);
+  EXPECT_TRUE(plain.err.empty()) << plain.err;
+  for (const char* row : {"| simulate", "| decide", "| sum", "| run_point"}) {
+    EXPECT_NE(profiled.err.find(row), std::string::npos)
+        << row << "\n" << profiled.err;
+  }
+}
+
+TEST(CliTrace, ProfileLeavesTraceBytesUnchanged) {
+  auto args = small_run();
+  args.insert(args.begin(), "trace");
+  const auto plain = run(args);
+  const auto profiled = run(with(args, {"--profile"}));
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+  ASSERT_EQ(profiled.exit_code, 0) << profiled.err;
+  EXPECT_EQ(plain.out, profiled.out);
+  EXPECT_NE(profiled.err.find("| run_point"), std::string::npos)
+      << profiled.err;
+}
+
+TEST(CliVerbs, EachVerbRejectsTheOptionsItIgnores) {
+  const struct {
+    const char* verb;
+    const char* flag;
+  } cases[] = {{"trace", "--compare"},       {"trace", "--csv"},
+               {"trace", "--list-algorithms"}, {"compare", "--compare"},
+               {"compare", "--list-algorithms"}, {"lint", "--profile"},
+               {"lint", "--csv"},            {"lint", "--jobs"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.verb) + " " + c.flag);
+    std::vector<const char*> args = {c.verb, c.flag};
+    if (std::string(c.flag) == "--jobs") args.push_back("2");
+    const auto r = run(args);
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_NE(r.err.find(c.flag), std::string::npos) << r.err;
+  }
+  // lint names the run knobs it would drop, value-taking ones included.
+  const auto r = run({"lint", "--pcpus", "2", "--metrics-out", "x.json"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("--metrics-out"), std::string::npos) << r.err;
+}
+
+TEST(CliVerbs, RunModesRejectTheOptionsTheyIgnore) {
+  // --compare runs every algorithm, so a chosen one would be dropped.
+  const auto compare = run({"--compare", "--algorithm", "scs"});
+  EXPECT_EQ(compare.exit_code, 1);
+  EXPECT_TRUE(compare.out.empty()) << compare.out;
+  EXPECT_NE(compare.err.find("--algorithm"), std::string::npos)
+      << compare.err;
+  // --list-algorithms prints the registry and runs nothing.
+  const auto list = run({"--list-algorithms", "--metrics-out", "x.json"});
+  EXPECT_EQ(list.exit_code, 1);
+  EXPECT_TRUE(list.out.empty()) << list.out;
+  EXPECT_NE(list.err.find("--list-algorithms"), std::string::npos)
+      << list.err;
 }
 
 TEST(CliMetrics, MetricsOutUnwritablePathFails) {

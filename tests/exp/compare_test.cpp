@@ -8,6 +8,7 @@
 
 #include "san/experiment.hpp"
 #include "sched/registry.hpp"
+#include "stats/metrics.hpp"
 
 namespace vcpusim::exp {
 namespace {
@@ -49,6 +50,20 @@ TEST(Compare, SeedStreamsAreSharedAndReproducible) {
   }
   const auto abc = compare_points(spec, {"rrs", "scs", "bvt"}, kMetrics);
   EXPECT_EQ(ab.seeds, abc.seeds);
+}
+
+TEST(Compare, MetricsAccumulateEveryAlgorithm) {
+  // spec.metrics collects every leg, as consecutive run_point calls into
+  // one registry do; with spec.profile each leg adds its buckets.
+  RunSpec spec = contended_spec();
+  stats::MetricsRegistry reg;
+  spec.metrics = &reg;
+  spec.profile = true;
+  const auto result = compare_points(spec, {"rrs", "scs", "bvt"}, kMetrics);
+  EXPECT_EQ(reg.counter_value("run.replications"), 3 * result.replications);
+  EXPECT_EQ(reg.counter_value("profile.run_point.calls"), 3U);
+  EXPECT_EQ(reg.counter_value("profile.decide.calls"),
+            reg.counter_value("sched.ticks"));
 }
 
 TEST(Compare, BaselineEstimatesMatchRunPoint) {

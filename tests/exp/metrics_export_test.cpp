@@ -1,10 +1,12 @@
 // run_point observability contract: the metrics registry is
 // populated with the documented names, its deterministic entries do not
-// depend on the worker count, profiling exports phase timers, and the
-// trace forwarded to a RunSpec sink is replication-ordered.
+// depend on the worker count, profiling exports exclusive wall-clock
+// buckets without changing any result, and the trace forwarded to a
+// RunSpec sink is replication-ordered.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,34 @@ RunSpec base_spec(std::size_t jobs = 1) {
 std::vector<MetricRequest> availability() {
   return {{MetricKind::kMeanVcpuAvailability, -1, "avail"}};
 }
+
+/// The registry entries that are a pure function of the replication set
+/// (everything but the executor.* bookkeeping and the profile.* wall
+/// clock), rendered as JSON.
+std::string deterministic_json(const stats::MetricsRegistry& reg) {
+  stats::MetricsRegistry deterministic;
+  for (const char* name :
+       {"sim.events", "sim.enabling_evals", "sched.ticks",
+        "sched.schedules_in", "sched.schedules_out", "sched.preemptions",
+        "sched.freq_changes", "run.replications", "arena.bytes",
+        "kernel.compiled_gates", "kernel.trampoline_gates"}) {
+    deterministic.counter(name).add(reg.counter_value(name));
+  }
+  deterministic.summary("metric.avail") = reg.summary_values("metric.avail");
+  deterministic.summary("sim.events_per_replication") =
+      reg.summary_values("sim.events_per_replication");
+  std::ostringstream json;
+  deterministic.write_json(json);
+  return json.str();
+}
+
+std::uint64_t profile_calls(const stats::MetricsRegistry& reg,
+                            const std::string& bucket) {
+  return reg.counter_value("profile." + bucket + ".calls");
+}
+
+constexpr const char* kBuckets[] = {"build", "lint",     "compile",
+                                    "reset", "simulate", "decide"};
 
 TEST(MetricsExport, RunPointPopulatesDocumentedNames) {
   stats::MetricsRegistry reg;
@@ -78,19 +108,7 @@ TEST(MetricsExport, DeterministicEntriesIdenticalAcrossJobs) {
     spec.metrics = &reg;
     run_point(spec, availability());
     sim_events.push_back(reg.counter_value("sim.events"));
-
-    stats::MetricsRegistry deterministic;
-    for (const char* name :
-         {"sim.events", "sim.enabling_evals", "sched.ticks",
-          "sched.schedules_in", "sched.schedules_out", "sched.preemptions",
-          "run.replications"}) {
-      deterministic.counter(name).add(reg.counter_value(name));
-    }
-    deterministic.summary("metric.avail") =
-        reg.summary_values("metric.avail");
-    std::ostringstream json;
-    deterministic.write_json(json);
-    jsons.push_back(json.str());
+    jsons.push_back(deterministic_json(reg));
   }
   EXPECT_EQ(jsons[0], jsons[1]);
   EXPECT_EQ(sim_events[0], sim_events[1]);
@@ -114,15 +132,113 @@ TEST(MetricsExport, ProfileExportAppearsOnlyWhenRequested) {
   RunSpec spec = base_spec();
   spec.metrics = &plain;
   run_point(spec, availability());
-  EXPECT_FALSE(plain.has("profile.fire.calls"));
+  std::ostringstream json;
+  plain.write_json(json);
+  EXPECT_EQ(json.str().find("\"profile."), std::string::npos) << json.str();
 
   stats::MetricsRegistry profiled;
   spec.metrics = &profiled;
   spec.profile = true;
   run_point(spec, availability());
-  EXPECT_TRUE(profiled.has("profile.fire.calls"));
-  EXPECT_TRUE(profiled.has("profile.fire.ns"));
-  EXPECT_GT(profiled.counter_value("profile.fire.calls"), 0U);
+  for (const char* bucket : kBuckets) {
+    EXPECT_TRUE(profiled.has(std::string("profile.") + bucket + ".calls"))
+        << bucket;
+    EXPECT_TRUE(profiled.has(std::string("profile.") + bucket + ".ns"))
+        << bucket;
+  }
+  EXPECT_EQ(profile_calls(profiled, "run_point"), 1U);
+  EXPECT_GT(profiled.counter_value("profile.run_point.ns"), 0U);
+  EXPECT_GT(profiled.counter_value("profile.simulate.ns"), 0U);
+}
+
+TEST(MetricsExport, ProfiledRunIsBitIdenticalToUnprofiled) {
+  // The profile only reads the clock around the runner's calls and
+  // forwards schedule() through a timing wrapper: every algorithm's
+  // result and deterministic registry entries must not move.
+  for (const std::size_t jobs : {1u, 4u}) {
+    for (const auto& algorithm : sched::builtin_algorithms()) {
+      SCOPED_TRACE(algorithm + " jobs=" + std::to_string(jobs));
+      RunSpec spec = base_spec(jobs);
+      spec.scheduler = sched::make_factory(algorithm);
+      spec.policy.record_observations = true;
+      stats::MetricsRegistry plain_reg;
+      spec.metrics = &plain_reg;
+      const auto plain = run_point(spec, availability());
+      stats::MetricsRegistry profiled_reg;
+      spec.metrics = &profiled_reg;
+      spec.profile = true;
+      const auto profiled = run_point(spec, availability());
+
+      EXPECT_EQ(plain.replications, profiled.replications);
+      EXPECT_EQ(plain.converged, profiled.converged);
+      EXPECT_EQ(plain.observations, profiled.observations);
+      ASSERT_EQ(plain.metrics.size(), profiled.metrics.size());
+      for (std::size_t m = 0; m < plain.metrics.size(); ++m) {
+        EXPECT_EQ(plain.metrics[m].ci.mean, profiled.metrics[m].ci.mean);
+        EXPECT_EQ(plain.metrics[m].ci.half_width,
+                  profiled.metrics[m].ci.half_width);
+      }
+      EXPECT_EQ(deterministic_json(plain_reg),
+                deterministic_json(profiled_reg));
+    }
+  }
+}
+
+TEST(MetricsExport, ProfileFoldsOnlyNonSpeculativeReplications) {
+  // Four workers and a stopping rule met at two replications: the batch
+  // runs two speculative replications, which no bucket may count.
+  RunSpec spec = base_spec(/*jobs=*/4);
+  spec.policy.min_replications = 2;
+  spec.policy.max_replications = 8;
+  spec.policy.target_half_width = 1e9;
+  stats::MetricsRegistry reg;
+  spec.metrics = &reg;
+  spec.profile = true;
+  const auto result = run_point(spec, availability());
+  ASSERT_GT(result.speculative_waste(), 0U);
+  EXPECT_EQ(profile_calls(reg, "decide"), reg.counter_value("sched.ticks"));
+  EXPECT_EQ(profile_calls(reg, "reset"), reg.counter_value("run.replications"));
+  EXPECT_EQ(profile_calls(reg, "simulate"), result.replications);
+  EXPECT_LE(profile_calls(reg, "build"), result.replications);
+  EXPECT_EQ(profile_calls(reg, "lint"), 0U);
+}
+
+TEST(MetricsExport, ProfileBucketsAreExclusiveAtOneJob) {
+  // At jobs 1 every bucket is a disjoint span inside the call, so they
+  // cannot add up to more than run_point. The lint build seeds the
+  // pool: replication 0 checks it out instead of building again.
+  RunSpec spec = base_spec();
+  spec.lint = true;
+  stats::MetricsRegistry reg;
+  spec.metrics = &reg;
+  spec.profile = true;
+  const auto result = run_point(spec, availability());
+  EXPECT_EQ(profile_calls(reg, "lint"), 1U);
+  EXPECT_EQ(profile_calls(reg, "build"), 1U);
+  EXPECT_EQ(profile_calls(reg, "compile"), 1U);
+  EXPECT_EQ(profile_calls(reg, "reset"), result.replications);
+  EXPECT_EQ(profile_calls(reg, "decide"), reg.counter_value("sched.ticks"));
+  std::uint64_t sum = 0;
+  for (const char* bucket : kBuckets) {
+    sum += reg.counter_value(std::string("profile.") + bucket + ".ns");
+  }
+  EXPECT_LE(sum, reg.counter_value("profile.run_point.ns"));
+}
+
+TEST(MetricsExport, ProfileTableReadsTheBuckets) {
+  RunSpec spec = base_spec();
+  stats::MetricsRegistry reg;
+  spec.metrics = &reg;
+  spec.profile = true;
+  run_point(spec, availability());
+  const std::string table = profile_table(reg).render();
+  for (const char* row : {"| build", "| lint", "| compile", "| reset",
+                          "| simulate", "| decide", "| sum", "| run_point"}) {
+    EXPECT_NE(table.find(row), std::string::npos) << row << "\n" << table;
+  }
+  EXPECT_NE(table.find("100.0%"), std::string::npos) << table;
+  // Without a profiled run there is nothing to read.
+  EXPECT_THROW(profile_table(stats::MetricsRegistry{}), std::out_of_range);
 }
 
 /// Minimal collecting sink for the forwarding contract.
