@@ -368,15 +368,20 @@ class DiscardBuf final : public std::streambuf {
   }
 };
 
-/// JSONL serialization alone: a recorded 16-VCPU credit stream (8
-/// two-VCPU VMs on 8 PCPUs, every category) replayed into a JsonlSink
-/// over a discarding stream buffer. The replayed markings carry their
-/// text, as a buffered replication's do, so this measures only the
-/// text form: the kernel form (a live place written by
-/// PlaceBase::write_json_value), which most lines of a `--jobs 1`
-/// trace take, is not exercised here. s_per_event is the cost per
-/// event (the console shows ns as "n").
+/// JSONL serialization of a 16-VCPU credit stream (8 two-VCPU VMs on 8
+/// PCPUs, every category) into a JsonlSink over a discarding stream
+/// buffer. Two rows:
+///  * live:0 replays a recorded stream. The replayed markings carry
+///    their text, as a buffered replication's do, so this row times the
+///    serializer alone, on the text form.
+///  * live:1 drives the simulator with the sink attached, as a `--jobs 1`
+///    trace and the `trace_jsonl` workload do. Its markings carry the
+///    place and are written by PlaceBase::write_json_value; the row
+///    times the kernel and the serializer together.
+/// Both write the same stream, so bytes_per_event agrees. s_per_event
+/// is the cost per event (the console shows ns as "n").
 void BM_JsonlSerialize(benchmark::State& state) {
+  const bool live = state.range(0) != 0;
   auto system = vm::build_system(
       vm::make_symmetric_config(8, std::vector<int>(8, 2), 5),
       sched::make_factory("credit")());
@@ -391,8 +396,15 @@ void BM_JsonlSerialize(benchmark::State& state) {
   DiscardBuf discard;
   std::ostream os(&discard);
   trace::JsonlSink sink(os);
+  sim.set_trace(&sink);
   for (auto _ : state) {
-    recorded.replay_into(sink);
+    if (live) {
+      system->reset();
+      sim.reset(config.seed);
+      sim.advance_until(config.end_time);
+    } else {
+      recorded.replay_into(sink);
+    }
     benchmark::DoNotOptimize(discard.bytes);
   }
   const auto events = static_cast<double>(recorded.events().size());
@@ -404,7 +416,11 @@ void BM_JsonlSerialize(benchmark::State& state) {
       events, benchmark::Counter::kIsIterationInvariantRate |
                   benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_JsonlSerialize)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JsonlSerialize)
+    ->ArgName("live")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

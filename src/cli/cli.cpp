@@ -13,6 +13,7 @@
 
 #include "cli/scenario.hpp"
 #include "exp/compare.hpp"
+#include "exp/pool.hpp"
 #include "exp/table.hpp"
 #include "san/analyze/analyzer.hpp"
 #include "san/simulator.hpp"
@@ -903,6 +904,10 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
       }
       columns.push_back("replications");
       exp::Table table(std::move(columns));
+      // One pool for every algorithm, as exp::compare_points shares one:
+      // a checkout rebinds a built system instead of building another.
+      exp::SystemPool pool(scenario.spec.system);
+      scenario.spec.pool = &pool;
       for (const auto& name : sched::builtin_algorithms()) {
         scenario.spec.scheduler = sched::make_factory(name);
         const auto result = exp::run_point(scenario.spec, scenario.metrics);

@@ -19,28 +19,33 @@ class IdlePcpus {
  public:
   /// Size the cursor for `num_pcpus` physical CPUs.
   void attach(std::size_t num_pcpus) {
-    ids_.clear();
-    ids_.reserve(num_pcpus);
+    ids_.assign(num_pcpus, -1);
+    size_ = 0;
     next_ = 0;
   }
 
-  /// Collect the currently idle PCPUs (ascending id) and rewind.
+  /// Collect the currently idle PCPUs (ascending id) and rewind. Every
+  /// id is written and the count advances by the predicate, so the loop
+  /// has no branch on a PCPU's state to mispredict.
   void reset(std::span<const vm::PCPU_external> pcpus) {
-    ids_.clear();
-    next_ = 0;
+    assert(pcpus.size() <= ids_.size());
+    std::size_t n = 0;
     for (const auto& p : pcpus) {
-      if (p.state == 0) ids_.push_back(p.pcpu_id);
+      ids_[n] = p.pcpu_id;
+      n += static_cast<std::size_t>(p.state == 0);
     }
+    size_ = n;
+    next_ = 0;
   }
 
   /// Append a PCPU the algorithm freed this tick (consumable this tick).
   void push(int pcpu) {
-    assert(ids_.size() < ids_.capacity());
-    ids_.push_back(pcpu);
+    assert(size_ < ids_.size());
+    ids_[size_++] = pcpu;
   }
 
-  bool available() const noexcept { return next_ < ids_.size(); }
-  std::size_t remaining() const noexcept { return ids_.size() - next_; }
+  bool available() const noexcept { return next_ < size_; }
+  std::size_t remaining() const noexcept { return size_ - next_; }
 
   /// Consume and return the next PCPU id.
   int take() {
@@ -49,7 +54,8 @@ class IdlePcpus {
   }
 
  private:
-  std::vector<int> ids_;
+  std::vector<int> ids_;  ///< one slot per PCPU; the first size_ are live
+  std::size_t size_ = 0;
   std::size_t next_ = 0;
 };
 

@@ -10,6 +10,7 @@
 // and swap" pattern: pop exactly size() entries off the front, granting
 // some and pushing the rest back. Relative order of the kept entries is
 // preserved, and a full rotation with no grants is the identity.
+// rotate() does the push-back half for a run of entries in one call.
 #pragma once
 
 #include <cassert>
@@ -66,6 +67,30 @@ class RunQueue {
       --size_;
       return;
     }
+  }
+
+  /// Move the first `k` entries to the back in order, dropping those for
+  /// which `drop(id)` is true: what popping `k` entries and pushing the
+  /// kept ones back does, in one pass without per-entry bookkeeping.
+  /// Each write lands on a slot already read or outside the queue, so
+  /// the copy runs in place.
+  template <class Drop>
+  void rotate(std::size_t k, Drop drop) {
+    assert(k <= size_);
+    std::size_t from = head_;
+    std::size_t to = wrap(head_ + size_);
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const int id = data_[from];
+      if (++from == data_.size()) from = 0;
+      data_[to] = id;
+      const bool keep = !drop(id);
+      kept += static_cast<std::size_t>(keep);
+      to += static_cast<std::size_t>(keep);
+      if (to == data_.size()) to = 0;
+    }
+    head_ = from;
+    size_ -= k - kept;
   }
 
   void clear() noexcept {

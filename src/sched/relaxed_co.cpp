@@ -126,13 +126,17 @@ class RelaxedCo final : public vm::Scheduler {
     //    constrained VM may not start ahead of a more-skewed sibling
     //    left waiting.
     for (std::size_t k = queue_.size(); k > 0; --k) {
+      if (!idle_.available()) {
+        // No PCPU is left this tick, and none is freed in this pass: the
+        // rest only rejoins in order, minus the co-started entries.
+        queue_.rotate(k, [this](int v) {
+          return granted_[static_cast<std::size_t>(v)] != 0;
+        });
+        break;
+      }
       const int v = queue_.pop_front();
       const auto i = static_cast<std::size_t>(v);
       if (granted_[i]) continue;  // pulled in by an earlier co-start
-      if (!idle_.available()) {
-        queue_.push_back(v);
-        continue;
-      }
       const auto vm = static_cast<std::size_t>(vcpus[i].vm_id);
       scratch_.clear();
       for (const int s : gangs_.members(vm)) {

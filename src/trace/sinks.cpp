@@ -169,9 +169,15 @@ void QuotedNameCache::append(std::string& out, std::string_view s) {
 }
 
 char* QuotedNameCache::write(char* out, std::string_view s) {
+  static_assert(sizeof(Slot::quoted) >= kShortCopy);
   if (const char* hit = find(s)) {
-    std::memcpy(out, hit, s.size() + 2);
-    return out + s.size() + 2;
+    const std::size_t n = s.size() + 2;
+    if (n <= kShortCopy) {
+      std::memcpy(out, hit, kShortCopy);
+    } else {
+      std::memcpy(out, hit, n);
+    }
+    return out + n;
   }
   char* const end = write_string(out, s);
   remember(s, out, static_cast<std::size_t>(end - out));
@@ -183,6 +189,15 @@ std::string_view StampCache::find(double time, std::uint64_t seq) const {
     return {};
   }
   return {bytes_, len_};
+}
+
+char* StampCache::write(char* out, double time, std::uint64_t seq) const {
+  if (len_ == 0 || seq != seq_ ||
+      std::bit_cast<std::uint64_t>(time) != time_bits_) {
+    return nullptr;
+  }
+  std::memcpy(out, bytes_, kCopy);
+  return out + len_;
 }
 
 void StampCache::store(std::string_view rendered, double time,
@@ -215,16 +230,42 @@ bool parse_number(std::string_view s, std::string& scratch, double* out) {
   return true;
 }
 
-/// The opening of a JSONL line up to its time value.
-std::string_view line_prefix(san::TraceCategory category) {
+/// Bytes a line prefix copy writes, whatever the prefix's length.
+constexpr std::size_t kPrefixCopy = 32;
+
+/// The opening of a JSONL line up to its time value, zero-padded to
+/// kPrefixCopy bytes so it is copied with a constant length.
+struct LinePrefix {
+  char bytes[kPrefixCopy];
+  std::size_t size;
+};
+
+template <std::size_t N>
+constexpr LinePrefix make_prefix(const char (&text)[N]) {
+  static_assert(N - 1 <= kPrefixCopy);
+  LinePrefix prefix{};
+  for (std::size_t i = 0; i + 1 < N; ++i) prefix.bytes[i] = text[i];
+  prefix.size = N - 1;
+  return prefix;
+}
+
+constexpr LinePrefix kFirePrefix = make_prefix(R"({"kind":"fire","t":)");
+constexpr LinePrefix kEnablingPrefix =
+    make_prefix(R"({"kind":"enabling","t":)");
+constexpr LinePrefix kMarkingPrefix = make_prefix(R"({"kind":"marking","t":)");
+constexpr LinePrefix kSchedPrefix = make_prefix(R"({"kind":"sched","t":)");
+constexpr LinePrefix kMarkerPrefix = make_prefix(R"({"kind":"marker","t":)");
+constexpr LinePrefix kUnknownPrefix = make_prefix(R"({"kind":"?","t":)");
+
+const LinePrefix& line_prefix(san::TraceCategory category) {
   switch (category) {
-    case san::TraceCategory::kFire: return R"({"kind":"fire","t":)";
-    case san::TraceCategory::kEnabling: return R"({"kind":"enabling","t":)";
-    case san::TraceCategory::kMarking: return R"({"kind":"marking","t":)";
-    case san::TraceCategory::kScheduler: return R"({"kind":"sched","t":)";
-    case san::TraceCategory::kMarker: return R"({"kind":"marker","t":)";
+    case san::TraceCategory::kFire: return kFirePrefix;
+    case san::TraceCategory::kEnabling: return kEnablingPrefix;
+    case san::TraceCategory::kMarking: return kMarkingPrefix;
+    case san::TraceCategory::kScheduler: return kSchedPrefix;
+    case san::TraceCategory::kMarker: return kMarkerPrefix;
   }
-  return R"({"kind":"?","t":)";
+  return kUnknownPrefix;
 }
 
 }  // namespace
@@ -345,8 +386,14 @@ void RingBufferSink::replay_into(san::TraceSink& sink) const {
 
 /// Room for all of a line but its names and marking value: a prefix
 /// (23 bytes), the stamp (24 + 7 + 20) and the widest payload, sched's
-/// (6 + 8 + 20 + 8 + 20), plus the closing "}\n".
-constexpr std::size_t kLineRoom = 160;
+/// (6 + 8 + 20 + 8 + 20), plus the closing "}\n". On top of that, the
+/// slack of the constant-length copies: each writes at most kOverCopy
+/// bytes from a point inside the line, so every byte past its fragment
+/// lands in the buffer and is overwritten or cut off at the line's end.
+constexpr std::size_t kOverCopy =
+    std::max({kPrefixCopy, json::StampCache::kCopy,
+              json::QuotedNameCache::kShortCopy});
+constexpr std::size_t kLineRoom = 160 + kOverCopy;
 
 char* JsonlSink::Serializer::reserve(std::size_t used, std::size_t more) {
   if (buf_.size() - used < more) {
@@ -357,17 +404,19 @@ char* JsonlSink::Serializer::reserve(std::size_t used, std::size_t more) {
 
 /// Names and the (time, seq) stamp come from the caches; a kernel
 /// marking of a type that needs no escaping writes its value straight
-/// into the line.
+/// into the line. The prefix, the stamp and short names are copied
+/// with constant lengths (kOverCopy).
 std::string_view JsonlSink::Serializer::write_line(
     const san::TraceEvent& event) {
   std::size_t room = kLineRoom + string_room(event.name.size()) +
                      string_room(event.detail.size());
   if (event.place != nullptr) room += san::PlaceBase::kJsonValueMax;
   char* p = reserve(0, room);
-  p = put(p, line_prefix(event.category));
-  if (const std::string_view stamp = stamp_.find(event.time, event.seq);
-      !stamp.empty()) {
-    p = put(p, stamp);
+  const LinePrefix& prefix = line_prefix(event.category);
+  std::memcpy(p, prefix.bytes, kPrefixCopy);
+  p += prefix.size;
+  if (char* const end = stamp_.write(p, event.time, event.seq)) {
+    p = end;
   } else {
     char* const from = p;
     p = write_double(p, event.time);

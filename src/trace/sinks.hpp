@@ -57,11 +57,16 @@ class QuotedNameCache {
 
  public:
   static constexpr std::size_t kSlots = std::size_t{1} << kBits;
+  /// A hit whose quoted form is at most this long is copied as exactly
+  /// this many bytes, a copy of constant length that compiles to a few
+  /// vector moves instead of a library call.
+  static constexpr std::size_t kShortCopy = 64;
 
   QuotedNameCache();
   void append(std::string& out, std::string_view s);
   /// The bytes append would add, written at `out`, which has room for
-  /// 6 * s.size() + 2 of them; returns the end.
+  /// max(6 * s.size() + 2, kShortCopy) of them; returns the end. Bytes
+  /// between the end and out + kShortCopy may be overwritten.
   char* write(char* out, std::string_view s);
 
  private:
@@ -86,21 +91,32 @@ class QuotedNameCache {
 /// and 0 keep their own renderings and a NaN time still hits.
 class StampCache {
  public:
+  /// The cache's capacity, and the bytes write() copies whatever the
+  /// stamp's length. The longest stamp, `<%.17g>,"seq":<2^64-1>`, is 51
+  /// bytes.
+  static constexpr std::size_t kCopy = 56;
+
   /// The cached rendering of (time, seq), or an empty view if the last
   /// stored one has another key.
   std::string_view find(double time, std::uint64_t seq) const;
+  /// Writes the cached rendering of (time, seq) at `out`, which has
+  /// room for kCopy bytes, and returns its end; nullptr if the last
+  /// stored one has another key. All kCopy bytes are copied, so the
+  /// ones past the end are overwritten too.
+  char* write(char* out, double time, std::uint64_t seq) const;
   /// Remembers `rendered` as the rendering of (time, seq).
   void store(std::string_view rendered, double time, std::uint64_t seq);
 
  private:
   std::uint64_t time_bits_ = 0;
   std::uint64_t seq_ = 0;
-  /// 0 = nothing cached. A full-width length keeps GCC from proving the
-  /// copy small and inlining it as `rep movs`, which costs several
-  /// times a memcpy call on some x86 parts.
+  /// 0 = nothing cached. write() copies all of bytes_, a constant length
+  /// GCC inlines as vector moves. find()'s callers copy len_ bytes: a
+  /// full-width length keeps GCC from proving that copy small and
+  /// inlining it as `rep movs`, which costs several times a memcpy call
+  /// on some x86 parts.
   std::size_t len_ = 0;
-  /// The longest stamp, `<%.17g>,"seq":<2^64-1>`, is 51 bytes.
-  char bytes_[56]{};
+  char bytes_[kCopy]{};
 };
 }  // namespace json
 

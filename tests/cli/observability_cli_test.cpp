@@ -178,6 +178,22 @@ TEST(CliMetrics, MetricsOutWritesSchemaValidRegistryJson) {
   EXPECT_EQ(contents.find("\"profile."), std::string::npos);
 }
 
+TEST(CliMetrics, CompareModeBuildsOneSystemForEveryAlgorithm) {
+  // Every algorithm runs on the same system configuration, so one pool
+  // serves them all: the later runs rebind the built system.
+  const std::string path = ::testing::TempDir() + "/vcpusim_compare_pool.json";
+  const auto r = run(with(small_run(), {"--compare", "--jobs", "1",
+                                        "--metrics-out", path.c_str()}));
+  const std::string contents = read_file(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  const auto doc = parse_json(contents);
+  const auto& counters = doc.at("counters");
+  EXPECT_EQ(counters.at("executor.pool_builds").number, 1.0);
+  EXPECT_EQ(counters.at("executor.pool_reuses").number,
+            counters.at("run.replications").number - 1.0);
+}
+
 TEST(CliMetrics, ProfileFlagAddsPhaseTimers) {
   const std::string path = ::testing::TempDir() + "/vcpusim_profile.json";
   const auto r =

@@ -163,5 +163,53 @@ TEST(CoreRunQueue, RotationWithGrantsKeepsWaitersInOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
+TEST(CoreRunQueue, RotateMatchesPopAndPushBackAcrossTheWrap) {
+  for (const std::size_t capacity : {1u, 2u, 5u}) {
+    for (std::size_t head = 0; head < capacity; ++head) {
+      for (std::size_t fill = 0; fill <= capacity; ++fill) {
+        for (std::size_t k = 0; k <= fill; ++k) {
+          // Every subset of the k rotated entries as the dropped set.
+          for (unsigned drops = 0; drops < (1U << k); ++drops) {
+            SCOPED_TRACE("capacity=" + std::to_string(capacity) + " head=" +
+                         std::to_string(head) + " fill=" +
+                         std::to_string(fill) + " k=" + std::to_string(k) +
+                         " drops=" + std::to_string(drops));
+            const auto dropped = [drops](int id) {
+              return id < 10 && ((drops >> static_cast<unsigned>(id)) & 1U);
+            };
+            RunQueue queue;
+            RunQueue reference;
+            queue.attach(capacity);
+            reference.attach(capacity);
+            advance_head(queue, head);
+            advance_head(reference, head);
+            for (std::size_t j = 0; j < fill; ++j) {
+              // The first k entries are 0..k-1, the rest 10 and up.
+              const int id = static_cast<int>(j < k ? j : 10 + j);
+              queue.push_back(id);
+              reference.push_back(id);
+            }
+            for (std::size_t j = 0; j < k; ++j) {
+              const int id = reference.pop_front();
+              if (!dropped(id)) reference.push_back(id);
+            }
+            queue.rotate(k, dropped);
+            ASSERT_EQ(contents(queue), contents(reference));
+            // The ring stays consistent: it fills to capacity in order.
+            std::vector<int> expected = contents(reference);
+            for (int id = 100; queue.size() < capacity; ++id) {
+              queue.push_back(id);
+              expected.push_back(id);
+            }
+            std::vector<int> popped;
+            while (!queue.empty()) popped.push_back(queue.pop_front());
+            EXPECT_EQ(popped, expected);
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vcpusim::sched::core

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -629,6 +630,175 @@ TEST(SerializationCache, NonFiniteTimesRenderNull) {
   check.verify();
   EXPECT_EQ(JsonlSink::line(fire_event(kNaN, 7, "M->A")),
             R"({"kind":"fire","t":null,"seq":7,"activity":"M->A","case":0})");
+}
+
+// --- fixed-size fragment copies ---------------------------------------------
+// The line writer copies its prefix, a cached stamp and a cached short
+// name with constant lengths, past the fragment's end. These cases sit
+// at the edges of those copies and compare with the reference renderers.
+
+/// A fire line built from the json:: append helpers alone.
+std::string reference_fire_line(double t, std::uint64_t seq,
+                                std::string_view name, std::int64_t c) {
+  std::string line = R"({"kind":"fire","t":)";
+  json::append_double(line, t);
+  line += R"(,"seq":)";
+  json::append_uint(line, seq);
+  line += R"(,"activity":)";
+  json::append_string(line, name);
+  line += R"(,"case":)";
+  json::append_int(line, c);
+  return line + "}";
+}
+
+/// The bytes a cache write put at [from, end).
+std::string written(const char* from, const char* end) {
+  return std::string(from, static_cast<std::size_t>(end - from));
+}
+
+TEST(FixedSizeCopies, NamesAroundTheShortCopyCutoff) {
+  // Quoted, 62 bytes is the longest name a constant-length copy covers.
+  static_assert(json::QuotedNameCache::kShortCopy == 64);
+  std::vector<std::string> names;
+  for (const std::size_t len : {61, 62, 63, 64, 65}) {
+    names.push_back(std::string(len - 1, static_cast<char>('a' + len % 26)) +
+                    "Z");
+  }
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  CacheCheck check;
+  for (int pass = 0; pass < 3; ++pass) {  // a miss, then hits
+    for (const std::string& name : names) {
+      const TraceEvent event = fire_event(2.0, 9, name, pass);
+      sink.on_event(event);
+      check.feed(event);
+      expected += reference_fire_line(2.0, 9, name, pass) + "\n";
+    }
+  }
+  EXPECT_EQ(os.str(), expected);
+  check.verify();
+}
+
+TEST(FixedSizeCopies, NameWriteStaysWithinItsRoom) {
+  constexpr std::size_t kCopy = json::QuotedNameCache::kShortCopy;
+  json::QuotedNameCache cache;
+  for (const std::size_t len : {0, 1, 20, 61, 62, 63, 64, 65, 114, 115}) {
+    const std::string name(len, 'n');
+    std::string fresh;
+    json::append_string(fresh, name);
+    const std::size_t room = std::max(kCopy, 6 * len + 2);
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<char> buf(room + 16, '#');
+      const char* const end = cache.write(buf.data(), name);
+      ASSERT_EQ(written(buf.data(), end), fresh) << len;
+      for (std::size_t i = room; i < buf.size(); ++i) {
+        ASSERT_EQ(buf[i], '#') << "name of " << len << " wrote byte " << i;
+      }
+    }
+  }
+}
+
+TEST(FixedSizeCopies, EscapedNamesAreNeverCopiedFromTheCache) {
+  const std::string tricky = "a\"b\\c\nd\te\x01";
+  const std::string long_tricky = std::string(60, 'x') + "\"";
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string* name : {&tricky, &long_tricky}) {
+      sink.on_event(fire_event(1.0, 3, *name, pass));
+      expected += reference_fire_line(1.0, 3, *name, pass) + "\n";
+    }
+  }
+  EXPECT_EQ(os.str(), expected);
+}
+
+TEST(FixedSizeCopies, LongestStampRoundTripsThroughTheCache) {
+  constexpr double kTime = -1.2345678901234567e+300;
+  constexpr std::uint64_t kSeq = std::numeric_limits<std::uint64_t>::max();
+  std::string stamp;
+  json::append_double(stamp, kTime);
+  stamp += R"(,"seq":)";
+  json::append_uint(stamp, kSeq);
+  ASSERT_EQ(stamp, R"(-1.2345678901234567e+300,"seq":18446744073709551615)");
+  ASSERT_LE(stamp.size(), json::StampCache::kCopy);
+
+  json::StampCache cache;
+  std::vector<char> buf(json::StampCache::kCopy + 8, '#');
+  EXPECT_EQ(cache.write(buf.data(), 0.0, 0), nullptr);  // nothing cached
+  cache.store(stamp, kTime, kSeq);
+  EXPECT_EQ(cache.write(buf.data(), kTime, kSeq - 1), nullptr);
+  EXPECT_EQ(cache.write(buf.data(), -kTime, kSeq), nullptr);
+  const char* const end = cache.write(buf.data(), kTime, kSeq);
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(written(buf.data(), end), stamp);
+  for (std::size_t i = json::StampCache::kCopy; i < buf.size(); ++i) {
+    EXPECT_EQ(buf[i], '#') << i;
+  }
+
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (int i = 0; i < 3; ++i) {  // a miss, then hits
+    sink.on_event(fire_event(kTime, kSeq, "M->A", i));
+    expected += reference_fire_line(kTime, kSeq, "M->A", i) + "\n";
+  }
+  EXPECT_EQ(os.str(), expected);
+}
+
+TEST(FixedSizeCopies, EveryCategoryPrefix) {
+  const std::vector<std::pair<TraceEvent, std::string>> cases = {
+      {fire_event(1, 2, "f"),
+       R"({"kind":"fire","t":1,"seq":2,"activity":"f","case":0})"},
+      {TraceEvent{TraceCategory::kEnabling, 1, 2, "e", 1, 0, {}},
+       R"({"kind":"enabling","t":1,"seq":2,"activity":"e","active":1})"},
+      {TraceEvent{TraceCategory::kMarking, 1, 2, "p", 0, 0, "v"},
+       R"({"kind":"marking","t":1,"seq":2,"place":"p","value":"v"})"},
+      {TraceEvent{TraceCategory::kScheduler, 1, 2, "sched", 3, 4, "in"},
+       R"({"kind":"sched","t":1,"seq":2,"op":"in","vcpu":3,"pcpu":4})"},
+      {TraceEvent{TraceCategory::kMarker, 1, 2, "replication", 5, 0, {}},
+       R"({"kind":"marker","t":1,"seq":2,"label":"replication","value":5})"},
+      // Out of range: the fallback prefix and no payload.
+      {TraceEvent{static_cast<TraceCategory>(0x20), 1, 2, "x", 0, 0, {}},
+       R"({"kind":"?","t":1,"seq":2})"},
+      {TraceEvent{static_cast<TraceCategory>(0), 1, 2, "x", 0, 0, {}},
+       R"({"kind":"?","t":1,"seq":2})"},
+  };
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (const auto& [event, line] : cases) {
+    EXPECT_EQ(JsonlSink::line(event), line);
+    sink.on_event(event);
+    expected += line + "\n";
+  }
+  EXPECT_EQ(os.str(), expected);
+}
+
+TEST(FixedSizeCopies, ShortLineAfterLongLineShowsNoStaleBytes) {
+  const std::string long_name(400, 'L');
+  const std::string long_text(300, 'T');
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (int round = 0; round < 2; ++round) {
+    const TraceEvent long_line{TraceCategory::kMarking, 123456.75, 99,
+                               long_name, 0, 0, long_text};
+    sink.on_event(long_line);
+    expected += JsonlSink::line(long_line) + "\n";
+    // Short lines whose cached fragments are copied over the long
+    // line's bytes; each ends well before the copies' reach.
+    sink.on_event(fire_event(1, 1, "a"));
+    expected += reference_fire_line(1, 1, "a", 0) + "\n";
+    sink.on_event(fire_event(1, 1, "a"));
+    expected += reference_fire_line(1, 1, "a", 0) + "\n";
+    const TraceEvent empty_marker{static_cast<TraceCategory>(0x40), 1, 1, {},
+                                  0, 0, {}};
+    sink.on_event(empty_marker);
+    expected += R"({"kind":"?","t":1,"seq":1})" "\n";
+  }
+  EXPECT_EQ(os.str(), expected);
 }
 
 // --- the stream contract ---------------------------------------------------
