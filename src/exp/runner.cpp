@@ -139,8 +139,8 @@ using Clock = std::chrono::steady_clock;
 enum Bucket : std::size_t {
   kBuild,     ///< vm::build_system
   kLint,      ///< the analyzer's check of the lint build
-  kCompile,   ///< Simulator construction, set_model, metric binding
-  kReset,     ///< checkout, rebind, VirtualSystem and Simulator reset
+  kCompile,   ///< a slot's new Simulator, set_model, metric binding
+  kReset,     ///< checkout, rebinds, VirtualSystem and Simulator reset
   kSimulate,  ///< advance_until minus decide
   kDecide,    ///< Scheduler::schedule
   kBucketCount,
@@ -315,18 +315,29 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       built = true;
     }
     if (slot.stamp != stamp) {
-      // First touch by this run: bind the slot to this run's
-      // scheduler, simulator configuration and metric set. The
-      // expensive part (build_system) is what stays amortized; the
-      // simulator re-derives its index from the already-built model.
+      // First touch by this run: bind the slot to this run's scheduler
+      // and metric set. build_system stays amortized over every run on
+      // the pool, and the simulator (its lowered model and enabling
+      // index) over every run with the same end_time and sanitizer
+      // setting: the scheduler sits behind the bridge, not in the
+      // compiled model, so such a run only rebinds its rewards.
       if (!built) slot.system->rebind_scheduler(make_scheduler());
       const Clock::time_point t = now();
-      san::SimulatorConfig config;
-      config.end_time = spec.end_time;
-      config.seed = san::replication_seed(spec.base_seed, task.stream.stream);
-      config.verify_footprints = spec.verify_footprints;
-      slot.simulator = std::make_unique<san::Simulator>(config);
-      slot.simulator->set_model(*slot.system->model);
+      const san::Simulator* kept = slot.simulator.get();
+      const bool compile =
+          kept == nullptr || kept->config().end_time != spec.end_time ||
+          kept->config().verify_footprints != spec.verify_footprints;
+      if (compile) {
+        san::SimulatorConfig config;
+        config.end_time = spec.end_time;
+        config.seed =
+            san::replication_seed(spec.base_seed, task.stream.stream);
+        config.verify_footprints = spec.verify_footprints;
+        slot.simulator = std::make_unique<san::Simulator>(config);
+        slot.simulator->set_model(*slot.system->model);
+      } else {
+        slot.simulator->clear_rewards();
+      }
       auto bindings = std::make_shared<SlotBindings>();
       bindings->bound.reserve(metrics.size());
       for (const auto& m : metrics) {
@@ -338,7 +349,7 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       bindings->decide = decide_timer;
       slot.bindings = std::move(bindings);
       slot.stamp = stamp;
-      buckets[kCompile].add(ns_between(t, now()));
+      if (compile) buckets[kCompile].add(ns_between(t, now()));
     }
     // Bridge counters + scheduler state back to just-built (a system
     // built this very checkout is already there).

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "san/gate.hpp"
+#include "san/place.hpp"
 #include "stats/distribution.hpp"
 
 namespace vcpusim::san {
@@ -41,6 +42,8 @@ class Activity {
   Activity& operator=(const Activity&) = delete;
 
   const std::string& name() const noexcept { return name_; }
+  /// The name's trace key (san::TraceEvent::name_key); 0 once moved from.
+  std::uint64_t trace_key() const noexcept { return trace_key_.value(); }
   bool is_instantaneous() const noexcept { return delay_ == nullptr; }
   int priority() const noexcept { return priority_; }
   const stats::Distribution* delay() const noexcept { return delay_.get(); }
@@ -74,6 +77,7 @@ class Activity {
   std::string name_;
   stats::DistributionPtr delay_;  // nullptr => instantaneous
   int priority_ = 0;
+  TraceKey trace_key_;  // in priority_'s padding
   std::vector<InputGate> input_gates_;
   std::vector<Case> cases_;
   double total_weight_ = 0.0;

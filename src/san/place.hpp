@@ -20,9 +20,11 @@
 // on the simulation hot path.
 #pragma once
 
+#include <atomic>
 #include <charconv>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <locale>
 #include <memory>
 #include <new>
@@ -31,6 +33,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vcpusim::san {
@@ -57,6 +60,43 @@ template <class E, class A>
 struct IsPodVector<std::vector<E, A>>
     : std::bool_constant<std::is_trivially_copyable_v<E>> {};
 
+/// The trace name key of a place or activity: a process-wide serial,
+/// taken at construction from one relaxed atomic counter, so it is never
+/// handed out twice. Names are immutable, so a key stands for the same
+/// bytes for as long as the process runs, and a trace sink may cache a
+/// name's rendering under its key without comparing content
+/// (trace::json::QuotedNameCache). 0 is the key of no name: a moved-from
+/// object holds it, and so does every object built after the first
+/// 2^32 - 1 keys. A key is stored in 32 bits because they fit in padding
+/// that PlaceBase and Activity already have; 64 bits grew every place by
+/// 8 bytes, which slowed untraced runs.
+class TraceKey {
+ public:
+  TraceKey() noexcept : value_(next()) {}
+  TraceKey(TraceKey&& other) noexcept
+      : value_(std::exchange(other.value_, 0U)) {}
+  TraceKey& operator=(TraceKey&& other) noexcept {
+    value_ = std::exchange(other.value_, 0U);
+    return *this;
+  }
+  TraceKey(const TraceKey&) = delete;
+  TraceKey& operator=(const TraceKey&) = delete;
+
+  std::uint64_t value() const noexcept { return value_; }
+
+ private:
+  static std::uint32_t next() noexcept {
+    static constinit std::atomic<std::uint64_t> last{0};
+    const std::uint64_t serial =
+        last.fetch_add(1, std::memory_order_relaxed) + 1;
+    return serial <= std::numeric_limits<std::uint32_t>::max()
+               ? static_cast<std::uint32_t>(serial)
+               : 0U;
+  }
+
+  std::uint32_t value_;
+};
+
 class PlaceBase {
  public:
   explicit PlaceBase(std::string name) : name_(std::move(name)) {}
@@ -66,6 +106,8 @@ class PlaceBase {
   PlaceBase& operator=(const PlaceBase&) = delete;
 
   const std::string& name() const noexcept { return name_; }
+  /// The name's trace key (san::TraceEvent::name_key).
+  std::uint64_t trace_key() const noexcept { return trace_key_.value(); }
 
   /// Install (or clear, with nullptr) the thread-local access listener.
   /// Returns the previously installed listener so callers can restore
@@ -175,6 +217,7 @@ class PlaceBase {
 
   std::string name_;
   std::uint32_t compiled_id_ = kNoCompiledId;
+  TraceKey trace_key_;  // in compiled_id_'s padding
 };
 
 /// A place whose marking is a value of type T, which must be copyable.

@@ -387,7 +387,8 @@ void Simulator::transition_timed(std::uint32_t timed_index) {
   // identical across incremental enabling on/off.
   if (trace_ != nullptr && trace_->wants(TraceCategory::kEnabling)) {
     trace_->on_event(TraceEvent{TraceCategory::kEnabling, now_, events_,
-                                a.name(), en ? 1 : 0, 0, {}});
+                                a.name(), en ? 1 : 0, 0, {}, nullptr,
+                                a.trace_key()});
   }
 }
 
@@ -443,14 +444,16 @@ std::uint32_t Simulator::complete(Activity& activity, bool timed,
   if (trace_->wants(TraceCategory::kFire)) {
     trace_->on_event(TraceEvent{TraceCategory::kFire, now_, seq,
                                 activity.name(),
-                                static_cast<std::int64_t>(case_index), 0, {}});
+                                static_cast<std::int64_t>(case_index), 0, {},
+                                nullptr, activity.trace_key()});
   }
   if (trace_->wants(TraceCategory::kMarking)) {
     const auto& writes =
         timed ? timed_trace_writes_[index] : inst_trace_writes_[index];
     for (const PlaceBase* place : writes) {
       trace_->on_event(TraceEvent{TraceCategory::kMarking, now_, seq,
-                                  place->name(), 0, 0, {}, place});
+                                  place->name(), 0, 0, {}, place,
+                                  place->trace_key()});
     }
   }
   return ctx.variant;

@@ -95,6 +95,9 @@ class Simulator {
  public:
   explicit Simulator(SimulatorConfig config);
 
+  /// The configuration; reset(seed) replaces its seed.
+  const SimulatorConfig& config() const noexcept { return config_; }
+
   /// Register the model to execute. Compiles it into the arena kernel
   /// and builds the enabling-dependency index from the model's declared
   /// gate footprints. The model's marking is reset at the start of

@@ -89,6 +89,12 @@ struct TraceEvent {
   /// kMarking from the simulator: the place whose live marking (valid
   /// during on_event only) is the value. Otherwise null.
   const PlaceBase* place = nullptr;
+  /// The trace key (san::TraceKey) of the activity or place that `name`
+  /// belongs to; the simulator sets it and a replayed event keeps it. A
+  /// non-zero key always names the same bytes, so a sink may cache the
+  /// name's rendering under it. 0: a name of no object (hand-built
+  /// events, markers, scheduler ops), rendered afresh each time.
+  std::uint64_t name_key = 0;
 };
 
 /// The event's detail text in either form: for an event that carries a

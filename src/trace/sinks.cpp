@@ -16,17 +16,13 @@ namespace vcpusim::trace {
 namespace {
 
 /// Fibonacci hash of an address: its slot in a direct-mapped cache of
-/// 2^bits slots (RingBufferSink interning, json::QuotedNameCache).
+/// 2^bits slots (RingBufferSink interning).
 std::size_t address_slot(const char* p, unsigned bits) {
   const auto key =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
   return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
                                   (64U - bits));
 }
-
-}  // namespace
-
-namespace {
 
 /// Writers behind the json:: append helpers and JsonlSink's lines. Each
 /// renders at `out`, which has room for the bytes noted, and returns the
@@ -135,52 +131,51 @@ void append_string(std::string& out, std::string_view s) {
 QuotedNameCache::QuotedNameCache()
     : slots_(std::make_unique<Slot[]>(kSlots)) {}
 
-const char* QuotedNameCache::find(std::string_view s) const {
-  const Slot& slot = slots_[address_slot(s.data(), kBits)];
-  // An unused slot's source is null: a null view (an empty name) must
-  // not match it.
-  if (s.data() != nullptr && slot.source == s.data() &&
-      slot.len == s.size() &&
-      std::memcmp(slot.quoted + 1, s.data(), s.size()) == 0) {
-    return slot.quoted;
-  }
-  return nullptr;
+const QuotedNameCache::Slot* QuotedNameCache::find(std::uint64_t key) const {
+  const Slot& slot = slots_[key & (kSlots - 1)];
+  // An empty slot holds key 0, the key of no name: it must not hit.
+  return key != 0 && slot.key == key ? &slot : nullptr;
 }
 
-void QuotedNameCache::remember(std::string_view s, const char* quoted,
+void QuotedNameCache::remember(std::uint64_t key, const char* quoted,
                                std::size_t n) {
-  Slot& slot = slots_[address_slot(s.data(), kBits)];
-  // Escaping lengthens a name, so n == size + 2 means the quoted form
-  // holds the name verbatim.
-  if (n != s.size() + 2 || n > sizeof(slot.quoted)) return;
+  Slot& slot = slots_[key & (kSlots - 1)];
+  if (key == 0 || n > sizeof(slot.quoted)) return;
   std::memcpy(slot.quoted, quoted, n);
-  slot.source = s.data();
-  slot.len = static_cast<std::uint32_t>(s.size());
+  slot.key = key;
+  slot.len = static_cast<std::uint32_t>(n);
 }
 
-void QuotedNameCache::append(std::string& out, std::string_view s) {
-  if (const char* hit = find(s)) {
-    out.append(hit, s.size() + 2);
+void QuotedNameCache::append(std::string& out, std::uint64_t key,
+                             std::string_view s) {
+  if (const Slot* hit = find(key)) {
+    out.append(hit->quoted, hit->len);
     return;
   }
   const std::size_t from = out.size();
   append_string(out, s);
-  remember(s, out.data() + from, out.size() - from);
+  remember(key, out.data() + from, out.size() - from);
 }
 
-char* QuotedNameCache::write(char* out, std::string_view s) {
-  static_assert(sizeof(Slot::quoted) >= kShortCopy);
-  if (const char* hit = find(s)) {
-    const std::size_t n = s.size() + 2;
-    if (n <= kShortCopy) {
-      std::memcpy(out, hit, kShortCopy);
-    } else {
-      std::memcpy(out, hit, n);
+char* QuotedNameCache::write(char* out, std::uint64_t key,
+                             std::string_view s) {
+  if (const Slot* hit = find(key)) {
+    const std::size_t n = hit->len;
+    std::memcpy(out, hit->quoted, kShortCopy);
+    if (n > kShortCopy) {
+      std::memcpy(out + n - kShortCopy, hit->quoted + n - kShortCopy,
+                  kShortCopy);
     }
     return out + n;
   }
+  return write_miss(out, key, s);
+}
+
+[[gnu::noinline]] char* QuotedNameCache::write_miss(char* out,
+                                                    std::uint64_t key,
+                                                    std::string_view s) {
   char* const end = write_string(out, s);
-  remember(s, out, static_cast<std::size_t>(end - out));
+  remember(key, out, static_cast<std::size_t>(end - out));
   return end;
 }
 
@@ -309,6 +304,7 @@ void RingBufferSink::on_event(const san::TraceEvent& event) {
   r.seq = event.seq;
   r.a = event.a;
   r.b = event.b;
+  r.name_key = event.name_key;
   r.name = name;
   r.detail = detail;
   r.name_len = static_cast<std::uint32_t>(event.name.size());
@@ -366,7 +362,9 @@ san::TraceEvent RingBufferSink::event_at(std::size_t i) const {
                          r.a,
                          r.b,
                          std::string_view(arena_.data() + r.detail,
-                                          r.detail_len)};
+                                          r.detail_len),
+                         nullptr,
+                         r.name_key};
 }
 
 std::size_t RingBufferSink::count(san::TraceCategory category) const {
@@ -404,7 +402,7 @@ char* JsonlSink::Serializer::reserve(std::size_t used, std::size_t more) {
 
 /// Names and the (time, seq) stamp come from the caches; a kernel
 /// marking of a type that needs no escaping writes its value straight
-/// into the line. The prefix, the stamp and short names are copied
+/// into the line. The prefix, the stamp and cached names are copied
 /// with constant lengths (kOverCopy).
 std::string_view JsonlSink::Serializer::write_line(
     const san::TraceEvent& event) {
@@ -428,19 +426,19 @@ std::string_view JsonlSink::Serializer::write_line(
   switch (event.category) {
     case san::TraceCategory::kFire:
       p = put(p, R"(,"activity":)");
-      p = names_.write(p, event.name);
+      p = names_.write(p, event.name_key, event.name);
       p = put(p, R"(,"case":)");
       p = write_int(p, event.a);
       break;
     case san::TraceCategory::kEnabling:
       p = put(p, R"(,"activity":)");
-      p = names_.write(p, event.name);
+      p = names_.write(p, event.name_key, event.name);
       p = put(p, R"(,"active":)");
       p = write_int(p, event.a);
       break;
     case san::TraceCategory::kMarking: {
       p = put(p, R"(,"place":)");
-      p = names_.write(p, event.name);
+      p = names_.write(p, event.name_key, event.name);
       p = put(p, R"(,"value":)");
       char* const end =
           event.place != nullptr ? event.place->write_json_value(p) : nullptr;
@@ -456,7 +454,7 @@ std::string_view JsonlSink::Serializer::write_line(
     }
     case san::TraceCategory::kScheduler:
       p = put(p, R"(,"op":)");
-      p = names_.write(p, event.detail);
+      p = names_.write(p, 0, event.detail);
       p = put(p, R"(,"vcpu":)");
       p = write_int(p, event.a);
       p = put(p, R"(,"pcpu":)");
@@ -464,7 +462,7 @@ std::string_view JsonlSink::Serializer::write_line(
       break;
     case san::TraceCategory::kMarker:
       p = put(p, R"(,"label":)");
-      p = names_.write(p, event.name);
+      p = names_.write(p, event.name_key, event.name);
       p = put(p, R"(,"value":)");
       p = write_int(p, event.a);
       break;
@@ -528,7 +526,7 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
   };
   switch (event.category) {
     case san::TraceCategory::kFire:
-      names_.append(out, event.name);
+      names_.append(out, event.name_key, event.name);
       out.append(",\"cat\":\"fire\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
                  "\"tid\":0,\"ts\":");
       append_ts();
@@ -538,7 +536,7 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
       json::append_uint(out, event.seq);
       break;
     case san::TraceCategory::kEnabling:
-      names_.append(out, event.name);
+      names_.append(out, event.name_key, event.name);
       out.append(",\"cat\":\"enabling\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
                  "\"tid\":1,\"ts\":");
       append_ts();
@@ -552,7 +550,7 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
       if (!parse_number(san::detail_text(event, text_), number_, &value)) {
         return;
       }
-      names_.append(out, event.name);
+      names_.append(out, event.name_key, event.name);
       out.append(",\"cat\":\"marking\",\"ph\":\"C\",\"pid\":0,\"ts\":");
       append_ts();
       out.append(",\"args\":{\"value\":");
@@ -562,7 +560,7 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
     case san::TraceCategory::kScheduler:
       // One timeline row per VCPU (tid = vcpu id + 2 keeps rows 0/1 for
       // fire / enabling instants).
-      names_.append(out, event.detail);
+      names_.append(out, 0, event.detail);
       out.append(",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
                  "\"tid\":");
       json::append_int(out, event.a + 2);
@@ -574,7 +572,7 @@ void ChromeTraceSink::on_event(const san::TraceEvent& event) {
       json::append_int(out, event.b);
       break;
     case san::TraceCategory::kMarker:
-      names_.append(out, event.name);
+      names_.append(out, event.name_key, event.name);
       out.append(",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,"
                  "\"tid\":0,\"ts\":");
       append_ts();

@@ -45,43 +45,48 @@ void append_double(std::string& out, double v);
 /// including non-ASCII ones, are copied through.
 void append_string(std::string& out, std::string_view s);
 
-/// append_string with memory: a direct-mapped cache, keyed by the
-/// name's source address, of the quoted forms of the names it has seen.
-/// Every hit is confirmed by content, because a view may alias storage
-/// that now holds other bytes (a reused buffer, a freed arena), so the
-/// output never depends on an address. Names that need escaping or are
-/// longer than a slot are quoted afresh each time.
+/// append_string with memory: a direct-mapped table of quoted names,
+/// indexed by the name's trace key (san::TraceEvent::name_key). A
+/// non-zero key is never reused and its name never changes, so a hit
+/// needs no content check: the slot that holds the key holds the name's
+/// quoted form, escapes included. Key 0 names no object; such a name is
+/// quoted afresh each time and never cached, as is one whose quoted form
+/// is longer than a slot.
 class QuotedNameCache {
-  static constexpr unsigned kBits = 10;
   static constexpr std::size_t kSlotBytes = 128;
 
  public:
-  static constexpr std::size_t kSlots = std::size_t{1} << kBits;
-  /// A hit whose quoted form is at most this long is copied as exactly
-  /// this many bytes, a copy of constant length that compiles to a few
-  /// vector moves instead of a library call.
+  static constexpr std::size_t kSlots = 1024;
+  /// A hit is copied in blocks of this many bytes, copies of constant
+  /// length that compile to a few vector moves instead of a library
+  /// call: one block for a quoted form of at most this length, else its
+  /// first and last blocks, which overlap.
   static constexpr std::size_t kShortCopy = 64;
 
   QuotedNameCache();
-  void append(std::string& out, std::string_view s);
+  /// Appends `s`, the name of key `key`, as append_string does.
+  void append(std::string& out, std::uint64_t key, std::string_view s);
   /// The bytes append would add, written at `out`, which has room for
   /// max(6 * s.size() + 2, kShortCopy) of them; returns the end. Bytes
   /// between the end and out + kShortCopy may be overwritten.
-  char* write(char* out, std::string_view s);
+  char* write(char* out, std::uint64_t key, std::string_view s);
 
  private:
-  /// One cached name: its address, length and quoted form. A clean name
-  /// quotes as '"' + name + '"', so the quoted form also holds the bytes
-  /// a hit is compared against.
+  /// One cached name: its key (0 = empty) and quoted form.
   struct Slot {
-    const char* source = nullptr;
+    std::uint64_t key = 0;
     std::uint32_t len = 0;
-    char quoted[kSlotBytes - sizeof(const char*) - sizeof(std::uint32_t)]{};
+    char quoted[kSlotBytes - sizeof(std::uint64_t) - sizeof(std::uint32_t)]{};
   };
-  /// The quoted form cached for `s`, or nullptr.
-  const char* find(std::string_view s) const;
-  /// Caches `quoted`, the quoted form of `s`, if it holds `s` verbatim.
-  void remember(std::string_view s, const char* quoted, std::size_t n);
+  static_assert((kSlots & (kSlots - 1)) == 0);  // key & (kSlots - 1)
+  static_assert(sizeof(Slot::quoted) >= kShortCopy &&
+                sizeof(Slot::quoted) <= 2 * kShortCopy);
+  /// The slot holding `key`'s name, or nullptr.
+  const Slot* find(std::uint64_t key) const;
+  /// write's miss path, out of line so the hit path saves no registers.
+  char* write_miss(char* out, std::uint64_t key, std::string_view s);
+  /// Caches `quoted` as the quoted form of `key`'s name, if it fits.
+  void remember(std::uint64_t key, const char* quoted, std::size_t n);
 
   std::unique_ptr<Slot[]> slots_;
 };
@@ -193,13 +198,14 @@ class RingBufferSink final : public san::TraceSink {
   void clear() noexcept;
 
  private:
-  /// One retained event (48 bytes): its strings are (offset, length)
+  /// One retained event (56 bytes): its strings are (offset, length)
   /// in arena_, and the category shares a word with the name length.
   struct Record {
     double time;
     std::uint64_t seq;
     std::int64_t a;
     std::int64_t b;
+    std::uint64_t name_key;
     std::uint32_t name;
     std::uint32_t detail;
     std::uint32_t name_len : 24;

@@ -201,6 +201,59 @@ TEST(PoolIdentity, SharedExternalPoolStaysIdenticalAcrossRuns) {
   EXPECT_EQ(pool.reuses(), 11u);  // 3 runs x 4 reps, minus the one build
 }
 
+/// `spec` run on `pool` with profiling on; returns the outcome and adds
+/// its `compile` span count to `compiles`.
+Outcome run_profiled(RunSpec spec, SystemPool& pool, std::uint64_t& compiles) {
+  stats::MetricsRegistry registry;
+  spec.pool = &pool;
+  spec.profile = true;
+  spec.metrics = &registry;
+  std::ostringstream os;
+  trace::JsonlSink sink(os);
+  spec.trace = &sink;
+  Outcome out;
+  out.result = run_point(spec, headline_metrics());
+  sink.finish();
+  out.trace = os.str();
+  out.sim_events = registry.counter("sim.events").value();
+  out.enabling_evals = registry.counter("sim.enabling_evals").value();
+  out.sched_ticks = registry.counter("sched.ticks").value();
+  out.preemptions = registry.counter("sched.preemptions").value();
+  compiles += registry.counter("profile.compile.calls").value();
+  return out;
+}
+
+TEST(PoolIdentity, SharedPoolMatchesPrivatePoolsForEveryAlgorithm) {
+  // The compare verb's shape: one pool serves each algorithm in turn. A
+  // slot keeps its simulator from run to run and rebinds only the
+  // scheduler and the rewards, so the model is lowered once per slot;
+  // every run must still match a private pool's bit for bit.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SystemPool pool(pool_spec().system);
+    std::uint64_t compiles = 0;
+    for (const std::string& algorithm : sched::builtin_algorithms()) {
+      SCOPED_TRACE(algorithm);
+      RunSpec spec = pool_spec();
+      spec.scheduler = sched::make_factory(algorithm);
+      spec.jobs = jobs;
+      const auto reference = run(spec, headline_metrics(), true);
+      expect_bit_identical(reference, run_profiled(spec, pool, compiles));
+    }
+    EXPECT_EQ(compiles, pool.builds());
+    // A run with another horizon needs a simulator of its own on every
+    // slot it touches, and still matches a private pool.
+    RunSpec longer = pool_spec();
+    longer.end_time = 240.0;
+    longer.jobs = jobs;
+    const std::uint64_t before = compiles;
+    expect_bit_identical(run(longer, headline_metrics(), true),
+                         run_profiled(longer, pool, compiles));
+    EXPECT_GE(compiles - before, 1U);
+    EXPECT_LE(compiles - before, pool.builds());
+  }
+}
+
 TEST(PoolCounters, PrivatePoolExportsBuildAndReuseDeltas) {
   const auto pooled = run(pool_spec(), headline_metrics());
   EXPECT_EQ(pooled.pool_builds, 1u);

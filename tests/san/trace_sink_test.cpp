@@ -1,10 +1,17 @@
 // Structured-tracing contract of the simulator: which events are
 // emitted, in what order, and that the stream is a pure function of the
-// trajectory (identical across incremental-enabling modes).
+// trajectory (identical across incremental-enabling modes); and the
+// trace keys that name an event's activity or place.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "san/simulator.hpp"
@@ -285,6 +292,133 @@ TEST(SimulatorTrace, DetachingSinkStopsEmission) {
   sim.set_trace(nullptr);
   sim.run();
   EXPECT_EQ(sink.events.size(), after_first);
+}
+
+// --- trace keys ---------------------------------------------------------
+// A sink caches a name's rendering under its key without checking the
+// bytes, so a key must never name two strings.
+
+/// True iff every key is non-zero and no two are equal.
+bool distinct_non_zero(std::vector<std::uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  return !keys.empty() && keys.front() != 0 &&
+         std::adjacent_find(keys.begin(), keys.end()) == keys.end();
+}
+
+TEST(TraceKeys, EveryPlaceAndActivityGetsADistinctNonZeroKey) {
+  std::vector<std::uint64_t> keys;
+  // Two models with the same names: equal names still get their own keys.
+  std::vector<std::unique_ptr<ComposedModel>> models;
+  for (int copy = 0; copy < 2; ++copy) {
+    auto& model = *models.emplace_back(std::make_unique<ComposedModel>("M"));
+    for (int m = 0; m < 3; ++m) {
+      auto& sub = model.add_submodel("S" + std::to_string(m));
+      for (int i = 0; i < 40; ++i) {
+        const std::string n = std::to_string(i);
+        sub.add_place<std::int64_t>("p" + n, 0);
+        sub.add_place<double>("d" + n, 0.0);
+        sub.add_timed_activity("t" + n, stats::make_deterministic(1.0));
+        sub.add_instantaneous_activity("i" + n);  // moved into the model
+      }
+    }
+    for (const auto& sub : model.submodels()) {
+      for (const PlacePtr& p : sub->places()) keys.push_back(p->trace_key());
+    }
+    for (const Activity* a : model.all_activities()) {
+      keys.push_back(a->trace_key());
+    }
+  }
+  EXPECT_EQ(keys.size(), 2U * 3U * 40U * 4U);
+  EXPECT_TRUE(distinct_non_zero(keys));
+}
+
+TEST(TraceKeys, KeysStayDistinctAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::vector<std::uint64_t>> per_thread(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&keys = per_thread[static_cast<std::size_t>(t)]] {
+      for (int i = 0; i < kPerThread; ++i) {
+        if (i % 2 == 0) {
+          keys.push_back(TokenPlace("p", 0).trace_key());
+        } else {
+          keys.push_back(Activity::make_instantaneous("a").trace_key());
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::vector<std::uint64_t> keys;
+  for (const auto& k : per_thread) keys.insert(keys.end(), k.begin(), k.end());
+  EXPECT_TRUE(distinct_non_zero(keys));
+}
+
+TEST(TraceKeys, MovedFromActivityGivesUpItsKey) {
+  Activity a("A", stats::make_deterministic(1.0));
+  const std::uint64_t key = a.trace_key();
+  ASSERT_NE(key, 0U);
+  Activity b(std::move(a));
+  EXPECT_EQ(b.trace_key(), key);
+  EXPECT_EQ(a.trace_key(), 0U);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.name(), "A");
+
+  Activity c = Activity::make_instantaneous("C");
+  const std::uint64_t c_key = c.trace_key();
+  ASSERT_NE(c_key, key);
+  c = std::move(b);  // "C"'s key retires with its name
+  EXPECT_EQ(c.trace_key(), key);
+  EXPECT_EQ(b.trace_key(), 0U);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.name(), "A");
+
+  // A regrowing vector moves every element: each name keeps its key.
+  std::vector<Activity> activities;
+  std::map<std::string, std::uint64_t> keys;
+  for (int i = 0; i < 100; ++i) {
+    activities.push_back(Activity::make_instantaneous(std::to_string(i)));
+    keys.emplace(std::to_string(i), activities.back().trace_key());
+  }
+  for (const Activity& activity : activities) {
+    EXPECT_EQ(activity.trace_key(), keys.at(activity.name()));
+  }
+}
+
+/// Records each event's (name, key).
+class KeySink final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    seen.emplace_back(event.category, std::string(event.name));
+    keys.push_back(event.name_key);
+  }
+  std::vector<std::pair<TraceCategory, std::string>> seen;
+  std::vector<std::uint64_t> keys;
+};
+
+TEST(TraceKeys, SimulatorEventsCarryTheKeyOfTheirName) {
+  ClockModel m;
+  Activity& clock = *m.model.all_activities().front();
+  SimulatorConfig config;
+  config.end_time = 3.0;
+  Simulator sim(config);
+  sim.set_model(m.model);
+  KeySink sink;
+  sim.set_trace(&sink);
+  sim.run();
+  ASSERT_FALSE(sink.seen.empty());
+  std::size_t marking = 0;
+  for (std::size_t i = 0; i < sink.seen.size(); ++i) {
+    const auto& [category, name] = sink.seen[i];
+    SCOPED_TRACE(name);
+    if (category == TraceCategory::kMarking) {
+      EXPECT_EQ(name, m.count->name());
+      EXPECT_EQ(sink.keys[i], m.count->trace_key());
+      ++marking;
+    } else {
+      EXPECT_EQ(name, clock.name());
+      EXPECT_EQ(sink.keys[i], clock.trace_key());
+    }
+  }
+  EXPECT_EQ(marking, 3U);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <ios>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "san/simulator.hpp"
+#include "sched/registry.hpp"
 #include "stats/distribution.hpp"
 #include "testing/helpers.hpp"
 #include "testing/json.hpp"
@@ -512,9 +515,17 @@ class CacheCheck {
   std::size_t chrome_entries_ = 0;
 };
 
-/// The sched op of a scheduler event goes through the name cache too.
+/// The sched op of a scheduler event goes through the name cache too,
+/// under key 0.
 TraceEvent sched_event(double t, std::uint64_t seq, std::string_view op) {
   return TraceEvent{TraceCategory::kScheduler, t, seq, "sched", 1, 0, op};
+}
+
+/// `event` with its name's trace key set. A key must name one string for
+/// a sink's lifetime; each test hands out its own.
+TraceEvent keyed(TraceEvent event, std::uint64_t key) {
+  event.name_key = key;
+  return event;
 }
 
 TEST(SerializationCache, ReusedAddressRendersNewContent) {
@@ -522,16 +533,26 @@ TEST(SerializationCache, ReusedAddressRendersNewContent) {
   std::string name = "M->A";  // one address, changing content
   const char* const address = name.data();
   for (int round = 0; round < 3; ++round) {
+    // Keyed: each content has its own key, so the address never counts.
+    name = "M->A";
+    check.feed(keyed(fire_event(1, 1, name), 1));
+    check.feed(keyed(fire_event(1, 1, name), 1));  // a hit
+    name[3] = 'B';                                  // same length, new bytes
+    check.feed(keyed(fire_event(1, 1, name), 2));
+    check.feed(keyed(
+        TraceEvent{TraceCategory::kMarking, 2, 2, name, 0, 0, "3"}, 2));
+    name = "M->";  // shorter, same storage
+    check.feed(keyed(fire_event(2, 2, name), 3));
+    check.feed(sched_event(2, 2, name));
+    name = "M\"x";  // needs escaping: cached escaped
+    check.feed(keyed(fire_event(2, 2, name), 4));
+    check.feed(keyed(fire_event(2, 2, name), 4));
+    // Key 0: the same storage, quoted afresh each time.
     name = "M->A";
     check.feed(fire_event(1, 1, name));
-    check.feed(fire_event(1, 1, name));  // a hit
-    name[3] = 'B';                        // same length, new bytes
+    name[3] = 'B';
     check.feed(fire_event(1, 1, name));
-    check.feed(TraceEvent{TraceCategory::kMarking, 2, 2, name, 0, 0, "3"});
-    name = "M->";  // shorter, same storage
-    check.feed(fire_event(2, 2, name));
-    check.feed(sched_event(2, 2, name));
-    name = "M\"x";  // needs escaping: never cached
+    name = "M\"x";
     check.feed(fire_event(2, 2, name));
     check.feed(fire_event(2, 2, name));
     name = "";
@@ -546,15 +567,22 @@ TEST(SerializationCache, ReusedAddressRendersNewContent) {
 TEST(SerializationCache, NullEmptyNameRendersEmptyString) {
   EXPECT_EQ(JsonlSink::line(fire_event(1, 1, std::string_view{})),
             R"({"kind":"fire","t":1,"seq":1,"activity":"","case":0})");
+  EXPECT_EQ(JsonlSink::line(keyed(fire_event(1, 1, std::string_view{}), 9)),
+            R"({"kind":"fire","t":1,"seq":1,"activity":"","case":0})");
   json::QuotedNameCache cache;
   std::string out;
-  cache.append(out, std::string_view{});
-  cache.append(out, std::string_view{});
+  cache.append(out, 0, std::string_view{});
+  cache.append(out, 0, std::string_view{});
+  EXPECT_EQ(out, R"("""")");
+  out.clear();
+  cache.append(out, 9, std::string_view{});
+  cache.append(out, 9, std::string_view{});  // a hit on the empty name
   EXPECT_EQ(out, R"("""")");
 }
 
 TEST(SerializationCache, CollidingNamesMatchEmptyCacheRendering) {
-  // Four names per slot on average, plus names longer than a slot holds.
+  // Four keys per slot, plus names longer than a slot holds; key i + 1
+  // names names[i].
   std::vector<std::string> names;
   for (std::size_t i = 0; i < 4 * json::QuotedNameCache::kSlots; ++i) {
     names.push_back("VM_" + std::to_string(i) + ".VCPU1->Schedule_In");
@@ -566,8 +594,9 @@ TEST(SerializationCache, CollidingNamesMatchEmptyCacheRendering) {
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < names.size(); ++i) {
       const double t = static_cast<double>(i / 3);
-      check.feed(fire_event(t, i, names[i], pass));
-      check.feed(fire_event(t, i, names[(i * 7919) % names.size()]));
+      check.feed(keyed(fire_event(t, i, names[i], pass), i + 1));
+      const std::size_t j = (i * 7919) % names.size();
+      check.feed(keyed(fire_event(t, i, names[j]), j + 1));
     }
   }
   check.verify();
@@ -581,39 +610,42 @@ TEST(SerializationCache, QuotedNameCacheMatchesAppendString) {
     names.push_back("P" + std::to_string(i));
   }
   for (int pass = 0; pass < 3; ++pass) {
-    for (const std::string& name : names) {
-      std::string cached = "prefix";
-      cache.append(cached, name);
+    for (std::size_t i = 0; i < names.size(); ++i) {
       std::string fresh = "prefix";
-      json::append_string(fresh, name);
-      ASSERT_EQ(cached, fresh) << "pass " << pass;
+      json::append_string(fresh, names[i]);
+      for (const std::uint64_t key : {std::uint64_t{i + 1}, std::uint64_t{0}}) {
+        std::string cached = "prefix";
+        cache.append(cached, key, names[i]);
+        ASSERT_EQ(cached, fresh) << "pass " << pass << ", key " << key;
+      }
     }
   }
 }
 
 TEST(SerializationCache, SignedZeroTimesKeepTheirRenderings) {
   CacheCheck check;
-  check.feed(fire_event(0.0, 5, "M->A"));
-  check.feed(fire_event(-0.0, 5, "M->A"));
-  check.feed(fire_event(0.0, 5, "M->A"));
+  check.feed(keyed(fire_event(0.0, 5, "M->A"), 1));
+  check.feed(keyed(fire_event(-0.0, 5, "M->A"), 1));
+  check.feed(keyed(fire_event(0.0, 5, "M->A"), 1));
   check.feed(sched_event(-0.0, 5, "in"));
   check.verify();
-  EXPECT_EQ(JsonlSink::line(fire_event(-0.0, 5, "M->A")),
+  EXPECT_EQ(JsonlSink::line(keyed(fire_event(-0.0, 5, "M->A"), 1)),
             R"({"kind":"fire","t":-0,"seq":5,"activity":"M->A","case":0})");
 }
 
 TEST(SerializationCache, StampFollowsTimeAndSeq) {
   CacheCheck check;
-  check.feed(fire_event(3.5, 10, "M->A"));
-  check.feed(fire_event(3.5, 11, "M->A"));  // same time, new seq
-  check.feed(fire_event(4.5, 11, "M->A"));  // same seq, new time
-  check.feed(fire_event(3.5, 11, "M->A"));  // back to an older time
-  check.feed(fire_event(3.5, 10, "M->A"));  // and an older seq
-  check.feed(TraceEvent{TraceCategory::kMarking, 3.5, 10, "M->P", 0, 0,
-                        "1.5"});
+  check.feed(keyed(fire_event(3.5, 10, "M->A"), 1));
+  check.feed(keyed(fire_event(3.5, 11, "M->A"), 1));  // same time, new seq
+  check.feed(keyed(fire_event(4.5, 11, "M->A"), 1));  // same seq, new time
+  check.feed(keyed(fire_event(3.5, 11, "M->A"), 1));  // an older time
+  check.feed(keyed(fire_event(3.5, 10, "M->A"), 1));  // and an older seq
+  check.feed(keyed(
+      TraceEvent{TraceCategory::kMarking, 3.5, 10, "M->P", 0, 0, "1.5"}, 2));
   check.feed(sched_event(3.5, 10, "out"));
-  check.feed(TraceEvent{TraceCategory::kEnabling, 0.1 + 0.2, 10, "M->B", 1,
-                        0, {}});
+  check.feed(keyed(
+      TraceEvent{TraceCategory::kEnabling, 0.1 + 0.2, 10, "M->B", 1, 0, {}},
+      3));
   check.feed(TraceEvent{TraceCategory::kMarker, 0.1 + 0.2, 0, "replication",
                         1, 0, {}});
   check.verify();
@@ -624,18 +656,19 @@ TEST(SerializationCache, NonFiniteTimesRenderNull) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   CacheCheck check;
   for (const double t : {kNaN, kNaN, -kNaN, kInf, kInf, -kInf, 1.0, kNaN}) {
-    check.feed(fire_event(t, 7, "M->A"));
+    check.feed(keyed(fire_event(t, 7, "M->A"), 1));
     check.feed(sched_event(t, 7, "in"));
   }
   check.verify();
-  EXPECT_EQ(JsonlSink::line(fire_event(kNaN, 7, "M->A")),
+  EXPECT_EQ(JsonlSink::line(keyed(fire_event(kNaN, 7, "M->A"), 1)),
             R"({"kind":"fire","t":null,"seq":7,"activity":"M->A","case":0})");
 }
 
 // --- fixed-size fragment copies ---------------------------------------------
-// The line writer copies its prefix, a cached stamp and a cached short
-// name with constant lengths, past the fragment's end. These cases sit
-// at the edges of those copies and compare with the reference renderers.
+// The line writer copies its prefix, a cached stamp and a cached name
+// with constant lengths, the short ones past the fragment's end. These
+// cases sit at the edges of those copies and compare with the reference
+// renderers.
 
 /// A fire line built from the json:: append helpers alone.
 std::string reference_fire_line(double t, std::uint64_t seq,
@@ -657,10 +690,11 @@ std::string written(const char* from, const char* end) {
 }
 
 TEST(FixedSizeCopies, NamesAroundTheShortCopyCutoff) {
-  // Quoted, 62 bytes is the longest name a constant-length copy covers.
+  // Quoted, 62 bytes is the longest name one block covers; 114 the
+  // longest a slot holds, copied as two overlapping blocks.
   static_assert(json::QuotedNameCache::kShortCopy == 64);
   std::vector<std::string> names;
-  for (const std::size_t len : {61, 62, 63, 64, 65}) {
+  for (const std::size_t len : {61, 62, 63, 64, 65, 113, 114, 115}) {
     names.push_back(std::string(len - 1, static_cast<char>('a' + len % 26)) +
                     "Z");
   }
@@ -669,11 +703,11 @@ TEST(FixedSizeCopies, NamesAroundTheShortCopyCutoff) {
   std::string expected;
   CacheCheck check;
   for (int pass = 0; pass < 3; ++pass) {  // a miss, then hits
-    for (const std::string& name : names) {
-      const TraceEvent event = fire_event(2.0, 9, name, pass);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const TraceEvent event = keyed(fire_event(2.0, 9, names[i], pass), i + 1);
       sink.on_event(event);
       check.feed(event);
-      expected += reference_fire_line(2.0, 9, name, pass) + "\n";
+      expected += reference_fire_line(2.0, 9, names[i], pass) + "\n";
     }
   }
   EXPECT_EQ(os.str(), expected);
@@ -688,18 +722,21 @@ TEST(FixedSizeCopies, NameWriteStaysWithinItsRoom) {
     std::string fresh;
     json::append_string(fresh, name);
     const std::size_t room = std::max(kCopy, 6 * len + 2);
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<char> buf(room + 16, '#');
-      const char* const end = cache.write(buf.data(), name);
-      ASSERT_EQ(written(buf.data(), end), fresh) << len;
-      for (std::size_t i = room; i < buf.size(); ++i) {
-        ASSERT_EQ(buf[i], '#') << "name of " << len << " wrote byte " << i;
+    for (const std::uint64_t key : {std::uint64_t{len + 1}, std::uint64_t{0}}) {
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<char> buf(room + 16, '#');
+        const char* const end = cache.write(buf.data(), key, name);
+        ASSERT_EQ(written(buf.data(), end), fresh) << len;
+        for (std::size_t i = room; i < buf.size(); ++i) {
+          ASSERT_EQ(buf[i], '#') << "name of " << len << " wrote byte " << i;
+        }
       }
     }
   }
 }
 
 TEST(FixedSizeCopies, EscapedNamesAreNeverCopiedFromTheCache) {
+  // Key 0 (a hand-built event): escaped names are quoted afresh.
   const std::string tricky = "a\"b\\c\nd\te\x01";
   const std::string long_tricky = std::string(60, 'x') + "\"";
   std::ostringstream os;
@@ -741,7 +778,7 @@ TEST(FixedSizeCopies, LongestStampRoundTripsThroughTheCache) {
   JsonlSink sink(os);
   std::string expected;
   for (int i = 0; i < 3; ++i) {  // a miss, then hits
-    sink.on_event(fire_event(kTime, kSeq, "M->A", i));
+    sink.on_event(keyed(fire_event(kTime, kSeq, "M->A", i), 1));
     expected += reference_fire_line(kTime, kSeq, "M->A", i) + "\n";
   }
   EXPECT_EQ(os.str(), expected);
@@ -749,11 +786,11 @@ TEST(FixedSizeCopies, LongestStampRoundTripsThroughTheCache) {
 
 TEST(FixedSizeCopies, EveryCategoryPrefix) {
   const std::vector<std::pair<TraceEvent, std::string>> cases = {
-      {fire_event(1, 2, "f"),
+      {keyed(fire_event(1, 2, "f"), 1),
        R"({"kind":"fire","t":1,"seq":2,"activity":"f","case":0})"},
-      {TraceEvent{TraceCategory::kEnabling, 1, 2, "e", 1, 0, {}},
+      {keyed(TraceEvent{TraceCategory::kEnabling, 1, 2, "e", 1, 0, {}}, 2),
        R"({"kind":"enabling","t":1,"seq":2,"activity":"e","active":1})"},
-      {TraceEvent{TraceCategory::kMarking, 1, 2, "p", 0, 0, "v"},
+      {keyed(TraceEvent{TraceCategory::kMarking, 1, 2, "p", 0, 0, "v"}, 3),
        R"({"kind":"marking","t":1,"seq":2,"place":"p","value":"v"})"},
       {TraceEvent{TraceCategory::kScheduler, 1, 2, "sched", 3, 4, "in"},
        R"({"kind":"sched","t":1,"seq":2,"op":"in","vcpu":3,"pcpu":4})"},
@@ -768,30 +805,37 @@ TEST(FixedSizeCopies, EveryCategoryPrefix) {
   std::ostringstream os;
   JsonlSink sink(os);
   std::string expected;
-  for (const auto& [event, line] : cases) {
-    EXPECT_EQ(JsonlSink::line(event), line);
-    sink.on_event(event);
-    expected += line + "\n";
+  for (int pass = 0; pass < 2; ++pass) {  // a miss, then hits
+    for (const auto& [event, line] : cases) {
+      EXPECT_EQ(JsonlSink::line(event), line);
+      sink.on_event(event);
+      expected += line + "\n";
+    }
   }
   EXPECT_EQ(os.str(), expected);
 }
 
 TEST(FixedSizeCopies, ShortLineAfterLongLineShowsNoStaleBytes) {
   const std::string long_name(400, 'L');
+  const std::string cached_name(100, 'C');  // two-block hit copy
   const std::string long_text(300, 'T');
   std::ostringstream os;
   JsonlSink sink(os);
   std::string expected;
   for (int round = 0; round < 2; ++round) {
-    const TraceEvent long_line{TraceCategory::kMarking, 123456.75, 99,
-                               long_name, 0, 0, long_text};
+    const TraceEvent long_line = keyed(
+        TraceEvent{TraceCategory::kMarking, 123456.75, 99, long_name, 0, 0,
+                   long_text},
+        1);
     sink.on_event(long_line);
     expected += JsonlSink::line(long_line) + "\n";
+    sink.on_event(keyed(fire_event(1, 1, cached_name), 2));
+    expected += reference_fire_line(1, 1, cached_name, 0) + "\n";
     // Short lines whose cached fragments are copied over the long
-    // line's bytes; each ends well before the copies' reach.
-    sink.on_event(fire_event(1, 1, "a"));
+    // lines' bytes; each ends well before the copies' reach.
+    sink.on_event(keyed(fire_event(1, 1, "a"), 3));
     expected += reference_fire_line(1, 1, "a", 0) + "\n";
-    sink.on_event(fire_event(1, 1, "a"));
+    sink.on_event(keyed(fire_event(1, 1, "a"), 3));
     expected += reference_fire_line(1, 1, "a", 0) + "\n";
     const TraceEvent empty_marker{static_cast<TraceCategory>(0x40), 1, 1, {},
                                   0, 0, {}};
@@ -799,6 +843,138 @@ TEST(FixedSizeCopies, ShortLineAfterLongLineShowsNoStaleBytes) {
     expected += R"({"kind":"?","t":1,"seq":1})" "\n";
   }
   EXPECT_EQ(os.str(), expected);
+}
+
+// --- keyed names ------------------------------------------------------------
+// The name cache is indexed by trace key and trusts it: a key names one
+// string for good. Key 0 names none and is never cached.
+
+TEST(KeyedNames, KeysOneTableApartShareASlot) {
+  constexpr std::uint64_t kSlots = json::QuotedNameCache::kSlots;
+  const std::vector<std::pair<std::uint64_t, std::string>> names = {
+      {5, "M->A"},
+      {5 + kSlots, "M->B"},
+      {5 + 2 * kSlots, std::string(100, 'w')},  // two-block hit copy
+      {5 + 3 * kSlots, "q\"\\\n"},              // escaped, cached as such
+      {kSlots, "S0"},                           // slot 0, as key 0 maps
+  };
+  CacheCheck check;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto& [key, name] : names) {
+      for (int hit = 0; hit < 2; ++hit) {
+        check.feed(keyed(fire_event(pass, 1, name, hit), key));
+      }
+      // Key 0 lands in slot 0, which holds key kSlots's name: a miss.
+      check.feed(fire_event(pass, 2, "zero"));
+    }
+  }
+  check.verify();
+}
+
+TEST(KeyedNames, KeyZeroIsQuotedAfreshEachTime) {
+  json::QuotedNameCache cache;
+  std::vector<char> buf(1024);
+  const auto write = [&](std::uint64_t key, std::string_view s) {
+    return written(buf.data(), cache.write(buf.data(), key, s));
+  };
+  const auto fresh = [](std::string_view s) {
+    std::string out;
+    json::append_string(out, s);
+    return out;
+  };
+  ASSERT_EQ(write(json::QuotedNameCache::kSlots, "cached"), "\"cached\"");
+  // One buffer, three contents, all under key 0.
+  std::string name = "a\"b\\c\nd\x01";
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(write(0, name), fresh(name));
+    name.assign(120, 'L');  // longer than a slot's quoted form
+    EXPECT_EQ(write(0, name), fresh(name));
+    name = "plain";
+    EXPECT_EQ(write(0, name), fresh(name));
+    name = "a\"b\\c\nd\x01";
+  }
+  EXPECT_EQ(write(json::QuotedNameCache::kSlots, "cached"), "\"cached\"");
+}
+
+TEST(KeyedNames, EscapedNamesAreCopiedFromTheCache) {
+  const std::string tricky = "a\"b\\c\nd\te\x01";
+  const std::string long_tricky = std::string(60, 'x') + "\"";
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (int pass = 0; pass < 3; ++pass) {  // a miss, then hits
+    std::uint64_t key = 1;
+    for (const std::string* name : {&tricky, &long_tricky}) {
+      sink.on_event(keyed(fire_event(1.0, 3, *name, pass), key++));
+      expected += reference_fire_line(1.0, 3, *name, pass) + "\n";
+    }
+  }
+  EXPECT_EQ(os.str(), expected);
+}
+
+/// Forwards every event to each of its sinks.
+class Tee final : public san::TraceSink {
+ public:
+  explicit Tee(std::vector<san::TraceSink*> sinks) : sinks_(std::move(sinks)) {}
+  void on_event(const TraceEvent& event) override {
+    for (san::TraceSink* sink : sinks_) sink->on_event(event);
+  }
+
+ private:
+  std::vector<san::TraceSink*> sinks_;
+};
+
+TEST(KeyedNames, RingBufferReplayKeepsKeysAndBytes) {
+  auto system = vm::build_system(vm::make_symmetric_config(2, {2, 1}, 5),
+                                 sched::make_factory("credit")());
+  std::map<std::string, std::uint64_t, std::less<>> keys;
+  for (const san::Activity* a : system->model->all_activities()) {
+    keys.emplace(a->name(), a->trace_key());
+  }
+  for (const auto& sub : system->model->submodels()) {
+    for (const san::PlacePtr& p : sub->places()) {
+      keys.emplace(p->name(), p->trace_key());
+    }
+  }
+  std::ostringstream jsonl_os;
+  std::ostringstream chrome_os;
+  JsonlSink jsonl(jsonl_os);
+  ChromeTraceSink chrome(chrome_os);
+  RingBufferSink recorded;
+  RingBufferSink tail(100);  // bounded: its records move at compaction
+  Tee tee({&jsonl, &chrome, &recorded, &tail});
+  vcpusim::testing::run_traced(*system, tee, 300.0, 11);
+  jsonl.finish();
+  chrome.finish();
+
+  std::size_t keyed_events = 0;
+  for (const TraceEvent e : recorded.events()) {
+    if (e.category == TraceCategory::kScheduler) {
+      EXPECT_EQ(e.name_key, 0U);
+      continue;
+    }
+    const auto it = keys.find(e.name);
+    ASSERT_NE(it, keys.end()) << e.name;
+    ASSERT_EQ(e.name_key, it->second) << e.name;
+    ++keyed_events;
+  }
+  EXPECT_GT(keyed_events, 1000U);
+  ASSERT_EQ(tail.dropped() + tail.events().size(), recorded.events().size());
+  for (std::size_t i = 0; i < tail.events().size(); ++i) {
+    EXPECT_EQ(tail.events()[i].name_key,
+              recorded.events()[tail.dropped() + i].name_key);
+  }
+
+  std::ostringstream replay_jsonl_os;
+  std::ostringstream replay_chrome_os;
+  JsonlSink replay_jsonl(replay_jsonl_os);
+  ChromeTraceSink replay_chrome(replay_chrome_os);
+  recorded.replay_into(replay_jsonl);
+  recorded.replay_into(replay_chrome);
+  replay_jsonl.finish();
+  replay_chrome.finish();
+  EXPECT_EQ(replay_jsonl_os.str(), jsonl_os.str());
+  EXPECT_EQ(replay_chrome_os.str(), chrome_os.str());
 }
 
 // --- the stream contract ---------------------------------------------------
